@@ -1,9 +1,9 @@
 """Discrete adjoint solver and the reduced-cost gradient.
 
-The adjoint system is assembled as the exact transpose of the Jacobian of
-the discrete state residual, frozen at the converged state.  Relative to
-the state operator this transposes the divergence coupling, turns the
-upwind convection into its downwind counterpart, moves the viscosity and
+The adjoint system is the exact transpose of the Jacobian of the discrete
+state residual, frozen at the converged state.  Relative to the state
+operator this transposes the divergence coupling, turns the upwind
+convection into its downwind counterpart, moves the viscosity and
 buoyancy couplings into the transport row, and adds the advecting-slot
 linearization of the upwind fluxes (|a| differentiated to sign(a), with
 sign(0) = 0).  The transpose construction makes the identity
@@ -12,17 +12,21 @@ sign(0) = 0).  The transpose construction makes the identity
 
 hold to solver precision, which is what the finite-difference gradient
 check requires.
+
+The adjoint matrix is never assembled.  The state's ``Linearization``
+factors the Jacobian J once, and the adjoint is solved with the
+transposed LU factors as S^{-1} J^T S, S = diag(1, |K|, 1), so that the
+continuity rows keep the 1/|K| scaling of the state solve.  In a one-shot
+optimization loop that LU is also the one the next Newton step uses.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from . import assembly as asm
-from .linalg import BorderedSolver
 from .spaces import BoundaryTrace, CRVectorField, P0Field, p0_project
-from .state import _Dofs, _sub, _momentum_operator, _transport_operator
+from .state import Linearization, _Dofs
 
 __all__ = ["TrackingData", "AdjointSolution", "solve_adjoint",
            "gradient_of_reduced_cost"]
@@ -73,25 +77,26 @@ class AdjointSolution:
         return max_cell_div(self.phi.mesh, self.phi.dof)
 
 
-def state_jacobian_blocks(mesh, params, state):
-    """Jacobian blocks of the state residual at a converged solution.
-
-    Returns a dict with the momentum, transport, and coupling blocks over
-    the full dof sets.
-    """
-    u = state.u.dof
-    y = state.y.dof
-    A_mom = _momentum_operator(mesh, params, y[:, 0], u, state.penalty_a0) \
-        + asm.assemble_advecting_linearization(mesh, u, u)
-    A_tr = _transport_operator(mesh, params, u)
-    K_uy = asm.assemble_viscosity_coupling(mesh, u, y[:, 0], params) \
-        - asm.assemble_buoyancy_coupling(mesh, params, y)
-    K_yu = asm.assemble_advecting_linearization(mesh, u, y)
-    return {"A_mom": A_mom.tocsr(), "A_tr": A_tr.tocsr(),
-            "K_uy": K_uy.tocsr(), "K_yu": K_yu.tocsr()}
+def _linearization_at(mesh, params, state):
+    """Exact state linearization at ``state``, laid out for the adjoint
+    (homogeneous data on the state's transport Dirichlet edges)."""
+    y_bc = None
+    if state.y_dirichlet_edges.size:
+        y_bc = BoundaryTrace(mesh, state.y_dirichlet_edges,
+                             np.zeros((state.y_dirichlet_edges.size, 2)))
+    return Linearization(mesh, params, _Dofs(mesh, y_bc, None), state.u.dof,
+                         state.y.dof, state.penalty_a0)
 
 
-def solve_adjoint(mesh, params, state, data, rtol=1e-12):
+def _adjoint_rhs(mesh, state, data, dofs):
+    """Tracking loads on the free (u, p, y) layout of ``dofs``."""
+    b_u = asm.tracking_load(mesh, state.u.dof, data.u_d)[dofs.iu_free]
+    b_y = asm.tracking_load(mesh, state.y.dof, data.y_d)[dofs.iy_free]
+    return np.concatenate([b_u, np.zeros(mesh.num_cells), b_y])
+
+
+def solve_adjoint(mesh, params, state, data, rtol=1e-12,
+                  linearization=None):
     """Solve the linear discrete adjoint system at a converged state.
 
     Parameters
@@ -100,6 +105,10 @@ def solve_adjoint(mesh, params, state, data, rtol=1e-12):
         Converged state; its Dirichlet edge set and penalty setting are
         reused (the adjoint variables carry homogeneous data).
     data : TrackingData
+    linearization : Linearization, optional
+        Exact linearization at ``state`` with the same Dirichlet edge set,
+        such as the one the next Newton step of a one-shot loop factors;
+        built here when omitted.  Its LU is reused, transposed.
 
     Returns
     -------
@@ -110,48 +119,17 @@ def solve_adjoint(mesh, params, state, data, rtol=1e-12):
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("state fields contain NaN/Inf")
 
-    y_bc = None
-    if state.y_dirichlet_edges.size:
-        y_bc = BoundaryTrace(mesh, state.y_dirichlet_edges,
-                             np.zeros((state.y_dirichlet_edges.size, 2)))
-    dofs = _Dofs(mesh, y_bc, None)
-
-    blocks = state_jacobian_blocks(mesh, params, state)
-    B = asm.assemble_divergence(mesh)
-    area = asm.assemble_mean_constraint(mesh)
-
-    b_u = asm.tracking_load(mesh, u, data.u_d)[dofs.iu_free]
-    b_y = asm.tracking_load(mesh, y, data.y_d)[dofs.iy_free]
-
-    A_mom_T = _sub(blocks["A_mom"], dofs.iu_free, dofs.iu_free).T
-    A_tr_T = _sub(blocks["A_tr"], dofs.iy_free, dofs.iy_free).T
-    K_yu_T = _sub(blocks["K_yu"], dofs.iy_free, dofs.iu_free).T
-    K_uy_T = _sub(blocks["K_uy"], dofs.iu_free, dofs.iy_free).T
-    B_free = B[:, dofs.iu_free]
-    # continuity rows scaled by 1/|K| as in the state solve
-    B_scaled = sp.diags(1.0 / area) @ B_free
-
-    nu_free = dofs.iu_free.size
-    nc = mesh.num_cells
-    core = sp.bmat([[A_mom_T, B_free.T, K_yu_T],
-                    [B_scaled, None, None],
-                    [K_uy_T, None, A_tr_T]], format="csc")
-    d_col = np.zeros(core.shape[0])
-    d_col[nu_free:nu_free + nc] = 1.0
-    e_row = np.zeros_like(d_col)
-    e_row[nu_free:nu_free + nc] = area
-    solver = BorderedSolver(core, d_col, e_row,
-                            pin_row=nu_free, pin_col=nu_free)
-    x, mult = solver.solve(
-        np.concatenate([b_u, np.zeros(nc), b_y]), rtol=rtol)
-    phi_f = x[:nu_free]
-    xi = x[nu_free:nu_free + nc]
-    eta_f = x[nu_free + nc:]
-
+    lin = linearization if linearization is not None \
+        else _linearization_at(mesh, params, state)
+    dofs = lin.dofs
+    x, mult = lin.solve(_adjoint_rhs(mesh, state, data, dofs),
+                        transpose=True, rtol=rtol)
     phi = np.zeros((mesh.num_edges, 2))
-    phi[dofs.u_free_edges] = phi_f.reshape(-1, 2)
+    phi[dofs.u_free_edges] = x[:dofs.nu_free].reshape(-1, 2)
     eta = np.zeros((mesh.num_edges, 2))
-    eta[dofs.y_free_edges] = eta_f.reshape(-1, 2)
+    eta[dofs.y_free_edges] = x[dofs.ip.stop:].reshape(-1, 2)
+    xi = x[dofs.ip]
+    area = dofs.area
     xi_raw = xi - area @ xi / area.sum()
     # The transposed skew convection pairs -b(v, (u.phi + y.eta)/2) into
     # the momentum row; div v_h is cellwise constant, so this is exactly a

@@ -17,6 +17,7 @@ from .adjoint import TrackingData
 from .assembly import ProblemParams
 from .control import ControlBounds, PdasSettings, PdasNonconvergence, \
     pdas_solve
+from .linalg import LinearSolveError, SingularMatrixError
 from .mesh import build_unit_square_mesh
 from .spaces import BoundaryTrace, P0Field
 from .state import NonlinearSettings, NonconvergenceError, DivergedError, \
@@ -499,7 +500,8 @@ def main(argv=None):
         if args.command == "cavity":
             return _cmd_cavity(config, config.out)
         return _cmd_solve(config, config.out)
-    except (NonconvergenceError, DivergedError, PdasNonconvergence) as exc:
+    except (NonconvergenceError, DivergedError, PdasNonconvergence,
+            SingularMatrixError, LinearSolveError) as exc:
         diag = os.path.join(config.out, "nonconvergence.txt")
         try:
             with open(diag, "w") as fh:

@@ -1,15 +1,21 @@
 """Box-constrained control of the coupled flow by a primal-dual active set
 strategy (semi-smooth Newton on the projection fixed-point equation).
 
-Each outer iteration solves the state and adjoint systems to convergence,
-classifies every cell/component against the box through the projection
-formula
+Each outer iteration advances the state (one linearization step in the
+default one-shot coupling, a full solve in the decoupled one), solves the
+adjoint at the new state, classifies every cell/component against the box
+through the projection formula
 
     U = max(Ua, min(Ub, -(Pi0 phi) / lambda)),
 
 assigns the bound on active cells and the projection value on inactive
 ones, and stops when the active sets repeat and the control update falls
 below the tolerance.
+
+There is one factorization per linearization.  Once the one-shot state
+iteration is in Newton mode, the adjoint of iteration k is solved with the
+transposed LU of the Jacobian that the state step of iteration k + 1
+solves with, so the two share their assembly and their factorization.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .adjoint import solve_adjoint
+from .adjoint import _adjoint_rhs, _linearization_at, solve_adjoint
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
-from .state import NonlinearSettings, solve_state, state_residual
+from .state import NonlinearSettings, StateStepper, solve_state, \
+    state_residual
 
 __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
            "eval_cost", "pdas_solve", "kkt_residuals",
@@ -162,8 +169,6 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     PdasNonconvergence
         When ``max_iter`` outer iterations do not settle the active sets.
     """
-    from .state import StateStepper
-
     settings = settings or PdasSettings()
     lam = settings.lam
     nc = mesh.num_cells
@@ -192,7 +197,12 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
                                 forcing_tr=forcing_tr,
                                 penalty_a0=penalty_a0, initial=state)
             state_incr = 0.0
-        adjoint = solve_adjoint(mesh, params, state, data)
+        # once the stepper is in Newton mode, the adjoint's linearization
+        # (blocks and LU) is the one the next step consumes
+        adjoint = solve_adjoint(
+            mesh, params, state, data,
+            linearization=stepper.linearize()
+            if oneshot and stepper.newton else None)
         pphi = p0_project(adjoint.phi, mesh).dof
         labels = _classify(pphi, lam, bounds)
         U_new = project_control(pphi, lam, bounds)
@@ -257,31 +267,13 @@ def kkt_residuals(result):
 
 
 def _adjoint_residual(mesh, params, state, adjoint, data):
-    from .adjoint import state_jacobian_blocks
-    from .state import _Dofs
-    from .spaces import BoundaryTrace
-
-    y_bc = None
-    if state.y_dirichlet_edges.size:
-        y_bc = BoundaryTrace(mesh, state.y_dirichlet_edges,
-                             np.zeros((state.y_dirichlet_edges.size, 2)))
-    dofs = _Dofs(mesh, y_bc, None)
-    blocks = state_jacobian_blocks(mesh, params, state)
-    B = asm.assemble_divergence(mesh)
-    area = asm.assemble_mean_constraint(mesh)
-
-    phi = adjoint.phi.dof.reshape(-1)
-    eta = adjoint.eta.dof.reshape(-1)
+    lin = _linearization_at(mesh, params, state)
+    dofs = lin.dofs
     xi = adjoint.xi_raw if adjoint.xi_raw is not None else adjoint.xi.dof
-    b_u = asm.tracking_load(mesh, state.u.dof, data.u_d)
-    b_y = asm.tracking_load(mesh, state.y.dof, data.y_d)
-
-    r_u = (blocks["A_mom"].T @ phi + B.T @ xi + blocks["K_yu"].T @ eta
-           - b_u)[dofs.iu_free]
-    r_div = (B @ phi)
-    r_y = (blocks["K_uy"].T @ phi + blocks["A_tr"].T @ eta
-           - b_y)[dofs.iy_free]
-    return float(np.sqrt(np.linalg.norm(r_u) ** 2
-                         + np.linalg.norm(r_div) ** 2
-                         + np.linalg.norm(r_y) ** 2
-                         + float(area @ xi) ** 2))
+    x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(), xi,
+                        adjoint.eta.dof[dofs.y_free_edges].ravel()])
+    # J^T S x = S (S^{-1} J^T S) x: the adjoint rows with the continuity
+    # rows unscaled (B phi)
+    r = lin.J.T @ (dofs.scale * x) - _adjoint_rhs(mesh, state, data, dofs)
+    return float(np.sqrt(np.linalg.norm(r) ** 2
+                         + float(dofs.area @ xi) ** 2))

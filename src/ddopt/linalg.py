@@ -12,7 +12,7 @@ from scipy import sparse as sp
 from scipy.sparse import linalg as spla
 
 __all__ = ["SingularMatrixError", "LinearSolveError", "DirectSolver",
-           "solve_direct", "BlockSystem"]
+           "BorderedSolver"]
 
 
 class SingularMatrixError(RuntimeError):
@@ -73,44 +73,50 @@ class DirectSolver:
         return x
 
 
-def solve_direct(A, b, rtol=1e-9):
-    """One-shot sparse direct solve, see ``DirectSolver``."""
-    return DirectSolver(A).solve(b, rtol=rtol)
-
-
-class BlockSystem:
-    """Monolithic matrix and right-hand side from named blocks.
-
-    Parameters
-    ----------
-    blocks : list of list
-        2D layout accepted by ``scipy.sparse.bmat`` (None for empty blocks).
-    rhs : list of ndarray
-        One vector per block row.
+class _Elimination:
+    """Border and pin elimination on one side of the factored core K + pin:
+    the core itself, or S^{-1} (K + pin)^T S when ``scale`` (S) is given,
+    solved with the transposed factors.  Block elimination of the border
+    solves Mtilde = [[core, d], [e^T, 0]]; Sherman-Morrison removes the pin.
     """
 
-    def __init__(self, blocks, rhs):
-        self.matrix = sp.bmat(blocks, format="csc")
-        self.rhs = np.concatenate([np.asarray(r, dtype=float) for r in rhs])
-        self.sizes = [np.asarray(r).shape[0] for r in rhs]
-        if self.matrix.shape[0] != self.rhs.shape[0]:
-            raise ValueError("block dimensions inconsistent with rhs")
+    def __init__(self, lu, d, e, pin_row, pin_col, scale=None):
+        self.lu, self.scale, self.d, self.e = lu, scale, d, e
+        w = np.zeros(d.size)
+        if scale is None:
+            w[pin_row] = 1.0
+        else:  # the transposed core carries the pin at (pin_col, pin_row)
+            pin_row, pin_col = pin_col, pin_row
+            w[pin_row] = scale[pin_col] / scale[pin_row]
+        self.s = self.core_solve(d)
+        self.es = float(e @ self.s)
+        if self.es == 0.0 or not np.isfinite(self.es):
+            raise SingularMatrixError("constraint row is orthogonal to the "
+                                      "multiplier column image")
+        self.read = pin_col
+        self.qx, self.qm = self.mtilde_solve(w, 0.0)
+        self.denom = 1.0 - self.qx[pin_col]
+        if self.denom == 0.0 or not np.isfinite(self.denom):
+            raise SingularMatrixError("pin elimination degenerate")
 
-    def split(self, x):
-        """Cut a solution vector back into the block components."""
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append(x[start:start + s])
-            start += s
-        return out
+    def core_solve(self, r):
+        if self.scale is None:
+            return self.lu.solve(r)
+        return self.lu.solve(self.scale * r, trans="T") / self.scale
 
-    def solve(self, rtol=1e-12):
-        return self.split(solve_direct(self.matrix, self.rhs, rtol=rtol))
+    def mtilde_solve(self, r, rho):
+        y = self.core_solve(r)
+        m = (float(self.e @ y) - rho) / self.es
+        return y - m * self.s, m
+
+    def apply(self, b, beta):
+        x, m = self.mtilde_solve(b, beta)
+        alpha = x[self.read] / self.denom
+        return x + alpha * self.qx, m + alpha * self.qm
 
 
 class BorderedSolver:
-    """Direct solver for [[K, d], [e^T, 0]] with a dense border.
+    """Direct solver for [[K, d], [e^T, 0]] and its scaled transpose.
 
     A scalar Lagrange multiplier (the zero-mean pressure constraint) adds a
     dense row and column to an otherwise sparse system; factoring them
@@ -118,7 +124,9 @@ class BorderedSolver:
     is factorized, made nonsingular by adding a rank-one pin at
     (pin_row, pin_col); the border and the pin are then eliminated exactly
     by block elimination and the Sherman-Morrison formula, followed by
-    iterative refinement on the full bordered system.
+    iterative refinement on the full bordered system.  The same LU solves
+    [[S^{-1} K^T S, d], [e^T, 0]], S = diag(scale), with the transposed
+    factors; that side's elimination data are computed on its first solve.
 
     Parameters
     ----------
@@ -130,61 +138,52 @@ class BorderedSolver:
         Constraint row.
     pin_row, pin_col : int
         Pin entry; K + e_{pin_row} e_{pin_col}^T must be nonsingular.
+    scale : ndarray (n,), optional
+        Positive diagonal S of the transposed system (identity if omitted).
     """
 
-    def __init__(self, K, d, e, pin_row, pin_col):
+    def __init__(self, K, d, e, pin_row, pin_col, scale=None):
         n = K.shape[0]
         self.d = np.asarray(d, dtype=float)
         self.e = np.asarray(e, dtype=float)
-        self.pin_col = pin_col
+        self.pin_row, self.pin_col = pin_row, pin_col
+        self.scale = np.ones(n) if scale is None \
+            else np.asarray(scale, dtype=float)
         self.K = sp.csc_matrix(K)
         pin = sp.coo_matrix(([1.0], ([pin_row], [pin_col])), shape=(n, n))
         self.core = DirectSolver(self.K + pin)
-        # bordered elimination data: s = Ktilde^{-1} d
-        self.s = self.core._lu.solve(self.d)
-        self.es = float(self.e @ self.s)
-        if self.es == 0.0 or not np.isfinite(self.es):
-            raise SingularMatrixError("constraint row is orthogonal to the "
-                                      "multiplier column image")
-        # Sherman-Morrison data for removing the pin: q = Mtilde^{-1} W
-        w = np.zeros(n)
-        w[pin_row] = 1.0
-        self.qx, self.qm = self._mtilde_solve(w, 0.0)
-        self.denom = 1.0 - self.qx[pin_col]
-        if self.denom == 0.0 or not np.isfinite(self.denom):
-            raise SingularMatrixError("pin elimination degenerate")
+        self._sides = {False: _Elimination(self.core._lu, self.d, self.e,
+                                           pin_row, pin_col)}
 
-    def _mtilde_solve(self, r, rho):
-        y = self.core._lu.solve(r)
-        m = (float(self.e @ y) - rho) / self.es
-        return y - m * self.s, m
-
-    def _apply_once(self, b, beta):
-        x, m = self._mtilde_solve(b, beta)
-        alpha = x[self.pin_col] / self.denom
-        return x + alpha * self.qx, m + alpha * self.qm
-
-    def solve(self, b, beta=0.0, rtol=1e-12, accept=1e-8, refine=6):
-        """Solve the bordered system for (x, m).
+    def solve(self, b, beta=0.0, rtol=1e-12, accept=1e-8, refine=6,
+              transpose=False):
+        """Solve the bordered system (or its scaled transpose) for (x, m).
 
         Refines to relative residual ``rtol`` when possible and accepts up
-        to ``accept`` (raising LinearSolveError beyond that).
+        to ``accept`` (raising LinearSolveError beyond that).  The residual
+        is that of the system solved, in its own scaling.
         """
+        S = self.scale
+        if transpose not in self._sides:
+            self._sides[True] = _Elimination(self.core._lu, self.d, self.e,
+                                             self.pin_row, self.pin_col, S)
+        side = self._sides[transpose]
         b = np.asarray(b, dtype=float)
-        x, m = self._apply_once(b, beta)
+        x, m = side.apply(b, beta)
         norm = np.linalg.norm(b) + abs(beta)
         if norm == 0.0:
             return np.zeros_like(b), 0.0
         best = None
         for _ in range(refine + 1):
-            rx = b - (self.K @ x + m * self.d)
+            Kx = self.K.T @ (S * x) / S if transpose else self.K @ x
+            rx = b - (Kx + m * self.d)
             rm = beta - float(self.e @ x)
             res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
             if best is None or res < best[0]:
                 best = (res, x.copy(), m)
             if res <= rtol * norm:
                 return x, m
-            dx, dm = self._apply_once(rx, rm)
+            dx, dm = side.apply(rx, rm)
             x = x + dx
             m = m + dm
         res, x, m = best

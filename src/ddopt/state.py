@@ -10,6 +10,11 @@ bordered system to keep the factorization sparse).  Dirichlet dofs
 (velocity on the whole boundary, transported scalars on the Dirichlet
 part) are eliminated and carried by a discrete lifting.
 
+Each step factors one ``Linearization`` of the system at the iterate.  The
+LU of the exact (Newton) one also solves the adjoint, transposed, so a
+one-shot optimization loop hands the next Newton step the linearization
+it built for the adjoint instead of factoring the same Jacobian twice.
+
 ``StateStepper`` exposes single steps so the optimization loop can
 interleave state linearizations with active-set updates; ``solve_state``
 drives the stepper to the increment tolerance.
@@ -28,8 +33,8 @@ from .spaces import (CRVectorField, P0Field, cr_basis_values,
                      cr_values_on_cells, cr_cell_gradients)
 
 __all__ = ["NonlinearSettings", "StateSolution", "NonconvergenceError",
-           "DivergedError", "StateStepper", "solve_state", "state_residual",
-           "max_cell_div"]
+           "DivergedError", "Linearization", "StateStepper", "solve_state",
+           "state_residual", "max_cell_div"]
 
 
 class NonconvergenceError(RuntimeError):
@@ -120,7 +125,7 @@ def _buoyancy_load(mesh, params, y_dof):
 
 
 class _Dofs:
-    """Free/fixed dof bookkeeping for one solve."""
+    """Free/fixed dofs and the bordered (u, p, y) free-dof layout."""
 
     def __init__(self, mesh, y_bc, u_bc):
         ne = mesh.num_edges
@@ -153,6 +158,24 @@ class _Dofs:
         self.iy_free = asm.vector_indices(self.y_free_edges)
         self.iy_fixed = asm.vector_indices(self.y_fixed_edges)
 
+        self.B = asm.assemble_divergence(mesh)
+        self.area = asm.assemble_mean_constraint(mesh)
+        self.B_free = self.B[:, self.iu_free]
+        # scale only the continuity rows by 1/|K| so the solver residual
+        # bounds the cellwise divergence directly; the pressure-gradient
+        # block in the momentum row keeps the unscaled transpose
+        self.B_scaled = sp.diags(1.0 / self.area) @ self.B_free
+        self.nu_free = self.iu_free.size
+        self.ip = slice(self.nu_free, self.nu_free + mesh.num_cells)
+        n_all = self.ip.stop + self.iy_free.size
+        self.d_col = np.zeros(n_all)
+        self.d_col[self.ip] = 1.0
+        self.e_row = np.zeros(n_all)
+        self.e_row[self.ip] = self.area
+        # S = diag(1, |K|, 1): the adjoint core is S^{-1} J^T S
+        self.scale = np.ones(n_all)
+        self.scale[self.ip] = self.area
+
     def full_u(self, u_free_flat):
         u = np.zeros((self.mesh.num_edges, 2))
         u[self.u_free_edges] = u_free_flat.reshape(-1, 2)
@@ -168,7 +191,7 @@ class _Dofs:
 
 
 def _sub(A, rows, cols):
-    return A[rows][:, cols]
+    return None if A is None else A[rows][:, cols]
 
 
 def _momentum_operator(mesh, params, T_dof, u_dof, penalty_a0):
@@ -183,6 +206,51 @@ def _transport_operator(mesh, params, u_dof):
     return (asm.assemble_cross_diffusion(mesh, params.diffusion)
             + asm.assemble_upwind_advection(mesh, u_dof,
                                             n_components=2)).tocsr()
+
+
+class Linearization:
+    """The state system linearized at an iterate (u, y), factored once.
+
+    The bordered free-dof core ``J`` (exact Jacobian with ``newton``, else
+    the Picard operator) is assembled here and factored on the first
+    solve, so callers assemble what else they need first.  Its LU solves
+    with J and, transposed, with the adjoint's S^{-1} J^T S.  ``MF`` is the
+    affine buoyancy block when the caller holds it.
+    """
+
+    def __init__(self, mesh, params, dofs, u, y, penalty_a0=0.0, MF=None,
+                 newton=True):
+        self.dofs = dofs
+        self.A_mom = _momentum_operator(mesh, params, y[:, 0], u, penalty_a0)
+        self.A_tr = _transport_operator(mesh, params, u)
+        affine = params.F_jac is None
+        if MF is None and (newton or affine):
+            MF = asm.assemble_buoyancy_coupling(mesh, params, y)
+        if newton:
+            A_uu = self.A_mom + asm.assemble_advecting_linearization(
+                mesh, u, u)
+            K_uy = asm.assemble_viscosity_coupling(mesh, u, y[:, 0],
+                                                   params) - MF
+            K_yu = asm.assemble_advecting_linearization(mesh, u, y)
+        else:
+            A_uu, K_uy, K_yu = self.A_mom, -MF if affine else None, None
+        iu, iy = dofs.iu_free, dofs.iy_free
+        self.J = sp.bmat([[_sub(A_uu, iu, iu), dofs.B_free.T,
+                           _sub(K_uy, iu, iy)],
+                          [dofs.B_scaled, None, None],
+                          [_sub(K_yu, iy, iu), None, _sub(self.A_tr, iy, iy)]],
+                         format="csc")
+        self._solver = None
+
+    def solve(self, rhs, beta=0.0, transpose=False, rtol=1e-12):
+        """Bordered solve with J, or with S^{-1} J^T S if ``transpose``."""
+        if self._solver is None:
+            d = self.dofs
+            self._solver = BorderedSolver(self.J, d.d_col, d.e_row,
+                                          pin_row=d.nu_free,
+                                          pin_col=d.nu_free, scale=d.scale)
+        return self._solver.solve(rhs, beta=beta, rtol=rtol,
+                                  transpose=transpose)
 
 
 def _control_load(mesh, control):
@@ -215,27 +283,11 @@ class StateStepper:
         self.params = params
         self.settings = settings or NonlinearSettings()
         self.penalty_a0 = penalty_a0
-        self.dofs = _Dofs(mesh, y_bc, u_bc)
+        self.dofs = dofs = _Dofs(mesh, y_bc, u_bc)
         nc = mesh.num_cells
 
-        self.B = asm.assemble_divergence(mesh)
-        self.area = asm.assemble_mean_constraint(mesh)
-        self.B_free = self.B[:, self.dofs.iu_free]
-        # scale only the continuity rows by 1/|K| so the solver residual
-        # bounds the cellwise divergence directly; the pressure-gradient
-        # block in the momentum row keeps the unscaled transpose
-        self.B_scaled = sp.diags(1.0 / self.area) @ self.B_free
-        self.nu_free = self.dofs.iu_free.size
-        self.ny_free = self.dofs.iy_free.size
-        n_all = self.nu_free + nc + self.ny_free
-        self.d_col = np.zeros(n_all)
-        self.d_col[self.nu_free:self.nu_free + nc] = 1.0
-        self.e_row = np.zeros(n_all)
-        self.e_row[self.nu_free:self.nu_free + nc] = self.area
-
-        g = -self.B[:, self.dofs.iu_fixed] \
-            @ self.dofs.u_fixed_values.reshape(-1)
-        self.g = (g - self.area * (g.sum() / self.area.sum())) / self.area
+        g = -dofs.B[:, dofs.iu_fixed] @ dofs.u_fixed_values.reshape(-1)
+        self.g = (g - dofs.area * (g.sum() / dofs.area.sum())) / dofs.area
 
         self.affine_buoyancy = params.F_jac is None
         self.MF = asm.assemble_buoyancy_coupling(mesh, params) \
@@ -260,23 +312,18 @@ class StateStepper:
                 self.y[self.dofs.y_fixed_edges] = self.dofs.y_fixed_values
             self.p = initial.p.dof.copy()
         else:
-            self.u = self.dofs.full_u(np.zeros(self.nu_free))
-            self.y = self.dofs.full_y(np.zeros(self.ny_free))
+            self.u = self.dofs.full_u(np.zeros(self.dofs.nu_free))
+            self.y = self.dofs.full_y(np.zeros(self.dofs.iy_free.size))
             self.p = np.zeros(nc)
         self.m = 0.0
         self.newton = False
         self.steps = 0
         self.increments = []
+        self._lin = None
 
     def set_control(self, control):
         """Swap the distributed control between steps."""
         self.b_control = _control_load(self.mesh, control)
-
-    def _momentum_rhs_base(self, y_cur):
-        b = self.b_forcing + self.b_control
-        if not self.affine_buoyancy:
-            b = b + _buoyancy_load(self.mesh, self.params, y_cur)
-        return b
 
     def increment_norm(self, du, dy):
         return broken_velocity_norm(self.mesh, du,
@@ -291,83 +338,65 @@ class StateStepper:
             + broken_transport_norm(self.mesh, self.y,
                                     self.params.sigma_bar)
 
+    def linearize(self):
+        """Newton linearization at the iterate; the next step consumes it."""
+        if self._lin is None:
+            self._lin = Linearization(self.mesh, self.params, self.dofs,
+                                      self.u, self.y, self.penalty_a0,
+                                      self.MF)
+        return self._lin
+
     def step(self):
         """Advance one Picard or Newton step; returns the increment norm."""
         mesh, params, dofs = self.mesh, self.params, self.dofs
-        nc = mesh.num_cells
+        nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
-        A_mom = _momentum_operator(mesh, params, y[:, 0], u,
-                                   self.penalty_a0)
-        A_tr = _transport_operator(mesh, params, u)
-        b_mom = self._momentum_rhs_base(y)
-        if self.affine_buoyancy and dofs.iy_fixed.size:
-            b_mom = b_mom + self.MF[:, dofs.iy_fixed] \
-                @ dofs.y_fixed_values.reshape(-1)
-        b_mom_free = b_mom[dofs.iu_free] \
-            - _sub(A_mom, dofs.iu_free, dofs.iu_fixed) \
-            @ dofs.u_fixed_values.reshape(-1)
-        b_tr_free = self.b_tr[dofs.iy_free]
-        if dofs.iy_fixed.size:
-            b_tr_free = b_tr_free \
-                - _sub(A_tr, dofs.iy_free, dofs.iy_fixed) \
-                @ dofs.y_fixed_values.reshape(-1)
+        lin = self.linearize() if self.newton else Linearization(
+            mesh, params, dofs, u, y, self.penalty_a0, self.MF, newton=False)
+        self._lin = None
 
         if not self.newton:
-            mom_y_block = -_sub(self.MF, dofs.iu_free, dofs.iy_free) \
-                if self.affine_buoyancy else None
-            core = sp.bmat(
-                [[_sub(A_mom, dofs.iu_free, dofs.iu_free), self.B_free.T,
-                  mom_y_block],
-                 [self.B_scaled, None, None],
-                 [None, None, _sub(A_tr, dofs.iy_free, dofs.iy_free)]],
-                format="csc")
-            solver = BorderedSolver(core, self.d_col, self.e_row,
-                                    pin_row=self.nu_free,
-                                    pin_col=self.nu_free)
-            x, m_new = solver.solve(
+            b_mom = self.b_forcing + self.b_control
+            if not self.affine_buoyancy:
+                b_mom = b_mom + _buoyancy_load(mesh, params, y)
+            elif dofs.iy_fixed.size:
+                b_mom = b_mom + self.MF[:, dofs.iy_fixed] \
+                    @ dofs.y_fixed_values.reshape(-1)
+            b_mom_free = b_mom[dofs.iu_free] \
+                - _sub(lin.A_mom, dofs.iu_free, dofs.iu_fixed) \
+                @ dofs.u_fixed_values.reshape(-1)
+            b_tr_free = self.b_tr[dofs.iy_free]
+            if dofs.iy_fixed.size:
+                b_tr_free = b_tr_free \
+                    - _sub(lin.A_tr, dofs.iy_free, dofs.iy_fixed) \
+                    @ dofs.y_fixed_values.reshape(-1)
+            x, m_new = lin.solve(
                 np.concatenate([b_mom_free, self.g, b_tr_free]))
             d = self.settings.damping
-            u_new = d * dofs.full_u(x[:self.nu_free]) + (1 - d) * u
-            p_new = d * x[self.nu_free:self.nu_free + nc] + (1 - d) * p
-            y_new = d * dofs.full_y(x[self.nu_free + nc:]) + (1 - d) * y
+            u_new = d * dofs.full_u(x[:nu]) + (1 - d) * u
+            p_new = d * x[dofs.ip] + (1 - d) * p
+            y_new = d * dofs.full_y(x[dofs.ip.stop:]) + (1 - d) * y
         else:
-            MF_cur = self.MF if self.affine_buoyancy \
-                else asm.assemble_buoyancy_coupling(mesh, params, y)
-            r_mom_full = A_mom @ u.reshape(-1) + self.B.T @ p \
+            r_mom_full = lin.A_mom @ u.reshape(-1) + dofs.B.T @ p \
                 - self.b_forcing - self.b_control
             if self.affine_buoyancy:
                 r_mom_full = r_mom_full - self.MF @ y.reshape(-1)
             else:
                 r_mom_full = r_mom_full - _buoyancy_load(mesh, params, y)
             r_mom = r_mom_full[dofs.iu_free]
-            r_div = self.B_scaled @ u.reshape(-1)[dofs.iu_free] \
+            r_div = dofs.B_scaled @ u.reshape(-1)[dofs.iu_free] \
                 + self.m - self.g
-            r_mean = float(self.area @ p)
-            r_tr = (A_tr @ y.reshape(-1) - self.b_tr)[dofs.iy_free]
-
-            A_mom_J = A_mom + asm.assemble_advecting_linearization(
-                mesh, u, u)
-            K_uy = asm.assemble_viscosity_coupling(mesh, u, y[:, 0],
-                                                   params) - MF_cur
-            K_yu = asm.assemble_advecting_linearization(mesh, u, y)
-            core = sp.bmat(
-                [[_sub(A_mom_J, dofs.iu_free, dofs.iu_free),
-                  self.B_free.T, _sub(K_uy, dofs.iu_free, dofs.iy_free)],
-                 [self.B_scaled, None, None],
-                 [_sub(K_yu, dofs.iy_free, dofs.iu_free), None,
-                  _sub(A_tr, dofs.iy_free, dofs.iy_free)]],
-                format="csc")
-            solver = BorderedSolver(core, self.d_col, self.e_row,
-                                    pin_row=self.nu_free,
-                                    pin_col=self.nu_free)
-            x, dm = solver.solve(
-                np.concatenate([-r_mom, -r_div, -r_tr]), beta=-r_mean)
+            r_mean = float(dofs.area @ p)
+            r_tr = (lin.A_tr @ y.reshape(-1) - self.b_tr)[dofs.iy_free]
+            x, dm = lin.solve(np.concatenate([-r_mom, -r_div, -r_tr]),
+                              beta=-r_mean)
             u_new = u.copy()
-            u_new[dofs.u_free_edges] += x[:self.nu_free].reshape(-1, 2)
-            p_new = p + x[self.nu_free:self.nu_free + nc]
+            u_new[dofs.u_free_edges] += x[:nu].reshape(-1, 2)
+            p_new = p + x[dofs.ip]
             y_new = y.copy()
-            y_new[dofs.y_free_edges] += x[self.nu_free + nc:].reshape(-1, 2)
+            y_new[dofs.y_free_edges] += x[dofs.ip.stop:].reshape(-1, 2)
             m_new = self.m + dm
+        del lin  # the LU goes before anything else is allocated
 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(y_new))
                 and np.all(np.isfinite(p_new))):
@@ -386,7 +415,8 @@ class StateStepper:
         return incr <= self.settings.tol * self.iterate_scale()
 
     def solution(self):
-        p = self.p - self.area @ self.p / self.area.sum()
+        area = self.dofs.area
+        p = self.p - area @ self.p / area.sum()
         return StateSolution(
             u=CRVectorField(self.mesh, self.u.copy()),
             p=P0Field(self.mesh, p),
@@ -467,8 +497,6 @@ def state_residual(mesh, params, solution, y_bc=None, control=None,
     A_mom = _momentum_operator(mesh, params, y[:, 0], u,
                                solution.penalty_a0)
     A_tr = _transport_operator(mesh, params, u)
-    B = asm.assemble_divergence(mesh)
-    area = asm.assemble_mean_constraint(mesh)
 
     b_mom = _control_load(mesh, control)
     if forcing_mom is not None:
@@ -479,12 +507,12 @@ def state_residual(mesh, params, solution, y_bc=None, control=None,
 
     uf = u.reshape(-1)
     yf = y.reshape(-1)
-    r_mom = (A_mom @ uf + B.T @ p - b_mom)[dofs.iu_free]
-    r_div = B @ uf  # residual of b(u, q) = 0, i.e. -|K| div u_h per cell
+    r_mom = (A_mom @ uf + dofs.B.T @ p - b_mom)[dofs.iu_free]
+    r_div = dofs.B @ uf  # residual of b(u, q) = 0, i.e. -|K| div u_h per cell
     r_tr = (A_tr @ yf - b_tr)[dofs.iy_free]
     return {
         "momentum": float(np.linalg.norm(r_mom)),
         "continuity": float(np.linalg.norm(r_div)),
         "transport": float(np.linalg.norm(r_tr)),
-        "pressure_mean": abs(float(area @ p)),
+        "pressure_mean": abs(float(dofs.area @ p)),
     }

@@ -209,3 +209,18 @@ def test_main_cavity_small(tmp_path):
     log = open(os.path.join(out, "iterations.log")).read()
     assert "converged in" in log.splitlines()[-1]
     assert os.path.exists(os.path.join(out, "cavity_fields.csv"))
+
+
+@pytest.mark.parametrize("error", ["SingularMatrixError", "LinearSolveError"])
+def test_main_linear_solver_error_exit_code(tmp_path, monkeypatch, error):
+    from ddopt import cli, linalg
+
+    def failing_solve(*args, **kwargs):
+        raise getattr(linalg, error)("injected")
+
+    monkeypatch.setattr(cli, "solve_state", failing_solve)
+    out = str(tmp_path / "failed")
+    code = main(["solve", "--n", "2", "--out", out])
+    assert code == cli.EXIT_NONCONVERGENCE
+    with open(os.path.join(out, "nonconvergence.txt")) as fh:
+        assert fh.readline().startswith(error + ": injected")

@@ -172,3 +172,39 @@ def test_settings_validation():
         PdasSettings(tol_mode="exact")
     with pytest.raises(ValueError):
         PdasSettings(lam=0.0)
+
+
+def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
+    # each Newton-mode adjoint solves with the transposed LU that the next
+    # state step consumes, so only Picard steps and adjoints factor
+    from ddopt import linalg
+    from ddopt.adjoint import solve_adjoint
+    from ddopt.cli import RunConfig, run_cavity
+    from ddopt.state import StateStepper
+
+    counts = {"factor": 0, "picard": 0}
+    factor, step = linalg.DirectSolver.__init__, StateStepper.step
+
+    def counting_factor(self, A):
+        counts["factor"] += 1
+        factor(self, A)
+
+    def counting_step(self):
+        counts["picard"] += not self.newton
+        return step(self)
+
+    monkeypatch.setattr(linalg.DirectSolver, "__init__", counting_factor)
+    monkeypatch.setattr(StateStepper, "step", counting_step)
+    config = RunConfig({"experiment": "cavity", "n": 8, "da": 1e-3,
+                        "lbound": -0.005, "ubound": 0.005, "tol": 1e-6,
+                        "tol_mode": "rel"})
+    res = run_cavity(config)
+    assert res.iterations > counts["picard"] > 0
+    assert counts["factor"] == counts["picard"] + res.iterations
+
+    ctx = res.context
+    fresh = solve_adjoint(ctx["mesh"], ctx["params"], res.state, ctx["data"])
+    for name in ("phi", "xi", "eta"):
+        a = getattr(res.adjoint, name).dof
+        b = getattr(fresh, name).dof
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name

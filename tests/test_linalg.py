@@ -3,19 +3,18 @@ import pytest
 from scipy import sparse as sp
 
 from ddopt import assembly as asm
-from ddopt.linalg import (BlockSystem, DirectSolver, SingularMatrixError,
-                          solve_direct)
+from ddopt.linalg import BorderedSolver, DirectSolver, SingularMatrixError
 
 
 def test_identity_solve():
     b = np.array([3.0, -1.0, 2.0])
-    x = solve_direct(sp.eye(3, format="csc"), b)
+    x = DirectSolver(sp.eye(3, format="csc")).solve(b)
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_hand_solved_2x2():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = solve_direct(A, np.array([3.0, 4.0]))
+    x = DirectSolver(A).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
@@ -25,7 +24,7 @@ def test_saddle_mean_projection():
     A = sp.csc_matrix(np.array([[1.0, 0.0, 0.5],
                                 [0.0, 1.0, 0.5],
                                 [0.5, 0.5, 0.0]]))
-    x = solve_direct(A, np.array([1.0, 1.0, 0.0]))
+    x = DirectSolver(A).solve(np.array([1.0, 1.0, 0.0]))
     assert np.allclose(x, [0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -35,13 +34,13 @@ def test_residual_bound_on_assembled_system(mesh8):
     K = K[interior.tolist()][:, interior.tolist()].tocsc()
     rng = np.random.default_rng(0)
     b = rng.standard_normal(K.shape[0])
-    x = solve_direct(K, b)
+    x = DirectSolver(K).solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_zero_rhs():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert np.all(solve_direct(A, np.zeros(2)) == 0.0)
+    assert np.all(DirectSolver(A).solve(np.zeros(2)) == 0.0)
 
 
 def test_determinism():
@@ -49,15 +48,15 @@ def test_determinism():
     A = sp.random(60, 60, density=0.2, random_state=2, format="csc") \
         + 10 * sp.eye(60)
     b = rng.standard_normal(60)
-    x1 = solve_direct(A, b)
-    x2 = solve_direct(A, b)
+    x1 = DirectSolver(A).solve(b)
+    x2 = DirectSolver(A).solve(b)
     assert np.array_equal(x1, x2)
 
 
 def test_singular_matrix_raises():
     A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        solve_direct(A, np.array([1.0, 1.0]))
+        DirectSolver(A).solve(np.array([1.0, 1.0]))
 
 
 def test_solver_reuse_multiple_rhs():
@@ -73,18 +72,8 @@ def test_nonsquare_rejected():
         DirectSolver(sp.csc_matrix(np.ones((2, 3))))
 
 
-def test_block_system_split():
-    A = sp.eye(2)
-    B = sp.eye(3)
-    sys_ = BlockSystem([[A, None], [None, B]],
-                       [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
-    x, y = sys_.solve()
-    assert np.allclose(x, [1.0, 2.0]) and np.allclose(y, [3.0, 4.0, 5.0])
-
-
 def test_bordered_solver_matches_monolithic():
     # the bordered elimination must reproduce the full multiplier system
-    from ddopt.linalg import BorderedSolver
     rng = np.random.default_rng(6)
     n = 40
     K = sp.random(n, n, density=0.2, random_state=3, format="csc") \
@@ -101,7 +90,7 @@ def test_bordered_solver_matches_monolithic():
     b = rng.standard_normal(n)
     M = sp.bmat([[K, d.reshape(-1, 1)], [e.reshape(1, -1), None]],
                 format="csc")
-    ref = solve_direct(M, np.concatenate([b, [0.25]]))
+    ref = DirectSolver(M).solve(np.concatenate([b, [0.25]]))
     solver = BorderedSolver(K, d, e, pin_row=0, pin_col=0)
     x, m = solver.solve(b, beta=0.25)
     assert np.allclose(x, ref[:-1], atol=1e-10)
@@ -109,7 +98,6 @@ def test_bordered_solver_matches_monolithic():
 
 
 def test_bordered_solver_zero_rhs():
-    from ddopt.linalg import BorderedSolver
     K = sp.eye(3, format="csc").tolil()
     K[2, 2] = 0.0
     d = np.array([0.0, 0.0, 1.0])
@@ -117,3 +105,33 @@ def test_bordered_solver_zero_rhs():
     solver = BorderedSolver(K.tocsc(), d, e, pin_row=2, pin_col=2)
     x, m = solver.solve(np.zeros(3))
     assert np.all(x == 0.0) and m == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+@pytest.mark.parametrize("pin", [(0, 0), (0, 3)])
+def test_bordered_solver_transposed_matches_dense(pin, beta):
+    # [[S^{-1} K^T S, d], [e^T, 0]] through the LU of K + pin, against a
+    # dense solve; K lacks row pin[0] and column pin[1]
+    rng = np.random.default_rng(7)
+    n = 12
+    K = rng.standard_normal((n, n)) + 4 * np.eye(n)
+    K[pin[0], :] = 0.0
+    K[:, pin[1]] = 0.0
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n)
+    S = rng.uniform(0.01, 2.0, n)
+    b = rng.standard_normal(n)
+    M = np.block([[K.T * S[None, :] / S[:, None], d[:, None]],
+                  [e[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(M, np.concatenate([b, [beta]]))
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
+                            pin_col=pin[1], scale=S)
+    x, m = solver.solve(b, beta=beta, transpose=True)
+    assert np.allclose(x, ref[:-1], rtol=0, atol=1e-10 * np.abs(ref).max())
+    assert m == pytest.approx(ref[-1], rel=1e-10)
+    # the forward side still solves with the same factorization
+    fwd = np.linalg.solve(np.block([[K, d[:, None]],
+                                    [e[None, :], np.zeros((1, 1))]]),
+                          np.concatenate([b, [beta]]))
+    x, m = solver.solve(b, beta=beta)
+    assert np.allclose(x, fwd[:-1], rtol=0, atol=1e-10 * np.abs(fwd).max())
