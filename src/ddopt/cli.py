@@ -58,12 +58,11 @@ _DEFAULTS = {
     "tol_mode": "rel",
     "out": "out",
     "export": "csv",
-    "threads": 1,
 }
 
 _FLOAT_KEYS = {"da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy", "lambda",
                "lbound", "ubound", "tol"}
-_INT_KEYS = {"levels", "n", "threads"}
+_INT_KEYS = {"levels", "n"}
 
 
 class RunConfig:
@@ -97,8 +96,6 @@ class RunConfig:
             raise ConfigError("regime must be flow, stokes or darcy")
         if self.n < 1 or self.levels < 1:
             raise ConfigError("n and levels must be positive")
-        if self.threads < 1:
-            raise ConfigError("DDOPT_THREADS/threads must be >= 1")
 
     def to_dict(self):
         out = {}
@@ -131,8 +128,7 @@ def parse_config_file(path):
 def write_config(config, stream):
     """Serialize a RunConfig back to the sectioned format."""
     groups = {
-        "run": ["experiment", "regime", "levels", "n", "out", "export",
-                "threads"],
+        "run": ["experiment", "regime", "levels", "n", "out", "export"],
         "physics": ["da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy",
                     "lambda", "lbound", "ubound"],
         "solver": ["tol", "tol_mode"],
@@ -479,9 +475,6 @@ def main(argv=None):
         if args.tol_mode is not None:
             values["tol_mode"] = args.tol_mode
         values["experiment"] = args.command
-        env_threads = os.environ.get("DDOPT_THREADS")
-        if env_threads is not None:
-            values["threads"] = env_threads
         config = RunConfig(values)
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)

@@ -16,11 +16,8 @@ __all__ = ["SingularMatrixError", "LinearSolveError", "DirectSolver",
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when the factorization hits a numerically singular pivot."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    """Raised when a matrix or its factorization is numerically singular:
+    a non-finite entry, an exactly zero pivot or a non-finite solve."""
 
 
 class LinearSolveError(RuntimeError):
@@ -40,23 +37,22 @@ class DirectSolver:
         A = sp.csc_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(A.data)):
+            raise SingularMatrixError("matrix has non-finite entries")
         self._A = A
         try:
             self._lu = spla.splu(A)
-        except RuntimeError as exc:
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
             raise SingularMatrixError(str(exc)) from exc
-        diag = self._lu.U.diagonal()
-        bad = np.flatnonzero(~np.isfinite(diag) | (diag == 0.0))
-        if bad.size:
-            raise SingularMatrixError(
-                "numerically singular pivot at index {}".format(bad[0]),
-                pivot=int(bad[0]))
 
     def solve(self, b, rtol=1e-9, refine=4):
         """Solve A x = b with iterative refinement to relative residual rtol.
         """
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError("factorization produced a non-finite "
+                                      "solution")
         norm_b = np.linalg.norm(b)
         if norm_b == 0.0:
             return np.zeros_like(b)
@@ -127,6 +123,8 @@ class BorderedSolver:
     iterative refinement on the full bordered system.  The same LU solves
     [[S^{-1} K^T S, d], [e^T, 0]], S = diag(scale), with the transposed
     factors; that side's elimination data are computed on its first solve.
+    ``krylov_solve`` uses the elimination as the preconditioner of GMRES
+    for the bordered system of a nearby core.
 
     Parameters
     ----------
@@ -192,3 +190,58 @@ class BorderedSolver:
                 "bordered solve stalled at relative residual {:.3e}".format(
                     res / norm))
         return x, m
+
+    def krylov_solve(self, K, b, maxiter, beta=0.0, rtol=1e-12):
+        """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta) for a core K near the
+        factored one, by restarted GMRES right-preconditioned with this
+        solver's elimination (core LU, border and pin).
+
+        Right preconditioning leaves the minimized residual that of the
+        bordered system itself; each cycle ends on the true residual,
+        which must reach ``rtol`` as in ``solve`` (there is no looser
+        acceptance).  Returns (x, m), or None when ``maxiter`` iterations
+        in all do not get there; it never raises for a far-off K.
+        """
+        side = self._sides[False]
+        b = np.asarray(b, dtype=float)
+        n = b.size
+
+        def bordered(x, m):
+            return np.append(K @ x + m * self.d, self.e @ x)
+
+        rhs = np.append(b, beta)
+        target = rtol * (np.linalg.norm(b) + abs(beta))
+        x, m = np.zeros(n), 0.0
+        used = 0
+        with np.errstate(all="ignore"):
+            while True:
+                r = rhs - bordered(x, m)
+                rho = np.linalg.norm(r)
+                if rho <= target:
+                    return x, m
+                if used >= maxiter or not np.isfinite(rho):
+                    return None
+                k = maxiter - used
+                V = np.zeros((k + 1, n + 1))
+                H = np.zeros((k + 1, k))
+                V[0] = r / rho
+                for j in range(k):
+                    w = bordered(*side.apply(V[j, :n], V[j, n]))
+                    for i in range(j + 1):  # modified Gram-Schmidt
+                        H[i, j] = V[i] @ w
+                        w -= H[i, j] * V[i]
+                    H[j + 1, j] = np.linalg.norm(w)
+                    if not np.isfinite(H[j + 1, j]):
+                        return None
+                    if H[j + 1, j] > 0.0:
+                        V[j + 1] = w / H[j + 1, j]
+                    Hj = H[:j + 2, :j + 1]
+                    g = np.zeros(j + 2)
+                    g[0] = rho
+                    y = np.linalg.lstsq(Hj, g, rcond=None)[0]
+                    if np.linalg.norm(Hj @ y - g) <= target:
+                        break  # the estimate; the loop checks the truth
+                used += j + 1
+                z = V[:j + 1].T @ y
+                dx, dm = side.apply(z[:n], z[n])
+                x, m = x + dx, m + dm

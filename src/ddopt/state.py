@@ -10,10 +10,21 @@ bordered system to keep the factorization sparse).  Dirichlet dofs
 (velocity on the whole boundary, transported scalars on the Dirichlet
 part) are eliminated and carried by a discrete lifting.
 
-Each step factors one ``Linearization`` of the system at the iterate.  The
-LU of the exact (Newton) one also solves the adjoint, transposed, so a
-one-shot optimization loop hands the next Newton step the linearization
-it built for the adjoint instead of factoring the same Jacobian twice.
+Each step assembles one ``Linearization`` of the system at the iterate
+and, unless a lagged LU serves it (below), factors it.  The LU of the
+exact (Newton) one also solves the adjoint, transposed, so a one-shot
+optimization loop hands the next Newton step the linearization it built
+for the adjoint instead of factoring the same Jacobian twice.
+
+A stepper left to itself keeps the BorderedSolver (LU) of its newest
+Newton step.  When the last increment is at most a fifth of the one
+before it, the next Newton step is first solved by GMRES preconditioned
+with that kept LU, to the direct solve's residual; only when GMRES
+declines is the new Jacobian factored (and its LU kept instead).  When the
+increments do not contract that fast, the kept LU is dropped before the
+next Jacobian is assembled, so at most one LU is alive and none waits
+through an assembly it will not serve.  A step handed a linearization by
+``linearize`` (the one-shot loop's) keeps nothing.
 
 ``StateStepper`` exposes single steps so the optimization loop can
 interleave state linearizations with active-set updates; ``solve_state``
@@ -31,6 +42,14 @@ from .norms import broken_velocity_norm, broken_transport_norm
 from .quadrature import tri_quadrature
 from .spaces import (CRVectorField, P0Field, cr_basis_values,
                      cr_values_on_cells, cr_cell_gradients)
+
+# Lagged Newton LU: a Newton step whose previous increment contracted by
+# at least _LAG_CONTRACTION (the factor of the Picard->Newton switch) is
+# first solved by GMRES preconditioned with the kept LU of an earlier
+# Newton step, with at most _LAG_MAXITER iterations (one costs about 2% of
+# a factorization at 32 x 32).
+_LAG_CONTRACTION = 0.2
+_LAG_MAXITER = 25
 
 __all__ = ["NonlinearSettings", "StateSolution", "NonconvergenceError",
            "DivergedError", "Linearization", "StateStepper", "solve_state",
@@ -273,7 +292,9 @@ class StateStepper:
 
     The stepper starts in Picard mode (frozen coefficients) and switches
     to Newton once the increment has dropped enough (or after a few
-    steps); damped iterations stay in Picard mode.
+    steps); damped iterations stay in Picard mode.  Newton steps reuse a
+    kept LU through GMRES while the increments contract fast (see the
+    module docstring).
     """
 
     def __init__(self, mesh, params, y_bc, control=None, settings=None,
@@ -320,6 +341,7 @@ class StateStepper:
         self.steps = 0
         self.increments = []
         self._lin = None
+        self._kept = None  # BorderedSolver of the newest own Newton LU
 
     def set_control(self, control):
         """Swap the distributed control between steps."""
@@ -341,6 +363,7 @@ class StateStepper:
     def linearize(self):
         """Newton linearization at the iterate; the next step consumes it."""
         if self._lin is None:
+            self._kept = None
             self._lin = Linearization(self.mesh, self.params, self.dofs,
                                       self.u, self.y, self.penalty_a0,
                                       self.MF)
@@ -351,8 +374,17 @@ class StateStepper:
         mesh, params, dofs = self.mesh, self.params, self.dofs
         nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
-        lin = self.linearize() if self.newton else Linearization(
-            mesh, params, dofs, u, y, self.penalty_a0, self.MF, newton=False)
+        incs = self.increments
+        handed = self._lin is not None  # then linearize() dropped _kept
+        lagged = self._kept is not None \
+            and incs[-1] <= _LAG_CONTRACTION * incs[-2]
+        if not lagged:
+            # dropped before the next assembly, or the new LU lands in a
+            # fragmented heap
+            self._kept = None
+        lin = self._lin if handed else Linearization(
+            mesh, params, dofs, u, y, self.penalty_a0, self.MF,
+            newton=self.newton)
         self._lin = None
 
         if not self.newton:
@@ -388,15 +420,22 @@ class StateStepper:
                 + self.m - self.g
             r_mean = float(dofs.area @ p)
             r_tr = (lin.A_tr @ y.reshape(-1) - self.b_tr)[dofs.iy_free]
-            x, dm = lin.solve(np.concatenate([-r_mom, -r_div, -r_tr]),
-                              beta=-r_mean)
+            rhs = np.concatenate([-r_mom, -r_div, -r_tr])
+            out = self._kept.krylov_solve(lin.J, rhs, _LAG_MAXITER,
+                                          beta=-r_mean) if lagged else None
+            if out is None:
+                self._kept = None
+                out = lin.solve(rhs, beta=-r_mean)
+                if not handed:  # a handed LU belongs to its one-shot loop
+                    self._kept = lin._solver
+            x, dm = out
             u_new = u.copy()
             u_new[dofs.u_free_edges] += x[:nu].reshape(-1, 2)
             p_new = p + x[dofs.ip]
             y_new = y.copy()
             y_new[dofs.y_free_edges] += x[dofs.ip.stop:].reshape(-1, 2)
             m_new = self.m + dm
-        del lin  # the LU goes before anything else is allocated
+        del lin  # blocks and an unkept LU go before anything else
 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(y_new))
                 and np.all(np.isfinite(p_new))):

@@ -27,8 +27,6 @@ def test_config_defaults_and_validation():
         RunConfig({"tol_mode": "sometimes"})
     with pytest.raises(ConfigError):
         RunConfig({"export": "hdf5"})
-    with pytest.raises(ConfigError):
-        RunConfig({"threads": 0})
 
 
 def test_config_round_trip(tmp_path):
@@ -165,12 +163,6 @@ def test_main_solve_zero_data(tmp_path):
 def test_main_config_error_exit_code(tmp_path):
     code = main(["solve", "--lbound", "2.0", "--ubound", "1.0",
                  "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
-
-
-def test_main_env_threads_invalid(tmp_path, monkeypatch):
-    monkeypatch.setenv("DDOPT_THREADS", "zero")
-    code = main(["solve", "--n", "2", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
 
 

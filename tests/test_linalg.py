@@ -135,3 +135,66 @@ def test_bordered_solver_transposed_matches_dense(pin, beta):
                           np.concatenate([b, [beta]]))
     x, m = solver.solve(b, beta=beta)
     assert np.allclose(x, fwd[:-1], rtol=0, atol=1e-10 * np.abs(fwd).max())
+
+
+def _pinned_core(rng, n, pin):
+    # nonsymmetric core lacking row pin[0] and column pin[1]
+    K = rng.standard_normal((n, n)) + 4 * np.eye(n)
+    K[pin[0], :] = 0.0
+    K[:, pin[1]] = 0.0
+    return K
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.4])
+def test_krylov_solve_nearby_core_matches_dense(beta):
+    # GMRES on [[K + eps E, d], [e^T, 0]], preconditioned with the LU of
+    # K + pin, against a dense solve of the bordered system
+    rng = np.random.default_rng(11)
+    n, pin = 30, (2, 5)
+    K = _pinned_core(rng, n, pin)
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n)
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
+                            pin_col=pin[1])
+    E = rng.standard_normal((n, n))
+    E[pin[0], :] = 0.0
+    E[:, pin[1]] = 0.0
+    near = K + 1e-2 * E
+    b = rng.standard_normal(n)
+    ref = np.linalg.solve(np.block([[near, d[:, None]],
+                                    [e[None, :], np.zeros((1, 1))]]),
+                          np.concatenate([b, [beta]]))
+    x, m = solver.krylov_solve(sp.csc_matrix(near), b, 25, beta=beta)
+    z = np.append(x, m)
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the stopping test is the true bordered residual
+    rx = b - (near @ x + m * d)
+    rm = beta - e @ x
+    assert np.hypot(np.linalg.norm(rx), rm) \
+        <= 1e-12 * (np.linalg.norm(b) + abs(beta))
+
+
+def test_krylov_solve_declines_far_core():
+    rng = np.random.default_rng(12)
+    n, pin = 60, (0, 0)
+    K = _pinned_core(rng, n, pin)
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n)
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0)
+    far = sp.csc_matrix(_pinned_core(rng, n, pin))
+    applies = []
+    apply = solver._sides[False].apply
+    solver._sides[False].apply = lambda *a: applies.append(1) or apply(*a)
+    assert solver.krylov_solve(far, rng.standard_normal(n), 25,
+                               beta=1.0) is None
+    # the cap bounds the preconditioner applications: one per
+    # iteration and one per restart
+    assert 25 < len(applies) <= 50
+    # a non-finite right side is declined too
+    assert solver.krylov_solve(far, np.full(n, np.nan), 25) is None
+
+
+def test_direct_solver_rejects_non_finite_matrix():
+    A = sp.csc_matrix(np.array([[1.0, np.nan], [0.0, 2.0]]))
+    with pytest.raises(SingularMatrixError):
+        DirectSolver(A)

@@ -3,7 +3,10 @@ import pytest
 
 from conftest import manufactured_setup
 from ddopt import assembly as asm
+from ddopt import cli, linalg
 from ddopt.assembly import ProblemParams
+from ddopt.linalg import LinearSolveError, SingularMatrixError
+from ddopt.mesh import build_unit_square_mesh
 from ddopt.norms import broken_velocity_norm
 from ddopt.spaces import CRVectorField, P0Field, boundary_interpolate, \
     p0_project
@@ -196,3 +199,72 @@ def test_lagged_general_buoyancy_matches_affine():
                         settings=NonlinearSettings(tol=1e-12))
     assert np.allclose(sol_g.u.dof, sol_a.u.dof, atol=1e-8)
     assert np.allclose(sol_g.y.dof, sol_a.y.dof, atol=1e-8)
+
+
+def _cavity(n, ra, da, le):
+    mesh = build_unit_square_mesh(n)
+    params, _ = cli.derive_cavity_coefficients(
+        cli.RunConfig({"ra": ra, "da": da, "le": le}))
+    return mesh, params, cli.cavity_boundary_trace(mesh)
+
+
+def _count_factorizations(monkeypatch):
+    count = []
+    init = linalg.DirectSolver.__init__
+
+    def counted(self, A):
+        count.append(A.shape[0])
+        init(self, A)
+    monkeypatch.setattr(linalg.DirectSolver, "__init__", counted)
+    return count
+
+
+def test_lagged_newton_lu_matches_refactoring(monkeypatch):
+    # once the Newton increments contract fast, GMRES preconditioned with
+    # the kept LU replaces the factorization of the new Jacobian; the
+    # iterates stay those of factoring at every step
+    mesh, params, y_bc = _cavity(12, 100.0, 1e-3, 10.0)
+    settings = NonlinearSettings(tol=1e-10)
+    count = _count_factorizations(monkeypatch)
+    lagged = solve_state(mesh, params, y_bc, settings=settings)
+    factored_lagged = len(count)
+    del count[:]
+    monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
+                        lambda self, *a, **k: None)
+    fresh = solve_state(mesh, params, y_bc, settings=settings)
+    # 10 steps: 3 Picard, then Newton with the gate first open at step 7
+    assert len(count) == fresh.iterations == 10
+    assert factored_lagged == 6
+    assert lagged.iterations == fresh.iterations
+    for name in ("u", "p", "y"):
+        a = getattr(lagged, name).dof
+        b = getattr(fresh, name).dof
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+    umax = np.abs(lagged.u.dof).max()
+    assert lagged.max_divergence() <= 1e-10 * (1.0 + umax)
+    res = state_residual(mesh, params, lagged, y_bc=y_bc)
+    assert max(res.values()) <= 1e-10 * (1.0 + umax)
+
+
+@pytest.mark.parametrize("point, error", [
+    ((0.75, 0.15, 0.95), LinearSolveError),
+    ((0.85, 0.45, 0.65), SingularMatrixError)])
+def test_divergent_cavity_raises_linear_solver_error(point, error,
+                                                     monkeypatch):
+    # two failing points of the benchmark's parameter sweep (Ra 162.5,
+    # Da 10^-3.7, Le 19.1 and Ra 177.5, Da 10^-3.1, Le 13.7), computed as
+    # the sweep does: which error a diverging iteration ends in changes
+    # with the last bit of Le.  The contraction gate keeps them off the
+    # lagged path, so they fail as they do when factoring at every step.
+    ra, log_da, le = point
+    mesh, params, y_bc = _cavity(8, 50.0 + 150.0 * ra,
+                                 10.0 ** (-4.0 + 2.0 * log_da),
+                                 2.0 + 18.0 * le)
+    lagged = []
+    krylov = linalg.BorderedSolver.krylov_solve
+    monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
+                        lambda *a, **k: lagged.append(1) or krylov(*a, **k))
+    with pytest.raises(error):
+        solve_state(mesh, params, y_bc,
+                    settings=NonlinearSettings(tol=1e-10))
+    assert not lagged
