@@ -12,6 +12,7 @@ from .spaces import (CRScalarField, CRVectorField, P0Field, BoundaryTrace,
                      cr_interpolate, boundary_interpolate, p0_project,
                      evaluate_cr, gradient_cr)
 from .assembly import ProblemParams
+from .linalg import SolverError
 from .state import NonlinearSettings, StateSolution, solve_state, \
     state_residual
 from .adjoint import AdjointSolution, TrackingData, solve_adjoint, \
@@ -26,7 +27,7 @@ __all__ = [
     "CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
     "cr_interpolate", "boundary_interpolate", "p0_project", "evaluate_cr",
     "gradient_cr",
-    "ProblemParams",
+    "ProblemParams", "SolverError",
     "NonlinearSettings", "StateSolution", "solve_state", "state_residual",
     "AdjointSolution", "TrackingData", "solve_adjoint",
     "gradient_of_reduced_cost",

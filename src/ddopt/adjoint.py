@@ -84,8 +84,8 @@ def _linearization_at(mesh, params, state):
     if state.y_dirichlet_edges.size:
         y_bc = BoundaryTrace(mesh, state.y_dirichlet_edges,
                              np.zeros((state.y_dirichlet_edges.size, 2)))
-    return Linearization(mesh, params, _Dofs(mesh, y_bc, None), state.u.dof,
-                         state.y.dof, state.penalty_a0)
+    return Linearization(_Dofs(mesh, params, y_bc, None, state.penalty_a0),
+                         state.u.dof, state.y.dof)
 
 
 def _adjoint_rhs(mesh, state, data, dofs):

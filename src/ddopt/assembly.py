@@ -22,12 +22,12 @@ With this choice the quadratic form reduces algebraically to
 holds to machine precision for every advecting field.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp
 
-from .quadrature import tri_quadrature, edge_quadrature, cell_quad_points
+from .quadrature import tri_quadrature, cell_quad_points
 from .spaces import (cr_basis_values, cell_gradients, cr_values_on_cells,
                      cr_cell_gradients)
 
@@ -67,12 +67,6 @@ class ProblemParams:
         General buoyancy y -> F(y) and its Jacobian; when given they
         override the affine data and the solver lags F to the right-hand
         side.
-    g : (2,) ndarray
-        Gravity direction (metadata for constructing F).
-    lam : float
-        Tikhonov regularization weight, > 0.
-    bounds : (2, 2) ndarray
-        Control box [[Ua_1, Ub_1], [Ua_2, Ub_2]].
     """
 
     sigma: object = 1.0
@@ -85,9 +79,6 @@ class ProblemParams:
     F0: object = None
     F_fun: object = None
     F_jac: object = None
-    g: object = None
-    lam: float = 1.0
-    bounds: object = field(default=None)
 
     def __post_init__(self):
         if self.diffusion is None:
@@ -102,10 +93,6 @@ class ProblemParams:
             self.F_y = np.asarray(self.F_y, dtype=float)
             if self.F0 is None:
                 self.F0 = np.zeros(2)
-        if self.g is not None:
-            self.g = np.asarray(self.g, dtype=float)
-        if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=float)
 
     @property
     def sigma_bar(self):
@@ -136,8 +123,6 @@ class ProblemParams:
         Viscosity bounds are checked at sampled temperatures and positive
         definiteness of D at sampled directions.
         """
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
         if self.nu1 <= 0:
             raise ValueError("nu1 must be positive")
         if self.nu1 > self.nu2:
@@ -155,9 +140,6 @@ class ProblemParams:
         quad = np.einsum("sd,de,se->s", s_samples, self.diffusion, s_samples)
         if np.any(quad <= 0):
             raise ValueError("diffusion matrix is not positive definite")
-        if self.bounds is not None:
-            if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-                raise ValueError("control bounds must satisfy Ua < Ub")
         return self
 
 
@@ -257,58 +239,6 @@ def assemble_cross_diffusion(mesh, D):
     return sp.kron(K, np.asarray(D, dtype=float), format="csr")
 
 
-class _EdgeTraceData:
-    """Per-edge trace values of the CR basis at the edge quadrature points.
-
-    For every edge and each adjacent side, stores the scalar dof (edge)
-    indices of the side's three basis functions and their trace values at
-    the edge quadrature points.
-    """
-
-    def __init__(self, mesh, nq=2):
-        t, w = edge_quadrature(nq)
-        self.t = t
-        self.w = w
-        ne = mesh.num_edges
-        self.dofs = np.full((ne, 2, 3), -1, dtype=np.int64)
-        self.psi = np.zeros((ne, 2, nq, 3))
-        for side in range(2):
-            cells_s = mesh.edge_cells[:, side]
-            valid = np.flatnonzero(cells_s >= 0)
-            cs = cells_s[valid]
-            ce = mesh.cell_edges[cs]                 # (m, 3)
-            pos = np.argmax(ce == valid[:, None], axis=1)
-            j = (pos + 1) % 3
-            # parameter s measured from local vertex j toward k
-            vj = mesh.cells[cs, j]
-            same = vj == mesh.edges[valid, 0]
-            s = np.where(same[:, None], t[None, :], 1.0 - t[None, :])
-            m = valid.size
-            psi = np.zeros((m, nq, 3))
-            ar = np.arange(m)
-            psi[ar, :, pos] = 1.0
-            psi[ar, :, j] = 2.0 * s - 1.0
-            psi[ar, :, (pos + 2) % 3] = 1.0 - 2.0 * s
-            self.dofs[valid, side] = ce
-            self.psi[valid, side] = psi
-        # int_e psi_i psi_j for the four side pairings, shape (ne, 2, 2, 3, 3)
-        self.pairs = np.einsum("q,esqi,erqj,e->esrij", w, self.psi, self.psi,
-                               mesh.h_edge)
-
-
-_EDGE_CACHE = {}
-
-
-def _edge_trace_data(mesh):
-    key = id(mesh)
-    data = _EDGE_CACHE.get(key)
-    if data is None or data[0] is not mesh:
-        data = (mesh, _EdgeTraceData(mesh))
-        _EDGE_CACHE.clear()
-        _EDGE_CACHE[key] = data
-    return data[1]
-
-
 def _volume_convection(mesh, w_dof):
     """Raw volume convection int (w . grad u) v over scalar CR dofs."""
     psi, pts, wts = _cell_quad_data(mesh)
@@ -327,7 +257,7 @@ def _volume_convection(mesh, w_dof):
 def _facet_blocks(mesh, coef11, coef12, coef21, coef22):
     """Assemble sum_e of the four side-pair trace blocks with given per-edge
     coefficients (boundary edges use only coef11)."""
-    td = _edge_trace_data(mesh)
+    td = mesh.edge_traces
     interior = mesh.interior_edges
     ne = mesh.num_edges
     rows, cols, vals = [], [], []
@@ -441,7 +371,7 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
     vals.append(loc.reshape(mesh.num_cells, -1).ravel())
 
     # facet part: coefficients differentiated with respect to a_e
-    td = _edge_trace_data(mesh)
+    td = mesh.edge_traces
     a = _midpoint_flux(mesh, w_dof)
     sgn = np.sign(a)
     dcoef = {

@@ -15,13 +15,11 @@ import numpy as np
 
 from .adjoint import TrackingData
 from .assembly import ProblemParams
-from .control import ControlBounds, PdasSettings, PdasNonconvergence, \
-    pdas_solve
-from .linalg import LinearSolveError, SingularMatrixError
+from .control import ControlBounds, PdasSettings, pdas_solve
+from .linalg import SolverError
 from .mesh import build_unit_square_mesh
 from .spaces import BoundaryTrace, P0Field
-from .state import NonlinearSettings, NonconvergenceError, DivergedError, \
-    solve_state
+from .state import NonlinearSettings, solve_state
 from .verification import run_convergence_study, ERROR_NAMES
 
 __all__ = ["main", "RunConfig", "ConfigError", "derive_cavity_coefficients",
@@ -165,10 +163,7 @@ def derive_cavity_coefficients(config):
                   [config.sr, 1.0 / sc]])
     F_y = np.array([[0.0, 0.0], [-gr_t, -gr_c]])
     params = ProblemParams(sigma=1.0 / da, diffusion=D, nu1=1.0, nu2=1.0,
-                           F_y=F_y, g=np.array([0.0, -1.0]),
-                           lam=config.lam,
-                           bounds=np.array([[config.lbound, config.ubound],
-                                            [config.lbound, config.ubound]]))
+                           F_y=F_y)
     return params, {"gr_t": gr_t, "gr_c": gr_c, "sc": sc}
 
 
@@ -374,8 +369,7 @@ def _regime_params_for_solve(config):
     return ProblemParams(sigma=regime.sigma,
                          nu=lambda T: np.full_like(np.asarray(T, float),
                                                    nu2),
-                         nu1=nu2, nu2=nu2, lam=config.lam,
-                         diffusion=np.eye(2)), regime
+                         nu1=nu2, nu2=nu2, diffusion=np.eye(2)), regime
 
 
 def _cmd_convergence(config, outdir):
@@ -493,8 +487,7 @@ def main(argv=None):
         if args.command == "cavity":
             return _cmd_cavity(config, config.out)
         return _cmd_solve(config, config.out)
-    except (NonconvergenceError, DivergedError, PdasNonconvergence,
-            SingularMatrixError, LinearSolveError) as exc:
+    except SolverError as exc:
         diag = os.path.join(config.out, "nonconvergence.txt")
         try:
             with open(diag, "w") as fh:

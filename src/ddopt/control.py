@@ -23,18 +23,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .adjoint import _adjoint_rhs, _linearization_at, solve_adjoint
+from .adjoint import _adjoint_rhs, solve_adjoint
+from .linalg import SolverError
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
-from .state import NonlinearSettings, StateStepper, solve_state, \
-    state_residual
+from .state import Linearization, NonlinearSettings, StateStepper, _Dofs, \
+    _residual_norms, solve_state
 
 __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
            "eval_cost", "pdas_solve", "kkt_residuals",
            "PdasNonconvergence"]
 
 
-class PdasNonconvergence(RuntimeError):
+class PdasNonconvergence(SolverError):
     """Active sets failed to settle; carries the set-change history."""
 
     def __init__(self, message, set_changes):
@@ -245,35 +246,41 @@ def kkt_residuals(result):
 
     ``vi_res`` is the max-norm violation of the projection fixed point
     cellwise; state and adjoint residuals are Euclidean norms of the
-    assembled equation residuals.
+    assembled equation residuals.  Both come from one layout and one
+    (unfactored) linearization at the final state.
     """
     ctx = result.context
-    mesh = ctx["mesh"]
-    lam = ctx["settings"].lam
-    pphi = p0_project(result.adjoint.phi, mesh).dof
-    fixed_point = project_control(pphi, lam, ctx["bounds"])
-    vi_res = float(np.abs(result.control.dof - fixed_point).max())
-
-    st = state_residual(mesh, ctx["params"], result.state,
-                        y_bc=ctx["y_bc"], control=result.control,
-                        u_bc=ctx["u_bc"], forcing_mom=ctx["forcing_mom"],
-                        forcing_tr=ctx["forcing_tr"])
+    state = result.state
+    dofs = _Dofs(ctx["mesh"], ctx["params"], ctx["y_bc"], ctx["u_bc"],
+                 state.penalty_a0)
+    lin = Linearization(dofs, state.u.dof, state.y.dof)
+    st = _residual_norms(lin, state.p.dof, result.control,
+                         ctx["forcing_mom"], ctx["forcing_tr"])
     state_res = float(np.sqrt(st["momentum"] ** 2 + st["continuity"] ** 2
                               + st["transport"] ** 2))
-    adjoint_res = _adjoint_residual(mesh, ctx["params"], result.state,
-                                    result.adjoint, ctx["data"])
+    adjoint_res = _adjoint_residual(lin, state, result.adjoint, ctx["data"])
     return {"state_res": state_res, "adjoint_res": adjoint_res,
-            "vi_res": vi_res}
+            "vi_res": _vi_residual(result)}
 
 
-def _adjoint_residual(mesh, params, state, adjoint, data):
-    lin = _linearization_at(mesh, params, state)
+def _vi_residual(result):
+    """Max-norm violation of the projection fixed point at an OptResult."""
+    ctx = result.context
+    pphi = p0_project(result.adjoint.phi, ctx["mesh"]).dof
+    fixed_point = project_control(pphi, ctx["settings"].lam, ctx["bounds"])
+    return float(np.abs(result.control.dof - fixed_point).max())
+
+
+def _adjoint_residual(lin, state, adjoint, data):
+    """Euclidean norm of the adjoint equations' residual, with the
+    transposed Jacobian of the linearization ``lin`` at ``state``."""
     dofs = lin.dofs
     xi = adjoint.xi_raw if adjoint.xi_raw is not None else adjoint.xi.dof
     x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(), xi,
                         adjoint.eta.dof[dofs.y_free_edges].ravel()])
     # J^T S x = S (S^{-1} J^T S) x: the adjoint rows with the continuity
     # rows unscaled (B phi)
-    r = lin.J.T @ (dofs.scale * x) - _adjoint_rhs(mesh, state, data, dofs)
+    r = lin.J.T @ (dofs.scale * x) \
+        - _adjoint_rhs(dofs.mesh, state, data, dofs)
     return float(np.sqrt(np.linalg.norm(r) ** 2
                          + float(dofs.area @ xi) ** 2))

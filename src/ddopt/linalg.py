@@ -11,16 +11,22 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import linalg as spla
 
-__all__ = ["SingularMatrixError", "LinearSolveError", "DirectSolver",
-           "BorderedSolver"]
+__all__ = ["SolverError", "SingularMatrixError", "LinearSolveError",
+           "DirectSolver", "BorderedSolver"]
 
 
-class SingularMatrixError(RuntimeError):
+class SolverError(RuntimeError):
+    """Base of every solver failure: nonlinear nonconvergence or
+    divergence, an unsettled active set, a singular factorization or a
+    stalled linear solve."""
+
+
+class SingularMatrixError(SolverError):
     """Raised when a matrix or its factorization is numerically singular:
     a non-finite entry, an exactly zero pivot or a non-finite solve."""
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(SolverError):
     """Raised when the direct solve cannot reach the residual tolerance."""
 
 

@@ -2,12 +2,18 @@
 
 Meshes are immutable after construction: all adjacency arrays (edges,
 cell-to-edge maps, normals, sizes) are built once in ``__init__`` and the
-class exposes them as plain numpy arrays.  Cells are stored counter-clockwise
-and edges in canonical order (lower vertex index first, list sorted
-lexicographically) so that degree-of-freedom numbering is reproducible.
+class exposes them as plain numpy arrays; the edge traces of the CR basis
+are built on first use and kept with the mesh.  Cells are stored
+counter-clockwise and edges in canonical order (lower vertex index first,
+list sorted lexicographically) so that degree-of-freedom numbering is
+reproducible.
 """
 
+from functools import cached_property
+
 import numpy as np
+
+from .quadrature import edge_quadrature
 
 __all__ = ["Mesh", "build_unit_square_mesh", "refine_uniform", "mesh_stats",
            "dump_ascii"]
@@ -43,6 +49,9 @@ class Mesh:
     h_cell : ndarray (nc,)
         Cell diameters (longest edge).
     area_cell : ndarray (nc,)
+    edge_traces
+        CR basis traces at the edge quadrature points (``_EdgeTraceData``),
+        built on first access.
     """
 
     def __init__(self, vertices, cells):
@@ -101,6 +110,10 @@ class Mesh:
         lengths = self.h_edge[self.cell_edges]
         self.h_cell = lengths.max(axis=1)
 
+    @cached_property
+    def edge_traces(self):
+        return _EdgeTraceData(self)
+
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
@@ -130,6 +143,45 @@ class Mesh:
     def __repr__(self):
         return "Mesh({} vertices, {} edges, {} cells)".format(
             self.num_vertices, self.num_edges, self.num_cells)
+
+
+class _EdgeTraceData:
+    """Per-edge trace values of the CR basis at the edge quadrature points.
+
+    For every edge and each adjacent side, stores the scalar dof (edge)
+    indices of the side's three basis functions and their trace values at
+    the edge quadrature points.
+    """
+
+    def __init__(self, mesh, nq=2):
+        t, w = edge_quadrature(nq)
+        self.t = t
+        self.w = w
+        ne = mesh.num_edges
+        self.dofs = np.full((ne, 2, 3), -1, dtype=np.int64)
+        self.psi = np.zeros((ne, 2, nq, 3))
+        for side in range(2):
+            cells_s = mesh.edge_cells[:, side]
+            valid = np.flatnonzero(cells_s >= 0)
+            cs = cells_s[valid]
+            ce = mesh.cell_edges[cs]                 # (m, 3)
+            pos = np.argmax(ce == valid[:, None], axis=1)
+            j = (pos + 1) % 3
+            # parameter s measured from local vertex j toward k
+            vj = mesh.cells[cs, j]
+            same = vj == mesh.edges[valid, 0]
+            s = np.where(same[:, None], t[None, :], 1.0 - t[None, :])
+            m = valid.size
+            psi = np.zeros((m, nq, 3))
+            ar = np.arange(m)
+            psi[ar, :, pos] = 1.0
+            psi[ar, :, j] = 2.0 * s - 1.0
+            psi[ar, :, (pos + 2) % 3] = 1.0 - 2.0 * s
+            self.dofs[valid, side] = ce
+            self.psi[valid, side] = psi
+        # int_e psi_i psi_j for the four side pairings, shape (ne, 2, 2, 3, 3)
+        self.pairs = np.einsum("q,esqi,erqj,e->esrij", w, self.psi, self.psi,
+                               mesh.h_edge)
 
 
 def build_unit_square_mesh(n):

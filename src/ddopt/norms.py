@@ -9,7 +9,6 @@ exact for CR fields (diagonal mass, constant gradients, quadratic traces).
 import numpy as np
 
 from .spaces import cr_cell_gradients
-from .assembly import _edge_trace_data
 
 __all__ = ["l2_cr", "h1_semi_cr", "broken_velocity_norm",
            "broken_transport_norm", "jump_seminorm", "l2_p0"]
@@ -47,7 +46,7 @@ def jump_seminorm(mesh, dof):
     ``dof`` has shape (ne,) or (ne, k); traces are integrated with the
     two-point Gauss rule (exact).
     """
-    td = _edge_trace_data(mesh)
+    td = mesh.edge_traces
     d = dof if dof.ndim == 2 else dof[:, None]
     # trace values per side at edge quad points: (ne, 2, nq, k)
     tr = np.einsum("esqi,esik->esqk", td.psi,

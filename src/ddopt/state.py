@@ -10,6 +10,14 @@ bordered system to keep the factorization sparse).  Dirichlet dofs
 (velocity on the whole boundary, transported scalars on the Dirichlet
 part) are eliminated and carried by a discrete lifting.
 
+Blocks that do not depend on the iterate are built once per layout
+(``_Dofs``): the divergence, the cross-diffusion, the jump penalty and the
+affine buoyancy coupling.  A ``Linearization`` builds the rest once per
+iterate: the Brinkman block (nu follows T), one upwind matrix N(u) shared
+by the momentum and transport operators, and the Newton couplings.  Its
+``residual`` forms the momentum and transport residuals of the Newton
+step, of ``state_residual`` and of the KKT check alike.
+
 Each step assembles one ``Linearization`` of the system at the iterate
 and, unless a lagged LU serves it (below), factors it.  The LU of the
 exact (Newton) one also solves the adjoint, transposed, so a one-shot
@@ -37,7 +45,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from . import assembly as asm
-from .linalg import BorderedSolver
+from .linalg import BorderedSolver, SolverError
 from .norms import broken_velocity_norm, broken_transport_norm
 from .quadrature import tri_quadrature
 from .spaces import (CRVectorField, P0Field, cr_basis_values,
@@ -56,7 +64,7 @@ __all__ = ["NonlinearSettings", "StateSolution", "NonconvergenceError",
            "state_residual", "max_cell_div"]
 
 
-class NonconvergenceError(RuntimeError):
+class NonconvergenceError(SolverError):
     """The nonlinear iteration ran out of steps; carries the increments."""
 
     def __init__(self, message, increments):
@@ -64,7 +72,7 @@ class NonconvergenceError(RuntimeError):
         self.increments = list(increments)
 
 
-class DivergedError(RuntimeError):
+class DivergedError(SolverError):
     """A NaN/Inf appeared in an iterate."""
 
 
@@ -73,18 +81,14 @@ class NonlinearSettings:
     """Nonlinear-iteration controls.
 
     ``tol`` is a dimensionless increment tolerance (measured relative to
-    1 + the broken norms of the iterate), ``damping`` applies to the
-    Picard phase; Newton acceleration is used only with full steps.
+    1 + the broken norms of the iterate).
     """
     tol: float = 1e-10
     max_iter: int = 100
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -144,11 +148,14 @@ def _buoyancy_load(mesh, params, y_dof):
 
 
 class _Dofs:
-    """Free/fixed dofs and the bordered (u, p, y) free-dof layout."""
+    """Free/fixed dofs, the bordered (u, p, y) free-dof layout and the
+    iterate-independent blocks; ``MF`` (the affine buoyancy coupling) and
+    ``penalty`` (the jump penalty) are None when absent."""
 
-    def __init__(self, mesh, y_bc, u_bc):
+    def __init__(self, mesh, params, y_bc, u_bc, penalty_a0=0.0):
         ne = mesh.num_edges
         self.mesh = mesh
+        self.params = params
         bdry = mesh.boundary_edges
 
         self.u_fixed_edges = bdry
@@ -178,6 +185,12 @@ class _Dofs:
         self.iy_fixed = asm.vector_indices(self.y_fixed_edges)
 
         self.B = asm.assemble_divergence(mesh)
+        self.cross = asm.assemble_cross_diffusion(mesh, params.diffusion)
+        self.penalty = asm.assemble_jump_penalty(mesh, penalty_a0,
+                                                 params.nu2) \
+            if penalty_a0 > 0 else None
+        self.MF = asm.assemble_buoyancy_coupling(mesh, params) \
+            if params.F_jac is None else None
         self.area = asm.assemble_mean_constraint(mesh)
         self.B_free = self.B[:, self.iu_free]
         # scale only the continuity rows by 1/|K| so the solver residual
@@ -213,46 +226,37 @@ def _sub(A, rows, cols):
     return None if A is None else A[rows][:, cols]
 
 
-def _momentum_operator(mesh, params, T_dof, u_dof, penalty_a0):
-    A = asm.assemble_brinkman_diffusion(mesh, T_dof, params) \
-        + asm.assemble_upwind_advection(mesh, u_dof, n_components=2)
-    if penalty_a0 > 0:
-        A = A + asm.assemble_jump_penalty(mesh, penalty_a0, params.nu2)
-    return A.tocsr()
-
-
-def _transport_operator(mesh, params, u_dof):
-    return (asm.assemble_cross_diffusion(mesh, params.diffusion)
-            + asm.assemble_upwind_advection(mesh, u_dof,
-                                            n_components=2)).tocsr()
-
-
 class Linearization:
     """The state system linearized at an iterate (u, y), factored once.
 
-    The bordered free-dof core ``J`` (exact Jacobian with ``newton``, else
-    the Picard operator) is assembled here and factored on the first
-    solve, so callers assemble what else they need first.  Its LU solves
-    with J and, transposed, with the adjoint's S^{-1} J^T S.  ``MF`` is the
-    affine buoyancy block when the caller holds it.
+    A_mom (Brinkman + N(u) + penalty) and A_tr (cross-diffusion + N(u))
+    share one upwind matrix.  The bordered free-dof core ``J`` (exact
+    Jacobian with ``newton``, else the Picard operator) is assembled here
+    and factored on the first solve, so callers assemble what else they
+    need first.  Its LU solves with J and, transposed, with the adjoint's
+    S^{-1} J^T S.
     """
 
-    def __init__(self, mesh, params, dofs, u, y, penalty_a0=0.0, MF=None,
-                 newton=True):
-        self.dofs = dofs
-        self.A_mom = _momentum_operator(mesh, params, y[:, 0], u, penalty_a0)
-        self.A_tr = _transport_operator(mesh, params, u)
-        affine = params.F_jac is None
-        if MF is None and (newton or affine):
-            MF = asm.assemble_buoyancy_coupling(mesh, params, y)
+    def __init__(self, dofs, u, y, newton=True):
+        mesh, params = dofs.mesh, dofs.params
+        self.dofs, self.u, self.y = dofs, u, y
+        N = asm.assemble_upwind_advection(mesh, u, n_components=2)
+        A_mom = asm.assemble_brinkman_diffusion(mesh, y[:, 0], params) + N
+        if dofs.penalty is not None:
+            A_mom = A_mom + dofs.penalty
+        self.A_mom = A_mom
+        self.A_tr = dofs.cross + N
+        MF = dofs.MF
         if newton:
+            if MF is None:
+                MF = asm.assemble_buoyancy_coupling(mesh, params, y)
             A_uu = self.A_mom + asm.assemble_advecting_linearization(
                 mesh, u, u)
             K_uy = asm.assemble_viscosity_coupling(mesh, u, y[:, 0],
                                                    params) - MF
             K_yu = asm.assemble_advecting_linearization(mesh, u, y)
         else:
-            A_uu, K_uy, K_yu = self.A_mom, -MF if affine else None, None
+            A_uu, K_uy, K_yu = self.A_mom, None if MF is None else -MF, None
         iu, iy = dofs.iu_free, dofs.iy_free
         self.J = sp.bmat([[_sub(A_uu, iu, iu), dofs.B_free.T,
                            _sub(K_uy, iu, iy)],
@@ -270,6 +274,35 @@ class Linearization:
                                           pin_col=d.nu_free, scale=d.scale)
         return self._solver.solve(rhs, beta=beta, rtol=rtol,
                                   transpose=transpose)
+
+    def residual(self, p, b_mom, b_tr):
+        """Full-length momentum and transport residuals at (u, p, y); the
+        loads ``b_mom`` are subtracted in turn, the buoyancy as MF y
+        (affine) or as the load F(y_h)."""
+        dofs = self.dofs
+        r_mom = self.A_mom @ self.u.reshape(-1) + dofs.B.T @ p
+        for b in b_mom:
+            r_mom = r_mom - b
+        if dofs.MF is not None:
+            r_mom = r_mom - dofs.MF @ self.y.reshape(-1)
+        else:
+            r_mom = r_mom - _buoyancy_load(dofs.mesh, dofs.params, self.y)
+        return r_mom, self.A_tr @ self.y.reshape(-1) - b_tr
+
+
+def _loads(mesh, params, forcing_mom, forcing_tr):
+    """Momentum load (forcing, plus F0 for affine buoyancy) and transport
+    load (forcing), both independent of the iterate and the control."""
+    b_mom = np.zeros(2 * mesh.num_edges)
+    if forcing_mom is not None:
+        b_mom += asm.assemble_load(mesh, forcing_mom, ncomp=2)
+    if params.F_jac is None and params.F0 is not None \
+            and np.any(params.F0 != 0.0):
+        b_mom += asm.assemble_p0_load(
+            mesh, np.tile(params.F0, (mesh.num_cells, 1)))
+    b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
+        else asm.assemble_load(mesh, forcing_tr, ncomp=2)
+    return b_mom, b_tr
 
 
 def _control_load(mesh, control):
@@ -292,9 +325,8 @@ class StateStepper:
 
     The stepper starts in Picard mode (frozen coefficients) and switches
     to Newton once the increment has dropped enough (or after a few
-    steps); damped iterations stay in Picard mode.  Newton steps reuse a
-    kept LU through GMRES while the increments contract fast (see the
-    module docstring).
+    steps).  Newton steps reuse a kept LU through GMRES while the
+    increments contract fast (see the module docstring).
     """
 
     def __init__(self, mesh, params, y_bc, control=None, settings=None,
@@ -304,25 +336,14 @@ class StateStepper:
         self.params = params
         self.settings = settings or NonlinearSettings()
         self.penalty_a0 = penalty_a0
-        self.dofs = dofs = _Dofs(mesh, y_bc, u_bc)
+        self.dofs = dofs = _Dofs(mesh, params, y_bc, u_bc, penalty_a0)
         nc = mesh.num_cells
 
         g = -dofs.B[:, dofs.iu_fixed] @ dofs.u_fixed_values.reshape(-1)
         self.g = (g - dofs.area * (g.sum() / dofs.area.sum())) / dofs.area
 
-        self.affine_buoyancy = params.F_jac is None
-        self.MF = asm.assemble_buoyancy_coupling(mesh, params) \
-            if self.affine_buoyancy else None
-
-        self.b_forcing = np.zeros(2 * mesh.num_edges)
-        if forcing_mom is not None:
-            self.b_forcing += asm.assemble_load(mesh, forcing_mom, ncomp=2)
-        if self.affine_buoyancy and params.F0 is not None \
-                and np.any(params.F0 != 0.0):
-            self.b_forcing += asm.assemble_p0_load(
-                mesh, np.tile(params.F0, (nc, 1)))
-        self.b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
-            else asm.assemble_load(mesh, forcing_tr, ncomp=2)
+        self.b_forcing, self.b_tr = _loads(mesh, params, forcing_mom,
+                                           forcing_tr)
         self.b_control = _control_load(mesh, control)
 
         if initial is not None:
@@ -364,9 +385,7 @@ class StateStepper:
         """Newton linearization at the iterate; the next step consumes it."""
         if self._lin is None:
             self._kept = None
-            self._lin = Linearization(self.mesh, self.params, self.dofs,
-                                      self.u, self.y, self.penalty_a0,
-                                      self.MF)
+            self._lin = Linearization(self.dofs, self.u, self.y)
         return self._lin
 
     def step(self):
@@ -382,17 +401,16 @@ class StateStepper:
             # dropped before the next assembly, or the new LU lands in a
             # fragmented heap
             self._kept = None
-        lin = self._lin if handed else Linearization(
-            mesh, params, dofs, u, y, self.penalty_a0, self.MF,
-            newton=self.newton)
+        lin = self._lin if handed else Linearization(dofs, u, y,
+                                                     newton=self.newton)
         self._lin = None
 
         if not self.newton:
             b_mom = self.b_forcing + self.b_control
-            if not self.affine_buoyancy:
+            if dofs.MF is None:
                 b_mom = b_mom + _buoyancy_load(mesh, params, y)
             elif dofs.iy_fixed.size:
-                b_mom = b_mom + self.MF[:, dofs.iy_fixed] \
+                b_mom = b_mom + dofs.MF[:, dofs.iy_fixed] \
                     @ dofs.y_fixed_values.reshape(-1)
             b_mom_free = b_mom[dofs.iu_free] \
                 - _sub(lin.A_mom, dofs.iu_free, dofs.iu_fixed) \
@@ -404,23 +422,17 @@ class StateStepper:
                     @ dofs.y_fixed_values.reshape(-1)
             x, m_new = lin.solve(
                 np.concatenate([b_mom_free, self.g, b_tr_free]))
-            d = self.settings.damping
-            u_new = d * dofs.full_u(x[:nu]) + (1 - d) * u
-            p_new = d * x[dofs.ip] + (1 - d) * p
-            y_new = d * dofs.full_y(x[dofs.ip.stop:]) + (1 - d) * y
+            u_new = dofs.full_u(x[:nu])
+            p_new = x[dofs.ip]
+            y_new = dofs.full_y(x[dofs.ip.stop:])
         else:
-            r_mom_full = lin.A_mom @ u.reshape(-1) + dofs.B.T @ p \
-                - self.b_forcing - self.b_control
-            if self.affine_buoyancy:
-                r_mom_full = r_mom_full - self.MF @ y.reshape(-1)
-            else:
-                r_mom_full = r_mom_full - _buoyancy_load(mesh, params, y)
-            r_mom = r_mom_full[dofs.iu_free]
+            r_mom, r_tr = lin.residual(p, (self.b_forcing, self.b_control),
+                                       self.b_tr)
             r_div = dofs.B_scaled @ u.reshape(-1)[dofs.iu_free] \
                 + self.m - self.g
             r_mean = float(dofs.area @ p)
-            r_tr = (lin.A_tr @ y.reshape(-1) - self.b_tr)[dofs.iy_free]
-            rhs = np.concatenate([-r_mom, -r_div, -r_tr])
+            rhs = np.concatenate([-r_mom[dofs.iu_free], -r_div,
+                                  -r_tr[dofs.iy_free]])
             out = self._kept.krylov_solve(lin.J, rhs, _LAG_MAXITER,
                                           beta=-r_mean) if lagged else None
             if out is None:
@@ -445,8 +457,8 @@ class StateStepper:
         self.u, self.y, self.p, self.m = u_new, y_new, p_new, m_new
         self.steps += 1
         self.increments.append(incr)
-        if not self.newton and self.settings.damping == 1.0 \
-                and (incr <= 0.2 * self.iterate_scale() or self.steps >= 3):
+        if not self.newton and (incr <= 0.2 * self.iterate_scale()
+                                or self.steps >= 3):
             self.newton = True
         return incr
 
@@ -531,27 +543,23 @@ def state_residual(mesh, params, solution, y_bc=None, control=None,
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))
             and np.all(np.isfinite(p))):
         raise ValueError("solution fields contain NaN/Inf")
-    dofs = _Dofs(mesh, y_bc, u_bc)
+    dofs = _Dofs(mesh, params, y_bc, u_bc, solution.penalty_a0)
+    return _residual_norms(Linearization(dofs, u, y, newton=False), p,
+                           control, forcing_mom, forcing_tr)
 
-    A_mom = _momentum_operator(mesh, params, y[:, 0], u,
-                               solution.penalty_a0)
-    A_tr = _transport_operator(mesh, params, u)
 
-    b_mom = _control_load(mesh, control)
-    if forcing_mom is not None:
-        b_mom = b_mom + asm.assemble_load(mesh, forcing_mom, ncomp=2)
-    b_mom = b_mom + _buoyancy_load(mesh, params, y)
-    b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
-        else asm.assemble_load(mesh, forcing_tr, ncomp=2)
-
-    uf = u.reshape(-1)
-    yf = y.reshape(-1)
-    r_mom = (A_mom @ uf + dofs.B.T @ p - b_mom)[dofs.iu_free]
-    r_div = dofs.B @ uf  # residual of b(u, q) = 0, i.e. -|K| div u_h per cell
-    r_tr = (A_tr @ yf - b_tr)[dofs.iy_free]
+def _residual_norms(lin, p, control, forcing_mom, forcing_tr):
+    """Block residual norms at the iterate of ``lin`` with pressure ``p``:
+    momentum and transport on the free dofs, the unscaled continuity
+    residual B u and the pressure mean."""
+    dofs = lin.dofs
+    b_mom, b_tr = _loads(dofs.mesh, dofs.params, forcing_mom, forcing_tr)
+    r_mom, r_tr = lin.residual(
+        p, (b_mom, _control_load(dofs.mesh, control)), b_tr)
     return {
-        "momentum": float(np.linalg.norm(r_mom)),
-        "continuity": float(np.linalg.norm(r_div)),
-        "transport": float(np.linalg.norm(r_tr)),
+        "momentum": float(np.linalg.norm(r_mom[dofs.iu_free])),
+        # residual of b(u, q) = 0, i.e. -|K| div u_h per cell
+        "continuity": float(np.linalg.norm(dofs.B @ lin.u.reshape(-1))),
+        "transport": float(np.linalg.norm(r_tr[dofs.iy_free])),
         "pressure_mean": abs(float(dofs.area @ p)),
     }

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import TrackingData
-from .assembly import ProblemParams, _edge_trace_data
-from .control import ControlBounds, PdasSettings, pdas_solve
+from .assembly import ProblemParams
+from .control import ControlBounds, PdasSettings, _vi_residual, pdas_solve
 from .mesh import build_unit_square_mesh
 from .quadrature import tri_quadrature, cell_quad_points
 from .spaces import boundary_interpolate, cr_cell_gradients, \
@@ -311,9 +311,7 @@ def make_params(case):
         sigma=case.sigma, diffusion=case.diffusion,
         nu=lambda T: nu2 * np.exp(-T), nu_T=lambda T: -nu2 * np.exp(-T),
         nu1=nu2 * np.exp(-1.5), nu2=nu2,
-        F_y=case.F_y, g=np.array([0.0, 1.0]), lam=case.lam,
-        bounds=np.array([[case.lower, case.upper],
-                         [case.lower, case.upper]]))
+        F_y=case.F_y)
 
 
 @dataclass
@@ -354,7 +352,7 @@ def _quadrature_error_parts(mesh, dof, value_fn, grad_fn):
 
 def _jump_error_sq(mesh, dof, value_fn):
     """sum_e h_e^{-1} int_e |[f_h - f]|^2 with f continuous (2-pt Gauss)."""
-    td = _edge_trace_data(mesh)
+    td = mesh.edge_traces
     d = dof if dof.ndim == 2 else dof[:, None]
     tr = np.einsum("esqi,esik->esqk", td.psi,
                    np.where(td.dofs[..., None] >= 0,
@@ -582,11 +580,10 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
             if name not in ERROR_NAMES:
                 extra.setdefault(name, []).append(float(val))
 
-        from .control import kkt_residuals
         hs.append(np.sqrt(2.0) / n)
         iterations.append(result.iterations)
         div_max.append(result.state.max_divergence())
-        vi_res.append(kkt_residuals(result)["vi_res"])
+        vi_res.append(_vi_residual(result))
         dofs["u"].append(2 * mesh.interior_edges.size)
         dofs["p"].append(mesh.num_cells)
         dofs["y"].append(2 * mesh.num_edges)

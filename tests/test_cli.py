@@ -216,3 +216,24 @@ def test_main_linear_solver_error_exit_code(tmp_path, monkeypatch, error):
     assert code == cli.EXIT_NONCONVERGENCE
     with open(os.path.join(out, "nonconvergence.txt")) as fh:
         assert fh.readline().startswith(error + ": injected")
+
+
+@pytest.mark.parametrize("module, error", [
+    ("state", "NonconvergenceError"), ("state", "DivergedError"),
+    ("control", "PdasNonconvergence"), ("linalg", "SingularMatrixError"),
+    ("linalg", "LinearSolveError")])
+def test_solver_errors_share_one_base(tmp_path, monkeypatch, module, error):
+    # main catches SolverError alone, so every solver failure exits 3;
+    # each error still takes a (message, history) pair
+    import importlib
+    from ddopt import cli
+    from ddopt.linalg import SolverError
+    exc_type = getattr(importlib.import_module("ddopt." + module), error)
+    assert issubclass(exc_type, SolverError)
+
+    def failing_solve(*args, **kwargs):
+        raise exc_type("injected", [0.5])
+
+    monkeypatch.setattr(cli, "solve_state", failing_solve)
+    code = main(["solve", "--n", "2", "--out", str(tmp_path / "failed")])
+    assert code == cli.EXIT_NONCONVERGENCE

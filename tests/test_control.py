@@ -115,6 +115,22 @@ def test_kkt_residual_detects_perturbation():
     assert kkt["vi_res"] == pytest.approx(0.01, abs=1e-7)
 
 
+def test_kkt_residuals_build_one_layout_and_linearization(monkeypatch):
+    # the state and the adjoint residual come from the same layout and the
+    # same (unfactored) linearization at the final state
+    from ddopt import linalg, state
+    _, res = _small_opt()
+    built = []
+    for cls in (state._Dofs, state.Linearization, linalg.DirectSolver):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    kkt_residuals(res)
+    assert sorted(built) == ["Linearization", "_Dofs"]
+
+
 def test_vi_residual_formula_all_inactive():
     s = manufactured_setup(8)
     wide = ControlBounds(-100.0, 100.0)

@@ -17,8 +17,6 @@ from ddopt.state import (NonlinearSettings, NonconvergenceError,
 def test_settings_validation():
     with pytest.raises(ValueError):
         NonlinearSettings(tol=0.0)
-    with pytest.raises(ValueError):
-        NonlinearSettings(damping=1.5)
 
 
 def test_zero_data_gives_zero_solution(mesh8):
@@ -192,8 +190,7 @@ def test_lagged_general_buoyancy_matches_affine():
         nu2=s["params"].nu2,
         F_fun=lambda yv: yv @ s["case"].F_y.T,
         F_jac=lambda yv: np.broadcast_to(s["case"].F_y,
-                                         yv.shape[:-1] + (2, 2)),
-        lam=1.0)
+                                         yv.shape[:-1] + (2, 2)))
     sol_g = solve_state(s["mesh"], pg, s["y_bc"], u_bc=s["u_bc"],
                         forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
                         settings=NonlinearSettings(tol=1e-12))
@@ -244,6 +241,22 @@ def test_lagged_newton_lu_matches_refactoring(monkeypatch):
     assert lagged.max_divergence() <= 1e-10 * (1.0 + umax)
     res = state_residual(mesh, params, lagged, y_bc=y_bc)
     assert max(res.values()) <= 1e-10 * (1.0 + umax)
+
+
+def test_state_blocks_assembled_once(monkeypatch):
+    # one upwind matrix per step serves both convection blocks, and the
+    # cross-diffusion is built once per layout
+    mesh, params, y_bc = _cavity(12, 100.0, 1e-3, 10.0)
+    calls = {"assemble_upwind_advection": 0, "assemble_cross_diffusion": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(asm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(asm, name, counted)
+    sol = solve_state(mesh, params, y_bc,
+                      settings=NonlinearSettings(tol=1e-10))
+    assert calls["assemble_upwind_advection"] == sol.iterations
+    assert calls["assemble_cross_diffusion"] == 1
 
 
 @pytest.mark.parametrize("point, error", [
