@@ -17,7 +17,8 @@ The adjoint matrix is never assembled.  The state's ``Linearization``
 factors the Jacobian J once, and the adjoint is solved with the
 transposed LU factors as S^{-1} J^T S, S = diag(1, |K|, 1), so that the
 continuity rows keep the 1/|K| scaling of the state solve.  In a one-shot
-optimization loop that LU is also the one the next Newton step uses.
+optimization loop the linearization comes from the state stepper, on its
+layout, and its LU is also the one the next Newton step uses.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ class AdjointSolution:
     phi: CRVectorField
     xi: P0Field
     eta: CRVectorField
-    pressure_multiplier: float
     xi_raw: object = None
 
     def max_divergence(self):
@@ -95,8 +95,7 @@ def _adjoint_rhs(mesh, state, data, dofs):
     return np.concatenate([b_u, np.zeros(mesh.num_cells), b_y])
 
 
-def solve_adjoint(mesh, params, state, data, rtol=1e-12,
-                  linearization=None):
+def solve_adjoint(mesh, params, state, data, linearization=None):
     """Solve the linear discrete adjoint system at a converged state.
 
     Parameters
@@ -107,8 +106,9 @@ def solve_adjoint(mesh, params, state, data, rtol=1e-12,
     data : TrackingData
     linearization : Linearization, optional
         Exact linearization at ``state`` with the same Dirichlet edge set,
-        such as the one the next Newton step of a one-shot loop factors;
-        built here when omitted.  Its LU is reused, transposed.
+        such as ``StateStepper.linearize()`` in a one-shot loop; built
+        here, on a layout of its own, when omitted.  Its LU is reused,
+        transposed.
 
     Returns
     -------
@@ -122,8 +122,7 @@ def solve_adjoint(mesh, params, state, data, rtol=1e-12,
     lin = linearization if linearization is not None \
         else _linearization_at(mesh, params, state)
     dofs = lin.dofs
-    x, mult = lin.solve(_adjoint_rhs(mesh, state, data, dofs),
-                        transpose=True, rtol=rtol)
+    x, _ = lin.solve(_adjoint_rhs(mesh, state, data, dofs), transpose=True)
     phi = np.zeros((mesh.num_edges, 2))
     phi[dofs.u_free_edges] = x[:dofs.nu_free].reshape(-1, 2)
     eta = np.zeros((mesh.num_edges, 2))
@@ -139,8 +138,7 @@ def solve_adjoint(mesh, params, state, data, rtol=1e-12,
     xi = xi - area @ xi / area.sum()
     return AdjointSolution(
         phi=CRVectorField(mesh, phi), xi=P0Field(mesh, xi),
-        eta=CRVectorField(mesh, eta), pressure_multiplier=float(mult),
-        xi_raw=xi_raw)
+        eta=CRVectorField(mesh, eta), xi_raw=xi_raw)
 
 
 def _cell_mean_dot(mesh, a_dof, b_dof):

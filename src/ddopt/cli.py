@@ -92,8 +92,12 @@ class RunConfig:
             raise ConfigError("export must be 'csv' or 'vtk'")
         if self.regime not in ("flow", "stokes", "darcy"):
             raise ConfigError("regime must be flow, stokes or darcy")
-        if self.n < 1 or self.levels < 1:
-            raise ConfigError("n and levels must be positive")
+        if self.n < 1:
+            raise ConfigError("n must be positive")
+        if self.levels < 3:
+            raise ConfigError("a convergence study needs at least 3 levels")
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive")
 
     def to_dict(self):
         out = {}
@@ -424,8 +428,8 @@ def _cmd_solve(config, outdir):
               "U": P0Field(mesh, np.zeros((mesh.num_cells, 2)))}
     export_fields(bundle, os.path.join(outdir, "solution." + ext),
                   config.export)
-    print("forward solve done in {} Picard iterations; output in {}".format(
-        solution.iterations, outdir))
+    print("forward solve done in {} nonlinear steps (Picard and Newton); "
+          "output in {}".format(solution.iterations, outdir))
     return EXIT_OK
 
 

@@ -1,21 +1,22 @@
 """Box-constrained control of the coupled flow by a primal-dual active set
 strategy (semi-smooth Newton on the projection fixed-point equation).
 
-Each outer iteration advances the state (one linearization step in the
-default one-shot coupling, a full solve in the decoupled one), solves the
-adjoint at the new state, classifies every cell/component against the box
-through the projection formula
+Each outer iteration is one linearization of the whole optimality system:
+it advances the state by one nonlinear step, solves the adjoint at the new
+iterate, classifies every cell/component against the box through the
+projection formula
 
     U = max(Ua, min(Ub, -(Pi0 phi) / lambda)),
 
 assigns the bound on active cells and the projection value on inactive
-ones, and stops when the active sets repeat and the control update falls
-below the tolerance.
+ones, and stops when the active sets repeat, the control update falls
+below the tolerance and the state increment meets the inner tolerance.
 
-There is one factorization per linearization.  Once the one-shot state
-iteration is in Newton mode, the adjoint of iteration k is solved with the
-transposed LU of the Jacobian that the state step of iteration k + 1
-solves with, so the two share their assembly and their factorization.
+One layout (``_Dofs``) serves every state step and every adjoint of the
+loop, and there is one factorization per linearization: the adjoint of
+iteration k is solved with the transposed LU of the Newton linearization
+at the iterate, which the state step of iteration k + 1 consumes once the
+stepper is in Newton mode (a Picard step drops it and factors its own).
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .linalg import SolverError
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
 from .state import Linearization, NonlinearSettings, StateStepper, _Dofs, \
-    _residual_norms, solve_state
+    _residual_norms
 
 __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
            "eval_cost", "pdas_solve", "kkt_residuals",
@@ -68,26 +69,24 @@ class PdasSettings:
     """Outer-loop controls.
 
     ``tol_mode`` selects the absolute or relative reading of ``tol`` for
-    the control-change criterion.  ``coupling`` picks the granularity of
-    one outer iteration: "oneshot" performs a single linearization of the
-    full optimality system per iteration (state step, adjoint solve,
-    active-set update), "decoupled" converges the state fully before each
-    adjoint solve.
+    the control-change criterion; ``inner`` holds the state increment
+    tolerance that each outer iteration's state step must also meet.
     """
     lam: float = 1.0
     tol: float = 1e-6
     tol_mode: str = "absolute"
     max_iter: int = 50
-    coupling: str = "oneshot"
     inner: NonlinearSettings = field(default_factory=NonlinearSettings)
 
     def __post_init__(self):
         if self.tol_mode not in ("absolute", "relative"):
             raise ValueError("tol_mode must be 'absolute' or 'relative'")
-        if self.coupling not in ("oneshot", "decoupled"):
-            raise ValueError("coupling must be 'oneshot' or 'decoupled'")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -143,14 +142,14 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
                forcing_mom=None, forcing_tr=None, penalty_a0=0.0):
     """Solve the discrete optimality system by the active-set outer loop.
 
-    With the default "oneshot" coupling every outer iteration performs one
-    linearization step of the state system, one adjoint solve at the
-    current iterate, and one active-set/control update, so the iteration
-    count reflects the semi-smooth Newton resolution of the whole
-    optimality system.  With "decoupled" coupling the state is converged
-    fully before each adjoint solve.  Termination requires the active
-    sets to repeat, the control change to drop below the tolerance, and
-    (oneshot) the state increment to meet the inner tolerance.
+    Every outer iteration performs one linearization step of the state
+    system, one adjoint solve at the new iterate, and one active-set/
+    control update, so the iteration count reflects the semi-smooth Newton
+    resolution of the whole optimality system.  The state stepper's layout
+    serves every adjoint, and the adjoint's LU is the one the next Newton
+    step solves with.  Termination requires the active sets to repeat, the
+    control change to drop below the tolerance, and the state increment to
+    meet the inner tolerance.
 
     Parameters
     ----------
@@ -173,37 +172,23 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     settings = settings or PdasSettings()
     lam = settings.lam
     nc = mesh.num_cells
-    oneshot = settings.coupling == "oneshot"
 
     U = np.clip(np.zeros((nc, 2)), bounds.lower, bounds.upper)
     labels_prev = None
-    state = None
     cost_history = []
     set_history = []
     changes = []
     stepper = StateStepper(mesh, params, y_bc, control=U,
                            settings=settings.inner, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
-                           penalty_a0=penalty_a0) if oneshot else None
+                           penalty_a0=penalty_a0)
 
     for it in range(1, settings.max_iter + 1):
-        if oneshot:
-            stepper.set_control(U)
-            state_incr = stepper.step()
-            state = stepper.solution()
-        else:
-            state = solve_state(mesh, params, y_bc, control=U,
-                                settings=settings.inner, u_bc=u_bc,
-                                forcing_mom=forcing_mom,
-                                forcing_tr=forcing_tr,
-                                penalty_a0=penalty_a0, initial=state)
-            state_incr = 0.0
-        # once the stepper is in Newton mode, the adjoint's linearization
-        # (blocks and LU) is the one the next step consumes
-        adjoint = solve_adjoint(
-            mesh, params, state, data,
-            linearization=stepper.linearize()
-            if oneshot and stepper.newton else None)
+        stepper.set_control(U)
+        state_incr = stepper.step()
+        state = stepper.solution()
+        adjoint = solve_adjoint(mesh, params, state, data,
+                                linearization=stepper.linearize())
         pphi = p0_project(adjoint.phi, mesh).dof
         labels = _classify(pphi, lam, bounds)
         U_new = project_control(pphi, lam, bounds)
@@ -219,9 +204,8 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
 
         converged = labels_prev is not None \
             and np.array_equal(labels, labels_prev) \
-            and change_measure <= settings.tol
-        if oneshot:
-            converged = converged and stepper.converged(state_incr)
+            and change_measure <= settings.tol \
+            and stepper.converged(state_incr)
         U = U_new
         labels_prev = labels
         if converged:

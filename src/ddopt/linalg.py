@@ -14,6 +14,16 @@ from scipy.sparse import linalg as spla
 __all__ = ["SolverError", "SingularMatrixError", "LinearSolveError",
            "DirectSolver", "BorderedSolver"]
 
+# Relative residual targets.  DirectSolver.solve refines up to
+# _DIRECT_REFINE times towards _DIRECT_RTOL.  The bordered solves, direct
+# and GMRES alike, aim at _BORDERED_RTOL; the direct one refines up to
+# _BORDERED_REFINE times and accepts up to _BORDERED_ACCEPT.
+_DIRECT_RTOL = 1e-9
+_DIRECT_REFINE = 4
+_BORDERED_RTOL = 1e-12
+_BORDERED_ACCEPT = 1e-8
+_BORDERED_REFINE = 6
+
 
 class SolverError(RuntimeError):
     """Base of every solver failure: nonlinear nonconvergence or
@@ -51,9 +61,9 @@ class DirectSolver:
         except RuntimeError as exc:  # SuperLU met an exactly zero pivot
             raise SingularMatrixError(str(exc)) from exc
 
-    def solve(self, b, rtol=1e-9, refine=4):
-        """Solve A x = b with iterative refinement to relative residual rtol.
-        """
+    def solve(self, b):
+        """Solve A x = b with iterative refinement to relative residual
+        ``_DIRECT_RTOL``."""
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
@@ -62,13 +72,13 @@ class DirectSolver:
         norm_b = np.linalg.norm(b)
         if norm_b == 0.0:
             return np.zeros_like(b)
-        for _ in range(refine):
+        for _ in range(_DIRECT_REFINE):
             r = b - self._A @ x
-            if np.linalg.norm(r) <= rtol * norm_b:
+            if np.linalg.norm(r) <= _DIRECT_RTOL * norm_b:
                 return x
             x = x + self._lu.solve(r)
         r = b - self._A @ x
-        if np.linalg.norm(r) > rtol * norm_b:
+        if np.linalg.norm(r) > _DIRECT_RTOL * norm_b:
             raise LinearSolveError(
                 "direct solve stalled at relative residual {:.3e}".format(
                     np.linalg.norm(r) / norm_b))
@@ -159,13 +169,13 @@ class BorderedSolver:
         self._sides = {False: _Elimination(self.core._lu, self.d, self.e,
                                            pin_row, pin_col)}
 
-    def solve(self, b, beta=0.0, rtol=1e-12, accept=1e-8, refine=6,
-              transpose=False):
+    def solve(self, b, beta=0.0, transpose=False):
         """Solve the bordered system (or its scaled transpose) for (x, m).
 
-        Refines to relative residual ``rtol`` when possible and accepts up
-        to ``accept`` (raising LinearSolveError beyond that).  The residual
-        is that of the system solved, in its own scaling.
+        Refines to relative residual ``_BORDERED_RTOL`` when possible and
+        accepts up to ``_BORDERED_ACCEPT`` (raising LinearSolveError beyond
+        that).  The residual is that of the system solved, in its own
+        scaling.
         """
         S = self.scale
         if transpose not in self._sides:
@@ -178,35 +188,36 @@ class BorderedSolver:
         if norm == 0.0:
             return np.zeros_like(b), 0.0
         best = None
-        for _ in range(refine + 1):
+        for _ in range(_BORDERED_REFINE + 1):
             Kx = self.K.T @ (S * x) / S if transpose else self.K @ x
             rx = b - (Kx + m * self.d)
             rm = beta - float(self.e @ x)
             res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
             if best is None or res < best[0]:
                 best = (res, x.copy(), m)
-            if res <= rtol * norm:
+            if res <= _BORDERED_RTOL * norm:
                 return x, m
             dx, dm = side.apply(rx, rm)
             x = x + dx
             m = m + dm
         res, x, m = best
-        if res > accept * norm:
+        if res > _BORDERED_ACCEPT * norm:
             raise LinearSolveError(
                 "bordered solve stalled at relative residual {:.3e}".format(
                     res / norm))
         return x, m
 
-    def krylov_solve(self, K, b, maxiter, beta=0.0, rtol=1e-12):
+    def krylov_solve(self, K, b, maxiter, beta=0.0):
         """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta) for a core K near the
         factored one, by restarted GMRES right-preconditioned with this
         solver's elimination (core LU, border and pin).
 
         Right preconditioning leaves the minimized residual that of the
         bordered system itself; each cycle ends on the true residual,
-        which must reach ``rtol`` as in ``solve`` (there is no looser
-        acceptance).  Returns (x, m), or None when ``maxiter`` iterations
-        in all do not get there; it never raises for a far-off K.
+        which must reach ``_BORDERED_RTOL`` as in ``solve`` (there is no
+        looser acceptance).  Returns (x, m), or None when ``maxiter``
+        iterations in all do not get there; it never raises for a far-off
+        K.
         """
         side = self._sides[False]
         b = np.asarray(b, dtype=float)
@@ -216,7 +227,7 @@ class BorderedSolver:
             return np.append(K @ x + m * self.d, self.e @ x)
 
         rhs = np.append(b, beta)
-        target = rtol * (np.linalg.norm(b) + abs(beta))
+        target = _BORDERED_RTOL * (np.linalg.norm(b) + abs(beta))
         x, m = np.zeros(n), 0.0
         used = 0
         with np.errstate(all="ignore"):

@@ -20,9 +20,11 @@ step, of ``state_residual`` and of the KKT check alike.
 
 Each step assembles one ``Linearization`` of the system at the iterate
 and, unless a lagged LU serves it (below), factors it.  The LU of the
-exact (Newton) one also solves the adjoint, transposed, so a one-shot
-optimization loop hands the next Newton step the linearization it built
-for the adjoint instead of factoring the same Jacobian twice.
+exact (Newton) one also solves the adjoint, transposed: a one-shot
+optimization loop takes the Newton linearization at the iterate from
+``linearize`` for its adjoint, on the stepper's own layout, and the next
+Newton step consumes it instead of factoring the same Jacobian twice.  A
+Picard step drops it before assembling its own operator.
 
 A stepper left to itself keeps the BorderedSolver (LU) of its newest
 Newton step.  When the last increment is at most a fifth of the one
@@ -31,8 +33,8 @@ with that kept LU, to the direct solve's residual; only when GMRES
 declines is the new Jacobian factored (and its LU kept instead).  When the
 increments do not contract that fast, the kept LU is dropped before the
 next Jacobian is assembled, so at most one LU is alive and none waits
-through an assembly it will not serve.  A step handed a linearization by
-``linearize`` (the one-shot loop's) keeps nothing.
+through an assembly it will not serve.  A step that consumes the
+linearization of ``linearize`` (the one-shot loop's) keeps nothing.
 
 ``StateStepper`` exposes single steps so the optimization loop can
 interleave state linearizations with active-set updates; ``solve_state``
@@ -89,6 +91,8 @@ class NonlinearSettings:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -101,7 +105,6 @@ class StateSolution:
     u: CRVectorField
     p: P0Field
     y: CRVectorField
-    pressure_multiplier: float
     iterations: int
     increments: list
     y_dirichlet_edges: np.ndarray
@@ -265,15 +268,14 @@ class Linearization:
                          format="csc")
         self._solver = None
 
-    def solve(self, rhs, beta=0.0, transpose=False, rtol=1e-12):
+    def solve(self, rhs, beta=0.0, transpose=False):
         """Bordered solve with J, or with S^{-1} J^T S if ``transpose``."""
         if self._solver is None:
             d = self.dofs
             self._solver = BorderedSolver(self.J, d.d_col, d.e_row,
                                           pin_row=d.nu_free,
                                           pin_col=d.nu_free, scale=d.scale)
-        return self._solver.solve(rhs, beta=beta, rtol=rtol,
-                                  transpose=transpose)
+        return self._solver.solve(rhs, beta=beta, transpose=transpose)
 
     def residual(self, p, b_mom, b_tr):
         """Full-length momentum and transport residuals at (u, p, y); the
@@ -331,7 +333,7 @@ class StateStepper:
 
     def __init__(self, mesh, params, y_bc, control=None, settings=None,
                  u_bc=None, forcing_mom=None, forcing_tr=None,
-                 penalty_a0=0.0, initial=None):
+                 penalty_a0=0.0):
         self.mesh = mesh
         self.params = params
         self.settings = settings or NonlinearSettings()
@@ -346,18 +348,10 @@ class StateStepper:
                                            forcing_tr)
         self.b_control = _control_load(mesh, control)
 
-        if initial is not None:
-            self.u = initial.u.dof.copy()
-            self.u[self.dofs.u_fixed_edges] = self.dofs.u_fixed_values
-            self.y = initial.y.dof.copy()
-            if self.dofs.y_fixed_edges.size:
-                self.y[self.dofs.y_fixed_edges] = self.dofs.y_fixed_values
-            self.p = initial.p.dof.copy()
-        else:
-            self.u = self.dofs.full_u(np.zeros(self.dofs.nu_free))
-            self.y = self.dofs.full_y(np.zeros(self.dofs.iy_free.size))
-            self.p = np.zeros(nc)
-        self.m = 0.0
+        self.u = dofs.full_u(np.zeros(dofs.nu_free))
+        self.y = dofs.full_y(np.zeros(dofs.iy_free.size))
+        self.p = np.zeros(nc)
+        self.m = 0.0  # multiplier of the pressure-mean border
         self.newton = False
         self.steps = 0
         self.increments = []
@@ -382,7 +376,9 @@ class StateStepper:
                                     self.params.sigma_bar)
 
     def linearize(self):
-        """Newton linearization at the iterate; the next step consumes it."""
+        """Newton linearization at the iterate, in Picard and Newton mode
+        alike, on the stepper's layout.  A Newton step consumes it (and its
+        LU); a Picard step drops it before assembling its own."""
         if self._lin is None:
             self._kept = None
             self._lin = Linearization(self.dofs, self.u, self.y)
@@ -394,16 +390,19 @@ class StateStepper:
         nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
         incs = self.increments
-        handed = self._lin is not None  # then linearize() dropped _kept
+        # a Picard step drops a handed linearization before it assembles
+        # its own, so at most one LU is alive
+        lin = self._lin if self.newton else None
+        self._lin = None
+        handed = lin is not None  # then linearize() dropped _kept
         lagged = self._kept is not None \
             and incs[-1] <= _LAG_CONTRACTION * incs[-2]
         if not lagged:
             # dropped before the next assembly, or the new LU lands in a
             # fragmented heap
             self._kept = None
-        lin = self._lin if handed else Linearization(dofs, u, y,
-                                                     newton=self.newton)
-        self._lin = None
+        if not handed:
+            lin = Linearization(dofs, u, y, newton=self.newton)
 
         if not self.newton:
             b_mom = self.b_forcing + self.b_control
@@ -472,15 +471,14 @@ class StateStepper:
             u=CRVectorField(self.mesh, self.u.copy()),
             p=P0Field(self.mesh, p),
             y=CRVectorField(self.mesh, self.y.copy()),
-            pressure_multiplier=self.m, iterations=self.steps,
+            iterations=self.steps,
             increments=list(self.increments),
             y_dirichlet_edges=self.dofs.y_fixed_edges.copy(),
             penalty_a0=self.penalty_a0)
 
 
 def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
-                forcing_mom=None, forcing_tr=None, penalty_a0=0.0,
-                initial=None):
+                forcing_mom=None, forcing_tr=None, penalty_a0=0.0):
     """Solve the nonlinear discrete state system for a given control.
 
     Parameters
@@ -501,8 +499,6 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
         Extra momentum / transport right-hand sides (manufactured data).
     penalty_a0 : float
         Facet jump-penalty coefficient (Darcy regime), 0 disables.
-    initial : StateSolution, optional
-        Warm start.
 
     Returns
     -------
@@ -519,7 +515,7 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
     stepper = StateStepper(mesh, params, y_bc, control=control,
                            settings=settings, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
-                           penalty_a0=penalty_a0, initial=initial)
+                           penalty_a0=penalty_a0)
     for _ in range(stepper.settings.max_iter):
         incr = stepper.step()
         if stepper.converged(incr):

@@ -91,8 +91,7 @@ def test_buoyancy_block_is_transpose_of_state_coupling(mesh4):
 
 def test_gradient_formula_trivial_cases(mesh4):
     adj = AdjointSolution(phi=CRVectorField(mesh4), xi=P0Field(mesh4),
-                          eta=CRVectorField(mesh4),
-                          pressure_multiplier=0.0)
+                          eta=CRVectorField(mesh4))
     U = np.full((mesh4.num_cells, 2), 0.7)
     g = gradient_of_reduced_cost(adj, P0Field(mesh4, U), 2.0)
     assert np.allclose(g.dof, 1.4, atol=1e-14)

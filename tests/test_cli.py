@@ -27,6 +27,9 @@ def test_config_defaults_and_validation():
         RunConfig({"tol_mode": "sometimes"})
     with pytest.raises(ConfigError):
         RunConfig({"export": "hdf5"})
+    for values in ({"levels": 2}, {"tol": 0.0}, {"tol": -1.0}):
+        with pytest.raises(ConfigError):
+            RunConfig(values)
 
 
 def test_config_round_trip(tmp_path):
@@ -164,6 +167,10 @@ def test_main_config_error_exit_code(tmp_path):
     code = main(["solve", "--lbound", "2.0", "--ubound", "1.0",
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    # rejected before any solve: too few levels for a study, a zero tol
+    for argv in (["convergence", "--levels", "2"], ["cavity", "--tol", "0"]):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
 
 
 def test_main_config_file(tmp_path):

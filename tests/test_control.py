@@ -1,8 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from conftest import manufactured_setup
-from ddopt.adjoint import TrackingData
+from ddopt.adjoint import TrackingData, solve_adjoint
 from ddopt.control import (ControlBounds, PdasSettings, PdasNonconvergence,
                            project_control, eval_cost, pdas_solve,
                            kkt_residuals)
@@ -37,8 +40,7 @@ def test_eval_cost_examples(mesh4):
     from ddopt.state import StateSolution
     from ddopt.spaces import CRVectorField
     zero = StateSolution(u=CRVectorField(mesh4), p=P0Field(mesh4),
-                         y=CRVectorField(mesh4), pressure_multiplier=0.0,
-                         iterations=0, increments=[],
+                         y=CRVectorField(mesh4), iterations=0, increments=[],
                          y_dirichlet_edges=np.zeros(0, dtype=np.int64))
     data = TrackingData()
     U0 = P0Field(mesh4, np.zeros((mesh4.num_cells, 2)))
@@ -59,14 +61,13 @@ def test_attained_targets_drive_control_to_zero():
                                u_bc=s["u_bc"],
                                settings=NonlinearSettings(tol=1e-11))
     data = TrackingData.from_fields(uncontrolled.u, uncontrolled.y)
-    # with fully converged inner solves the unconstrained minimum at zero
-    # control is found immediately
-    settings = PdasSettings(lam=1.0, tol=1e-8, coupling="decoupled",
+    # the targets are attained by the uncontrolled state, so the optimal
+    # control is zero
+    settings = PdasSettings(lam=1.0, tol=1e-8,
                             inner=NonlinearSettings(tol=1e-11))
     res = pdas_solve(s["mesh"], s["params"], s["y_bc"], data,
                      ControlBounds(-10.0, 10.0), settings=settings,
                      u_bc=s["u_bc"])
-    assert res.iterations <= 3
     assert np.abs(res.control.dof).max() < 1e-8
 
 
@@ -146,23 +147,46 @@ def test_vi_residual_formula_all_inactive():
                                                          rel=1e-12)
 
 
-def test_coupling_granularities_reach_same_optimum():
-    # one linearization per outer iteration and fully converged inner
-    # solves are different paths to the same discrete KKT point
+def test_oneshot_optimum_is_fixed_point_of_full_solves():
+    # the one-shot loop interleaves single state steps with the adjoints;
+    # a state converged from scratch at its optimal control, and the
+    # adjoint at that state, must reproduce the control through the
+    # projection
     s = manufactured_setup(8)
-    results = {}
-    for coupling in ("oneshot", "decoupled"):
-        settings = PdasSettings(lam=1.0, tol=1e-9, coupling=coupling,
-                                inner=NonlinearSettings(tol=1e-11))
-        results[coupling] = pdas_solve(
-            s["mesh"], s["params"], s["y_bc"], s["data"], s["case"].bounds,
-            settings=settings, u_bc=s["u_bc"], forcing_mom=s["f_mom"],
-            forcing_tr=s["f_tr"])
-    du = np.abs(results["oneshot"].control.dof
-                - results["decoupled"].control.dof).max()
-    assert du < 1e-8
-    assert abs(results["oneshot"].cost_history[-1]
-               - results["decoupled"].cost_history[-1]) < 1e-8
+    settings = PdasSettings(lam=1.0, tol=1e-9,
+                            inner=NonlinearSettings(tol=1e-11))
+    res = pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
+                     s["case"].bounds, settings=settings, u_bc=s["u_bc"],
+                     forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
+    state = solve_state(s["mesh"], s["params"], s["y_bc"],
+                        control=res.control, u_bc=s["u_bc"],
+                        forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
+                        settings=NonlinearSettings(tol=1e-11))
+    adjoint = solve_adjoint(s["mesh"], s["params"], state, s["data"])
+    pphi = p0_project(adjoint.phi, s["mesh"]).dof
+    fixed = project_control(pphi, 1.0, s["case"].bounds)
+    assert np.abs(fixed - res.control.dof).max() <= 1e-8
+    for name in ("u", "p", "y"):
+        a = getattr(state, name).dof
+        b = getattr(res.state, name).dof
+        assert np.abs(a - b).max() <= 1e-8, name
+
+
+def test_pdas_builds_one_layout(monkeypatch):
+    # the stepper's layout serves every state step and every adjoint, in
+    # Picard and in Newton mode
+    from ddopt import state
+    built = []
+    init = state._Dofs.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(state._Dofs, "__init__", counted)
+    _, res = _small_opt()
+    assert res.iterations > 1
+    assert len(built) == 1
 
 
 def test_pdas_determinism():
@@ -184,10 +208,10 @@ def test_pdas_nonconvergence_error():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        PdasSettings(tol_mode="exact")
-    with pytest.raises(ValueError):
-        PdasSettings(lam=0.0)
+    for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"tol": 0.0},
+                   {"tol": -1.0}, {"max_iter": 0}):
+        with pytest.raises(ValueError):
+            PdasSettings(**kwargs)
 
 
 def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
@@ -217,6 +241,13 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
     res = run_cavity(config)
     assert res.iterations > counts["picard"] > 0
     assert counts["factor"] == counts["picard"] + res.iterations
+    # the benchmark's reference run of the same 8 x 8 configuration
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "reference.json")
+    with open(path) as fh:
+        ref = json.load(fh)["cavity_control"]["8"]
+    assert res.iterations == ref["iterations"]
+    assert res.cost_history[-1] == pytest.approx(ref["cost"], rel=1e-6)
 
     ctx = res.context
     fresh = solve_adjoint(ctx["mesh"], ctx["params"], res.state, ctx["data"])
