@@ -13,12 +13,12 @@ sign(0) = 0).  The transpose construction makes the identity
 hold to solver precision, which is what the finite-difference gradient
 check requires.
 
-The adjoint matrix is never assembled.  The state's ``Linearization``
-factors the Jacobian J once, and the adjoint is solved with the
-transposed LU factors as S^{-1} J^T S, S = diag(1, |K|, 1), so that the
-continuity rows keep the 1/|K| scaling of the state solve.  In a one-shot
-optimization loop the linearization comes from the state stepper, on its
-layout, and its LU is also the one the next Newton step uses.
+The adjoint matrix is never assembled.  It is solved as S^{-1} J^T S,
+S = diag(1, |K|, 1), with the transposed LU factors of the state's
+``Linearization``, so that the continuity rows keep the 1/|K| scaling of
+the state solve.  In a one-shot optimization loop the linearization comes
+from the state stepper: its LU serves the next Newton step too, and may
+be one kept from an earlier iteration that preconditions GMRES instead.
 """
 
 from dataclasses import dataclass

@@ -13,10 +13,11 @@ ones, and stops when the active sets repeat, the control update falls
 below the tolerance and the state increment meets the inner tolerance.
 
 One layout (``_Dofs``) serves every state step and every adjoint of the
-loop, and there is one factorization per linearization: the adjoint of
-iteration k is solved with the transposed LU of the Newton linearization
-at the iterate, which the state step of iteration k + 1 consumes once the
-stepper is in Newton mode (a Picard step drops it and factors its own).
+loop.  The adjoint of iteration k is solved with the transposed LU of the
+stepper's Newton linearization at the iterate, which the state step of
+iteration k + 1 consumes in Newton mode.  While the increments contract,
+later adjoints and Newton steps lag that LU, as GMRES preconditioner,
+until GMRES declines and a new Jacobian is factored (see ``state``).
 """
 
 from dataclasses import dataclass, field
@@ -146,10 +147,9 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     system, one adjoint solve at the new iterate, and one active-set/
     control update, so the iteration count reflects the semi-smooth Newton
     resolution of the whole optimality system.  The state stepper's layout
-    serves every adjoint, and the adjoint's LU is the one the next Newton
-    step solves with.  Termination requires the active sets to repeat, the
-    control change to drop below the tolerance, and the state increment to
-    meet the inner tolerance.
+    and LUs serve every adjoint.  Termination requires the active sets to
+    repeat, the control change to drop below the tolerance, and the state
+    increment to meet the inner tolerance.
 
     Parameters
     ----------
@@ -187,6 +187,8 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
         stepper.set_control(U)
         state_incr = stepper.step()
         state = stepper.solution()
+        # passed inline: held here, its LU would outlive the next step's
+        # decision to factor, and two LUs would be alive at once
         adjoint = solve_adjoint(mesh, params, state, data,
                                 linearization=stepper.linearize())
         pphi = p0_project(adjoint.phi, mesh).dof

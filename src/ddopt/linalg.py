@@ -139,8 +139,9 @@ class BorderedSolver:
     iterative refinement on the full bordered system.  The same LU solves
     [[S^{-1} K^T S, d], [e^T, 0]], S = diag(scale), with the transposed
     factors; that side's elimination data are computed on its first solve.
-    ``krylov_solve`` uses the elimination as the preconditioner of GMRES
-    for the bordered system of a nearby core.
+    ``krylov_solve`` uses the elimination of either side as the
+    preconditioner of GMRES for the bordered system of a nearby core, so
+    a kept (lagged) LU serves a later Jacobian and its transpose.
 
     Parameters
     ----------
@@ -177,11 +178,7 @@ class BorderedSolver:
         that).  The residual is that of the system solved, in its own
         scaling.
         """
-        S = self.scale
-        if transpose not in self._sides:
-            self._sides[True] = _Elimination(self.core._lu, self.d, self.e,
-                                             self.pin_row, self.pin_col, S)
-        side = self._sides[transpose]
+        side = self._side(transpose)
         b = np.asarray(b, dtype=float)
         x, m = side.apply(b, beta)
         norm = np.linalg.norm(b) + abs(beta)
@@ -189,8 +186,7 @@ class BorderedSolver:
             return np.zeros_like(b), 0.0
         best = None
         for _ in range(_BORDERED_REFINE + 1):
-            Kx = self.K.T @ (S * x) / S if transpose else self.K @ x
-            rx = b - (Kx + m * self.d)
+            rx = b - (self._core_product(self.K, x, transpose) + m * self.d)
             rm = beta - float(self.e @ x)
             res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
             if best is None or res < best[0]:
@@ -207,10 +203,23 @@ class BorderedSolver:
                     res / norm))
         return x, m
 
-    def krylov_solve(self, K, b, maxiter, beta=0.0):
-        """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta) for a core K near the
-        factored one, by restarted GMRES right-preconditioned with this
-        solver's elimination (core LU, border and pin).
+    def _side(self, transpose):
+        """Elimination of the core, or of its scaled transpose (lazily)."""
+        if transpose not in self._sides:
+            self._sides[True] = _Elimination(self.core._lu, self.d, self.e,
+                                             self.pin_row, self.pin_col,
+                                             self.scale)
+        return self._sides[transpose]
+
+    def _core_product(self, K, x, transpose):
+        """K x, or S^{-1} K^T S x if ``transpose``."""
+        return K.T @ (self.scale * x) / self.scale if transpose else K @ x
+
+    def krylov_solve(self, K, b, maxiter, beta=0.0, transpose=False):
+        """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta), or the system with
+        S^{-1} K^T S if ``transpose``, for a core K near the factored one,
+        by restarted GMRES right-preconditioned with this solver's
+        elimination of the same side (core LU, border and pin).
 
         Right preconditioning leaves the minimized residual that of the
         bordered system itself; each cycle ends on the true residual,
@@ -219,12 +228,13 @@ class BorderedSolver:
         iterations in all do not get there; it never raises for a far-off
         K.
         """
-        side = self._sides[False]
+        side = self._side(transpose)
         b = np.asarray(b, dtype=float)
         n = b.size
 
         def bordered(x, m):
-            return np.append(K @ x + m * self.d, self.e @ x)
+            return np.append(self._core_product(K, x, transpose)
+                             + m * self.d, self.e @ x)
 
         rhs = np.append(b, beta)
         target = _BORDERED_RTOL * (np.linalg.norm(b) + abs(beta))

@@ -18,23 +18,20 @@ by the momentum and transport operators, and the Newton couplings.  Its
 ``residual`` forms the momentum and transport residuals of the Newton
 step, of ``state_residual`` and of the KKT check alike.
 
-Each step assembles one ``Linearization`` of the system at the iterate
-and, unless a lagged LU serves it (below), factors it.  The LU of the
-exact (Newton) one also solves the adjoint, transposed: a one-shot
-optimization loop takes the Newton linearization at the iterate from
-``linearize`` for its adjoint, on the stepper's own layout, and the next
-Newton step consumes it instead of factoring the same Jacobian twice.  A
-Picard step drops it before assembling its own operator.
+Each step assembles one ``Linearization`` of the system at the iterate.
+A one-shot optimization loop takes the Newton one from ``linearize``, on
+the stepper's own layout, and solves its adjoint with the transposed LU;
+the next Newton step consumes it, a Picard step drops it before
+assembling its own operator.
 
-A stepper left to itself keeps the BorderedSolver (LU) of its newest
-Newton step.  When the last increment is at most a fifth of the one
-before it, the next Newton step is first solved by GMRES preconditioned
-with that kept LU, to the direct solve's residual; only when GMRES
-declines is the new Jacobian factored (and its LU kept instead).  When the
-increments do not contract that fast, the kept LU is dropped before the
+After a Newton step the stepper keeps the LU (BorderedSolver) that served
+it, new or lagged.  While the last increment is at most a fifth of the
+one before it (the gate), the next linearization takes that LU over: each
+of its solves, transposed or not, is first tried by GMRES preconditioned
+with it, to the direct solve's residual, and J is factored only when
+GMRES declines.  When the gate is shut, the kept LU is dropped before the
 next Jacobian is assembled, so at most one LU is alive and none waits
-through an assembly it will not serve.  A step that consumes the
-linearization of ``linearize`` (the one-shot loop's) keeps nothing.
+through an assembly it will not serve.
 
 ``StateStepper`` exposes single steps so the optimization loop can
 interleave state linearizations with active-set updates; ``solve_state``
@@ -53,11 +50,11 @@ from .quadrature import tri_quadrature
 from .spaces import (CRVectorField, P0Field, cr_basis_values,
                      cr_values_on_cells, cr_cell_gradients)
 
-# Lagged Newton LU: a Newton step whose previous increment contracted by
-# at least _LAG_CONTRACTION (the factor of the Picard->Newton switch) is
-# first solved by GMRES preconditioned with the kept LU of an earlier
-# Newton step, with at most _LAG_MAXITER iterations (one costs about 2% of
-# a factorization at 32 x 32).
+# Lagged Newton LU: once the increment contracted by at least
+# _LAG_CONTRACTION (the factor of the Picard->Newton switch), the solves of
+# the next linearization are first tried by GMRES preconditioned with the
+# kept LU of an earlier Newton step, with at most _LAG_MAXITER iterations
+# (one costs about 2% of a factorization at 32 x 32).
 _LAG_CONTRACTION = 0.2
 _LAG_MAXITER = 25
 
@@ -230,17 +227,19 @@ def _sub(A, rows, cols):
 
 
 class Linearization:
-    """The state system linearized at an iterate (u, y), factored once.
+    """The state system linearized at an iterate (u, y).
 
     A_mom (Brinkman + N(u) + penalty) and A_tr (cross-diffusion + N(u))
     share one upwind matrix.  The bordered free-dof core ``J`` (exact
     Jacobian with ``newton``, else the Picard operator) is assembled here
-    and factored on the first solve, so callers assemble what else they
-    need first.  Its LU solves with J and, transposed, with the adjoint's
-    S^{-1} J^T S.
+    and factored on the first solve that needs it, so callers assemble
+    what else they need first.  Its LU (``solver``) solves with J and,
+    transposed, with the adjoint's S^{-1} J^T S.  Given the ``kept`` LU
+    of an earlier linearization, each solve first tries GMRES
+    preconditioned with it; when GMRES first declines, J is factored.
     """
 
-    def __init__(self, dofs, u, y, newton=True):
+    def __init__(self, dofs, u, y, newton=True, kept=None):
         mesh, params = dofs.mesh, dofs.params
         self.dofs, self.u, self.y = dofs, u, y
         N = asm.assemble_upwind_advection(mesh, u, n_components=2)
@@ -266,16 +265,23 @@ class Linearization:
                           [dofs.B_scaled, None, None],
                           [_sub(K_yu, iy, iu), None, _sub(self.A_tr, iy, iy)]],
                          format="csc")
-        self._solver = None
+        self.solver, self._lagged = kept, kept is not None
 
     def solve(self, rhs, beta=0.0, transpose=False):
         """Bordered solve with J, or with S^{-1} J^T S if ``transpose``."""
-        if self._solver is None:
+        if self._lagged:
+            out = self.solver.krylov_solve(self.J, rhs, _LAG_MAXITER,
+                                           beta=beta, transpose=transpose)
+            if out is not None:
+                return out
+            # dropped before the factorization, so one LU is alive
+            self.solver, self._lagged = None, False
+        if self.solver is None:
             d = self.dofs
-            self._solver = BorderedSolver(self.J, d.d_col, d.e_row,
-                                          pin_row=d.nu_free,
-                                          pin_col=d.nu_free, scale=d.scale)
-        return self._solver.solve(rhs, beta=beta, transpose=transpose)
+            self.solver = BorderedSolver(self.J, d.d_col, d.e_row,
+                                         pin_row=d.nu_free,
+                                         pin_col=d.nu_free, scale=d.scale)
+        return self.solver.solve(rhs, beta=beta, transpose=transpose)
 
     def residual(self, p, b_mom, b_tr):
         """Full-length momentum and transport residuals at (u, p, y); the
@@ -327,8 +333,9 @@ class StateStepper:
 
     The stepper starts in Picard mode (frozen coefficients) and switches
     to Newton once the increment has dropped enough (or after a few
-    steps).  Newton steps reuse a kept LU through GMRES while the
-    increments contract fast (see the module docstring).
+    steps).  Newton steps and the linearizations of ``linearize`` reuse a
+    kept LU through GMRES while the increments contract fast (see the
+    module docstring).
     """
 
     def __init__(self, mesh, params, y_bc, control=None, settings=None,
@@ -356,7 +363,7 @@ class StateStepper:
         self.steps = 0
         self.increments = []
         self._lin = None
-        self._kept = None  # BorderedSolver of the newest own Newton LU
+        self._kept = None  # the LU that served the newest Newton step
 
     def set_control(self, control):
         """Swap the distributed control between steps."""
@@ -375,13 +382,23 @@ class StateStepper:
             + broken_transport_norm(self.mesh, self.y,
                                     self.params.sigma_bar)
 
+    def _linearization(self, newton):
+        """A linearization at the iterate, handed the kept LU if the gate
+        is open; else that LU is dropped before the assembly, or the new LU
+        lands in a fragmented heap."""
+        incs = self.increments
+        lag = self.newton and len(incs) >= 2 \
+            and incs[-1] <= _LAG_CONTRACTION * incs[-2]
+        kept, self._kept = self._kept if lag else None, None
+        return Linearization(self.dofs, self.u, self.y, newton=newton,
+                             kept=kept)
+
     def linearize(self):
         """Newton linearization at the iterate, in Picard and Newton mode
         alike, on the stepper's layout.  A Newton step consumes it (and its
         LU); a Picard step drops it before assembling its own."""
         if self._lin is None:
-            self._kept = None
-            self._lin = Linearization(self.dofs, self.u, self.y)
+            self._lin = self._linearization(True)
         return self._lin
 
     def step(self):
@@ -389,20 +406,12 @@ class StateStepper:
         mesh, params, dofs = self.mesh, self.params, self.dofs
         nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
-        incs = self.increments
         # a Picard step drops a handed linearization before it assembles
         # its own, so at most one LU is alive
         lin = self._lin if self.newton else None
         self._lin = None
-        handed = lin is not None  # then linearize() dropped _kept
-        lagged = self._kept is not None \
-            and incs[-1] <= _LAG_CONTRACTION * incs[-2]
-        if not lagged:
-            # dropped before the next assembly, or the new LU lands in a
-            # fragmented heap
-            self._kept = None
-        if not handed:
-            lin = Linearization(dofs, u, y, newton=self.newton)
+        if lin is None:
+            lin = self._linearization(self.newton)
 
         if not self.newton:
             b_mom = self.b_forcing + self.b_control
@@ -432,14 +441,8 @@ class StateStepper:
             r_mean = float(dofs.area @ p)
             rhs = np.concatenate([-r_mom[dofs.iu_free], -r_div,
                                   -r_tr[dofs.iy_free]])
-            out = self._kept.krylov_solve(lin.J, rhs, _LAG_MAXITER,
-                                          beta=-r_mean) if lagged else None
-            if out is None:
-                self._kept = None
-                out = lin.solve(rhs, beta=-r_mean)
-                if not handed:  # a handed LU belongs to its one-shot loop
-                    self._kept = lin._solver
-            x, dm = out
+            x, dm = lin.solve(rhs, beta=-r_mean)
+            self._kept = lin.solver  # new or lagged, it served this step
             u_new = u.copy()
             u_new[dofs.u_free_edges] += x[:nu].reshape(-1, 2)
             p_new = p + x[dofs.ip]

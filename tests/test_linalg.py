@@ -145,30 +145,37 @@ def _pinned_core(rng, n, pin):
     return K
 
 
-@pytest.mark.parametrize("beta", [0.0, -0.4])
-def test_krylov_solve_nearby_core_matches_dense(beta):
-    # GMRES on [[K + eps E, d], [e^T, 0]], preconditioned with the LU of
-    # K + pin, against a dense solve of the bordered system
+@pytest.mark.parametrize("beta, transpose", [
+    pytest.param(0.0, False, id="0.0"), pytest.param(-0.4, False, id="-0.4"),
+    pytest.param(0.0, True, id="0.0-transpose"),
+    pytest.param(-0.4, True, id="-0.4-transpose")])
+def test_krylov_solve_nearby_core_matches_dense(beta, transpose):
+    # GMRES on [[K + eps E, d], [e^T, 0]], or on its scaled transpose
+    # [[S^{-1} (K + eps E)^T S, d], [e^T, 0]], preconditioned with the LU
+    # of K + pin, against a dense solve of the bordered system
     rng = np.random.default_rng(11)
     n, pin = 30, (2, 5)
     K = _pinned_core(rng, n, pin)
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
-                            pin_col=pin[1])
     E = rng.standard_normal((n, n))
     E[pin[0], :] = 0.0
     E[:, pin[1]] = 0.0
     near = K + 1e-2 * E
     b = rng.standard_normal(n)
-    ref = np.linalg.solve(np.block([[near, d[:, None]],
+    S = rng.uniform(0.01, 2.0, n)
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
+                            pin_col=pin[1], scale=S)
+    core = near.T * S[None, :] / S[:, None] if transpose else near
+    ref = np.linalg.solve(np.block([[core, d[:, None]],
                                     [e[None, :], np.zeros((1, 1))]]),
                           np.concatenate([b, [beta]]))
-    x, m = solver.krylov_solve(sp.csc_matrix(near), b, 25, beta=beta)
+    x, m = solver.krylov_solve(sp.csc_matrix(near), b, 25, beta=beta,
+                               transpose=transpose)
     z = np.append(x, m)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
     # the stopping test is the true bordered residual
-    rx = b - (near @ x + m * d)
+    rx = b - (core @ x + m * d)
     rm = beta - e @ x
     assert np.hypot(np.linalg.norm(rx), rm) \
         <= 1e-12 * (np.linalg.norm(b) + abs(beta))
@@ -180,18 +187,22 @@ def test_krylov_solve_declines_far_core():
     K = _pinned_core(rng, n, pin)
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0)
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0,
+                            scale=rng.uniform(0.01, 2.0, n))
     far = sp.csc_matrix(_pinned_core(rng, n, pin))
-    applies = []
-    apply = solver._sides[False].apply
-    solver._sides[False].apply = lambda *a: applies.append(1) or apply(*a)
-    assert solver.krylov_solve(far, rng.standard_normal(n), 25,
-                               beta=1.0) is None
-    # the cap bounds the preconditioner applications: one per
-    # iteration and one per restart
-    assert 25 < len(applies) <= 50
-    # a non-finite right side is declined too
-    assert solver.krylov_solve(far, np.full(n, np.nan), 25) is None
+    for transpose in (False, True):
+        side = solver._side(transpose)
+        applies = []
+        side.apply = lambda *a, _apply=side.apply, _seen=applies: \
+            _seen.append(1) or _apply(*a)
+        assert solver.krylov_solve(far, rng.standard_normal(n), 25,
+                                   beta=1.0, transpose=transpose) is None
+        # the cap bounds the preconditioner applications: one per
+        # iteration and one per restart
+        assert 25 < len(applies) <= 50
+        # a non-finite right side is declined too
+        assert solver.krylov_solve(far, np.full(n, np.nan), 25,
+                                   transpose=transpose) is None
 
 
 def test_direct_solver_rejects_non_finite_matrix():

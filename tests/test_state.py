@@ -11,7 +11,8 @@ from ddopt.norms import broken_velocity_norm
 from ddopt.spaces import CRVectorField, P0Field, boundary_interpolate, \
     p0_project
 from ddopt.state import (NonlinearSettings, NonconvergenceError,
-                         StateSolution, solve_state, state_residual)
+                         StateSolution, StateStepper, solve_state,
+                         state_residual)
 
 
 def test_settings_validation():
@@ -230,6 +231,22 @@ def test_lagged_newton_lu_matches_refactoring(monkeypatch):
     assert lagged.max_divergence() <= 1e-10 * (1.0 + umax)
     res = state_residual(mesh, params, lagged, y_bc=y_bc)
     assert max(res.values()) <= 1e-10 * (1.0 + umax)
+
+
+def test_lag_gate_needs_two_increments():
+    # the gate of the lagged LU compares the last two increments; a
+    # stepper in Newton mode with fewer keeps it shut instead of raising
+    mesh, params, y_bc = _cavity(8, 100.0, 1e-3, 10.0)
+    late = StateStepper(mesh, params, y_bc)
+    late.step()
+    late.newton = True
+    late.linearize()
+    late.step()
+    early = StateStepper(mesh, params, y_bc)
+    early.newton = True
+    early.step()
+    early.step()
+    assert late.steps == early.steps == 2
 
 
 def test_state_blocks_assembled_once(monkeypatch):
