@@ -13,12 +13,14 @@ sign(0) = 0).  The transpose construction makes the identity
 hold to solver precision, which is what the finite-difference gradient
 check requires.
 
-The adjoint matrix is never assembled.  It is solved as S^{-1} J^T S,
-S = diag(1, |K|, 1), with the transposed LU factors of the state's
-``Linearization``, so that the continuity rows keep the 1/|K| scaling of
-the state solve.  In a one-shot optimization loop the linearization comes
-from the state stepper: its LU serves the next Newton step too, and may
-be one kept from an earlier iteration that preconditions GMRES instead.
+The adjoint matrix is never assembled.  It is the transposed bordered
+system [[J^T, e], [d^T, 0]] of the state's ``Linearization`` (d the
+pressure-mean multiplier column, e the cell areas on the pressure rows),
+solved with the transposed LU factors.  The continuity rows of J carry
+the factor 1/|K|, so the pressure block of its solution is |K| xi.  In a
+one-shot optimization loop the linearization comes from the state
+stepper: its LU serves the next Newton step too, and may be one kept from
+an earlier iteration that preconditions GMRES instead.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as asm
-from .spaces import BoundaryTrace, CRVectorField, P0Field, p0_project
+from .spaces import (BoundaryTrace, CRVectorField, P0Field, p0_project,
+                     cr_values_on_cells)
 from .state import Linearization, _Dofs
 
 __all__ = ["TrackingData", "AdjointSolution", "solve_adjoint",
@@ -63,7 +66,8 @@ class AdjointSolution:
     """Adjoint velocity, pressure, and transported pair (all zero-trace).
 
     ``xi`` is reported in the gauge of the continuous adjoint pressure;
-    ``xi_raw`` is the multiplier of the transposed system itself (they
+    ``xi_raw`` is the pressure of the transposed bordered system itself,
+    its pressure block divided by |K| and shifted to zero mean (they
     differ by the cellwise average of (u_h . phi_h + y_h . eta_h) / 2,
     which the skew-form linearization absorbs into the pressure).
     """
@@ -127,8 +131,8 @@ def solve_adjoint(mesh, params, state, data, linearization=None):
     phi[dofs.u_free_edges] = x[:dofs.nu_free].reshape(-1, 2)
     eta = np.zeros((mesh.num_edges, 2))
     eta[dofs.y_free_edges] = x[dofs.ip.stop:].reshape(-1, 2)
-    xi = x[dofs.ip]
     area = dofs.area
+    xi = x[dofs.ip] / area
     xi_raw = xi - area @ xi / area.sum()
     # The transposed skew convection pairs -b(v, (u.phi + y.eta)/2) into
     # the momentum row; div v_h is cellwise constant, so this is exactly a
@@ -143,12 +147,10 @@ def solve_adjoint(mesh, params, state, data, linearization=None):
 
 def _cell_mean_dot(mesh, a_dof, b_dof):
     """Cell averages of the dot product of two CR fields (exact for P2)."""
-    from .quadrature import tri_quadrature
-    from .spaces import cr_values_on_cells
-    bary, w = tri_quadrature()
-    av = cr_values_on_cells(mesh, a_dof, bary)
-    bv = cr_values_on_cells(mesh, b_dof, bary)
-    return np.einsum("q,cqd,cqd->c", w, av, bv)
+    q = mesh.cell_quadrature
+    av = cr_values_on_cells(mesh, a_dof, q.bary)
+    bv = cr_values_on_cells(mesh, b_dof, q.bary)
+    return np.einsum("q,cqd,cqd->c", q.w, av, bv)
 
 
 def gradient_of_reduced_cost(adjoint, control, lam):

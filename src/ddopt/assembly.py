@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .quadrature import tri_quadrature, cell_quad_points
-from .spaces import (cr_basis_values, cell_gradients, cr_values_on_cells,
-                     cr_cell_gradients)
+from .spaces import cell_gradients, cr_values_on_cells, cr_cell_gradients
 
 __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
            "assemble_brinkman_diffusion", "assemble_divergence",
@@ -149,12 +147,28 @@ def vector_indices(edges, ncomp=2):
     return (ncomp * edges[:, None] + np.arange(ncomp)[None, :]).ravel()
 
 
-def _cell_quad_data(mesh):
-    bary, w = tri_quadrature()
-    psi = cr_basis_values(bary)            # (nq, 3)
-    pts = cell_quad_points(mesh, bary)     # (nc, nq, 2)
-    wts = w[None, :] * mesh.area_cell[:, None]  # (nc, nq)
-    return psi, pts, wts
+def _cell_dofs(mesh, k=1):
+    """Interleaved dofs (nc, 3k) of a k-component CR field on each cell."""
+    return (k * mesh.cell_edges[:, :, None]
+            + np.arange(k)).reshape(mesh.num_cells, -1)
+
+
+def _cell_triplets(loc, rdofs, cdofs):
+    """COO data (values, (rows, cols)) of cell-local blocks ``loc``, whose
+    rows run over the cell dofs ``rdofs`` (nc, a) and columns over
+    ``cdofs`` (nc, b), in that order."""
+    rows = np.repeat(rdofs, cdofs.shape[1], axis=1).ravel()
+    cols = np.tile(cdofs, (1, rdofs.shape[1])).ravel()
+    return loc.reshape(-1), (rows, cols)
+
+
+def _cell_load(mesh, loc):
+    """Global interleaved load vector of cell-local loads ``loc``, (nc, 3)
+    for scalar or (nc, 3, k) for k-component test functions."""
+    k = 1 if loc.ndim == 2 else loc.shape[2]
+    b = np.zeros(k * mesh.num_edges)
+    np.add.at(b, _cell_dofs(mesh, k).ravel(), loc.ravel())
+    return b
 
 
 def assemble_mass(mesh, coeff_cells=None, ncomp=1):
@@ -181,11 +195,9 @@ def assemble_stiffness(mesh, coeff_cells=None):
     c = mesh.area_cell if coeff_cells is None \
         else mesh.area_cell * coeff_cells
     loc = np.einsum("cix,cjx,c->cij", grads, grads, c)
-    rows = np.repeat(mesh.cell_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.cell_edges, (1, 3)).ravel()
+    ce = mesh.cell_edges
     ne = mesh.num_edges
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(ne, ne)).tocsr()
+    return sp.coo_matrix(_cell_triplets(loc, ce, ce), shape=(ne, ne)).tocsr()
 
 
 def assemble_brinkman_diffusion(mesh, T_dof, params):
@@ -201,12 +213,12 @@ def assemble_brinkman_diffusion(mesh, T_dof, params):
     -------
     csr_matrix (2 ne, 2 ne), symmetric.
     """
-    bary, w = tri_quadrature()
+    q = mesh.cell_quadrature
     if T_dof is None:
-        Tq = np.zeros((mesh.num_cells, bary.shape[0]))
+        Tq = np.zeros((mesh.num_cells, q.w.size))
     else:
-        Tq = cr_values_on_cells(mesh, T_dof, bary)
-    nu_bar = np.einsum("q,cq->c", w, params.nu_at(Tq))
+        Tq = cr_values_on_cells(mesh, T_dof, q.bary)
+    nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
     K = assemble_stiffness(mesh, nu_bar)
     M = assemble_mass(mesh)
     sigma = params.sigma
@@ -241,17 +253,14 @@ def assemble_cross_diffusion(mesh, D):
 
 def _volume_convection(mesh, w_dof):
     """Raw volume convection int (w . grad u) v over scalar CR dofs."""
-    psi, pts, wts = _cell_quad_data(mesh)
-    bary, _ = tri_quadrature()
-    wq = cr_values_on_cells(mesh, w_dof, bary)      # (nc, nq, 2)
+    q = mesh.cell_quadrature
+    wq = cr_values_on_cells(mesh, w_dof, q.bary)    # (nc, nq, 2)
     grads = cell_gradients(mesh)                    # (nc, 3, 2)
     adv = np.einsum("cqd,cjd->cqj", wq, grads)      # w . grad psi_j
-    loc = np.einsum("cq,qi,cqj->cij", wts, psi, adv)
-    rows = np.repeat(mesh.cell_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.cell_edges, (1, 3)).ravel()
+    loc = np.einsum("cq,qi,cqj->cij", q.wts, q.psi, adv)
+    ce = mesh.cell_edges
     ne = mesh.num_edges
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(ne, ne)).tocsr()
+    return sp.coo_matrix(_cell_triplets(loc, ce, ce), shape=(ne, ne)).tocsr()
 
 
 def _facet_blocks(mesh, coef11, coef12, coef21, coef22):
@@ -345,30 +354,21 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
     """
     ne = mesh.num_edges
     k = carried_dof.shape[1]
-    psi, pts, wts = _cell_quad_data(mesh)
-    bary, _ = tri_quadrature()
+    q = mesh.cell_quadrature
     grads = cell_gradients(mesh)
-    cvals = cr_values_on_cells(mesh, carried_dof, bary)   # (nc, nq, k)
+    cvals = cr_values_on_cells(mesh, carried_dof, q.bary)  # (nc, nq, k)
     cgrad = cr_cell_gradients(mesh, carried_dof, grads)   # (nc, k, 2)
-
-    rows, cols, vals = [], [], []
 
     # volume skew part: 1/2 [ (dw . grad c) . v - (dw . grad v) . c ]
     # term 1: 1/2 int psi_j psi_i (grad c_m)_x, rows (i, m), cols (j, x)
-    mloc = np.einsum("cq,qi,qj->cij", wts, psi, psi)      # (nc, 3, 3)
+    mloc = np.einsum("cq,qi,qj->cij", q.wts, q.psi, q.psi)  # (nc, 3, 3)
     t1 = 0.5 * np.einsum("cij,cmx->cimjx", mloc, cgrad)
     # term 2: -1/2 int psi_j c_m (grad psi_i)_x
-    pc = np.einsum("cq,qj,cqm->cjm", wts, psi, cvals)
+    pc = np.einsum("cq,qj,cqm->cjm", q.wts, q.psi, cvals)
     t2 = -0.5 * np.einsum("cjm,cix->cimjx", pc, grads)
     loc = t1 + t2                                         # (nc,3,k,3,2)
-    ce = mesh.cell_edges
-    r = (k * ce[:, :, None] + np.arange(k)[None, None, :])
-    r = np.repeat(r.reshape(mesh.num_cells, -1), 6, axis=1)
-    c = (2 * ce[:, :, None] + np.arange(2)[None, None, :])
-    c = np.tile(c.reshape(mesh.num_cells, -1), (1, 3 * k))
-    rows.append(r.ravel())
-    cols.append(c.ravel())
-    vals.append(loc.reshape(mesh.num_cells, -1).ravel())
+    v, (r, c) = _cell_triplets(loc, _cell_dofs(mesh, k), _cell_dofs(mesh, 2))
+    rows, cols, vals = [r], [c], [v]
 
     # facet part: coefficients differentiated with respect to a_e
     td = mesh.edge_traces
@@ -418,24 +418,20 @@ def assemble_viscosity_coupling(mesh, u_dof, T_dof, params):
     csr_matrix (2*ne, 2*ne)
     """
     ne = mesh.num_edges
-    bary, w = tri_quadrature()
-    psi, pts, wts = _cell_quad_data(mesh)
-    Tq = cr_values_on_cells(mesh, T_dof, bary)
+    q = mesh.cell_quadrature
+    Tq = cr_values_on_cells(mesh, T_dof, q.bary)
     grads = cell_gradients(mesh)
     ugrad = cr_cell_gradients(mesh, u_dof, grads)          # (nc, 2, 2)
     nuT = params.nu_T_at(Tq)                               # (nc, nq)
     # weight int nu'(T) psi_j per cell
-    wj = np.einsum("cq,cq,qj->cj", wts, nuT, psi)          # (nc, 3)
+    wj = np.einsum("cq,cq,qj->cj", q.wts, nuT, q.psi)      # (nc, 3)
     # (grad u_c . grad psi_i) per cell
     gg = np.einsum("cdx,cix->cdi", ugrad, grads)           # (nc, 2, 3)
     loc = np.einsum("cdi,cj->cidj", gg, wj)                # (nc, 3, 2, 3)
-    ce = mesh.cell_edges
-    r = (2 * ce[:, :, None] + np.arange(2)[None, None, :])
-    rows = np.repeat(r.reshape(mesh.num_cells, -1), 3, axis=1).ravel()
-    cols = np.tile(2 * ce, (1, 6)).ravel()  # T component: index 2*e'
-    return sp.coo_matrix((loc.reshape(mesh.num_cells, -1).ravel(),
-                          (rows, cols)),
-                         shape=(2 * ne, 2 * ne)).tocsr()
+    # columns: the T component, index 2*e'
+    return sp.coo_matrix(
+        _cell_triplets(loc, _cell_dofs(mesh, 2), 2 * mesh.cell_edges),
+        shape=(2 * ne, 2 * ne)).tocsr()
 
 
 def assemble_buoyancy_coupling(mesh, params, y_dof=None):
@@ -452,19 +448,13 @@ def assemble_buoyancy_coupling(mesh, params, y_dof=None):
         Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
         M = assemble_mass(mesh)
         return sp.kron(M, Fy, format="csr")
-    bary, w = tri_quadrature()
-    psi, pts, wts = _cell_quad_data(mesh)
-    yq = cr_values_on_cells(mesh, y_dof, bary)             # (nc, nq, 2)
+    q = mesh.cell_quadrature
+    yq = cr_values_on_cells(mesh, y_dof, q.bary)           # (nc, nq, 2)
     Fj = np.asarray(params.F_jac(yq), dtype=float)         # (nc, nq, 2, 2)
-    loc = np.einsum("cq,qi,qj,cqde->cidje", wts, psi, psi, Fj)
-    ce = mesh.cell_edges
+    loc = np.einsum("cq,qi,qj,cqde->cidje", q.wts, q.psi, q.psi, Fj)
+    vdofs = _cell_dofs(mesh, 2)
     ne = mesh.num_edges
-    r = (2 * ce[:, :, None] + np.arange(2)[None, None, :])
-    r = np.repeat(r.reshape(mesh.num_cells, -1), 6, axis=1)
-    c = (2 * ce[:, :, None] + np.arange(2)[None, None, :])
-    c = np.tile(c.reshape(mesh.num_cells, -1), (1, 6))
-    return sp.coo_matrix((loc.reshape(mesh.num_cells, -1).ravel(),
-                          (r.ravel(), c.ravel())),
+    return sp.coo_matrix(_cell_triplets(loc, vdofs, vdofs),
                          shape=(2 * ne, 2 * ne)).tocsr()
 
 
@@ -491,25 +481,14 @@ def assemble_load(mesh, f, ncomp=2):
     f(x, y) returns a scalar array (ncomp=1) or two stacked components.
     Vector loads are interleaved.
     """
-    bary, w = tri_quadrature()
-    psi = cr_basis_values(bary)
-    pts = cell_quad_points(mesh, bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    ne = mesh.num_edges
-    b = np.zeros(ncomp * ne)
-    fv = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
+    q = mesh.cell_quadrature
+    fv = np.asarray(f(q.pts[:, :, 0], q.pts[:, :, 1]), dtype=float)
     if ncomp == 1:
         fv = fv.reshape(mesh.num_cells, -1)
-        loc = np.einsum("cq,cq,qi->ci", wts, fv, psi)
-        np.add.at(b, mesh.cell_edges.ravel(), loc.ravel())
-        return b
+        return _cell_load(mesh, np.einsum("cq,cq,qi->ci", q.wts, fv, q.psi))
     if fv.shape[0] == ncomp:
         fv = np.moveaxis(fv, 0, -1)
-    loc = np.einsum("cq,cqd,qi->cid", wts, fv, psi)
-    idx = (ncomp * mesh.cell_edges[:, :, None]
-           + np.arange(ncomp)[None, None, :])
-    np.add.at(b, idx.ravel(), loc.ravel())
-    return b
+    return _cell_load(mesh, np.einsum("cq,cqd,qi->cid", q.wts, fv, q.psi))
 
 
 def assemble_p0_load(mesh, U_cells):
@@ -518,19 +497,9 @@ def assemble_p0_load(mesh, U_cells):
     int_K U_K . v distributes |K|/3 U_K to each edge dof of K.
     """
     U = np.asarray(U_cells, dtype=float)
-    ncomp = 1 if U.ndim == 1 else U.shape[1]
-    ne = mesh.num_edges
-    b = np.zeros(ncomp * ne)
     w = mesh.area_cell / 3.0
-    if ncomp == 1:
-        np.add.at(b, mesh.cell_edges.ravel(),
-                  np.repeat(w * U, 3))
-        return b
-    loc = (w[:, None] * U)[:, None, :] * np.ones((1, 3, 1))
-    idx = (ncomp * mesh.cell_edges[:, :, None]
-           + np.arange(ncomp)[None, None, :])
-    np.add.at(b, idx.ravel(), loc.ravel())
-    return b
+    wU = w * U if U.ndim == 1 else w[:, None] * U
+    return _cell_load(mesh, np.repeat(wU[:, None], 3, axis=1))
 
 
 def assemble_mean_constraint(mesh):
@@ -547,17 +516,18 @@ def _target_at(target, pts):
     return fv
 
 
-def _difference_values(mesh, dof, target, bary, pts):
+def _difference_values(mesh, dof, target):
     """(field_h - target) at the cell quadrature points.
 
     ``target`` may be None, a callable of (x, y), or an object carrying a
     matching CR ``dof`` array (discrete target).
     """
+    q = mesh.cell_quadrature
     if target is not None and hasattr(target, "dof"):
-        return cr_values_on_cells(mesh, dof - target.dof, bary)
-    vals = cr_values_on_cells(mesh, dof, bary)
+        return cr_values_on_cells(mesh, dof - target.dof, q.bary)
+    vals = cr_values_on_cells(mesh, dof, q.bary)
     if target is not None:
-        vals = vals - _target_at(target, pts)
+        vals = vals - _target_at(target, q.pts)
     return vals
 
 
@@ -567,23 +537,13 @@ def tracking_load(mesh, dof, target):
     Shares the degree-4 rule with ``tracking_cost`` so the assembled load is
     the exact derivative of the quadrature cost.
     """
-    bary, w = tri_quadrature()
-    psi = cr_basis_values(bary)
-    pts = cell_quad_points(mesh, bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    vals = _difference_values(mesh, dof, target, bary, pts)  # (nc, nq, k)
-    k = vals.shape[2]
-    loc = np.einsum("cq,cqd,qi->cid", wts, vals, psi)
-    b = np.zeros(k * mesh.num_edges)
-    idx = (k * mesh.cell_edges[:, :, None] + np.arange(k)[None, None, :])
-    np.add.at(b, idx.ravel(), loc.ravel())
-    return b
+    q = mesh.cell_quadrature
+    vals = _difference_values(mesh, dof, target)  # (nc, nq, k)
+    return _cell_load(mesh, np.einsum("cq,cqd,qi->cid", q.wts, vals, q.psi))
 
 
 def tracking_cost(mesh, dof, target):
     """(1/2) int |field_h - target|^2 with the degree-4 cell rule."""
-    bary, w = tri_quadrature()
-    pts = cell_quad_points(mesh, bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    vals = _difference_values(mesh, dof, target, bary, pts)
-    return 0.5 * float(np.einsum("cq,cqd,cqd->", wts, vals, vals))
+    vals = _difference_values(mesh, dof, target)
+    return 0.5 * float(np.einsum("cq,cqd,cqd->", mesh.cell_quadrature.wts,
+                                 vals, vals))

@@ -37,7 +37,6 @@ class ConfigError(ValueError):
 
 
 _DEFAULTS = {
-    "experiment": "solve",
     "regime": "flow",
     "levels": 4,
     "n": 64,
@@ -130,7 +129,7 @@ def parse_config_file(path):
 def write_config(config, stream):
     """Serialize a RunConfig back to the sectioned format."""
     groups = {
-        "run": ["experiment", "regime", "levels", "n", "out", "export"],
+        "run": ["regime", "levels", "n", "out", "export"],
         "physics": ["da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy",
                     "lambda", "lbound", "ubound"],
         "solver": ["tol", "tol_mode"],
@@ -472,7 +471,6 @@ def main(argv=None):
             values["lambda"] = args.lam
         if args.tol_mode is not None:
             values["tol_mode"] = args.tol_mode
-        values["experiment"] = args.command
         config = RunConfig(values)
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)

@@ -13,9 +13,10 @@ ones, and stops when the active sets repeat, the control update falls
 below the tolerance and the state increment meets the inner tolerance.
 
 One layout (``_Dofs``) serves every state step and every adjoint of the
-loop.  The adjoint of iteration k is solved with the transposed LU of the
-stepper's Newton linearization at the iterate, which the state step of
-iteration k + 1 consumes in Newton mode.  While the increments contract,
+loop.  The adjoint of iteration k, the transposed bordered system of the
+stepper's Newton linearization at the iterate, is solved with its LU
+transposed; the state step of iteration k + 1 consumes that
+linearization in Newton mode.  While the increments contract,
 later adjoints and Newton steps lag that LU, as GMRES preconditioner,
 until GMRES declines and a new Jacobian is factored (see ``state``).
 """
@@ -258,15 +259,15 @@ def _vi_residual(result):
 
 
 def _adjoint_residual(lin, state, adjoint, data):
-    """Euclidean norm of the adjoint equations' residual, with the
-    transposed Jacobian of the linearization ``lin`` at ``state``."""
+    """Euclidean norm of the adjoint equations' residual: the transposed
+    bordered system of the linearization ``lin`` at ``state``."""
     dofs = lin.dofs
     xi = adjoint.xi_raw if adjoint.xi_raw is not None else adjoint.xi.dof
-    x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(), xi,
+    # the transposed bordered system's unknown on the pressure rows is
+    # |K| xi, as the continuity rows of J carry 1/|K|
+    x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(),
+                        dofs.area * xi,
                         adjoint.eta.dof[dofs.y_free_edges].ravel()])
-    # J^T S x = S (S^{-1} J^T S) x: the adjoint rows with the continuity
-    # rows unscaled (B phi)
-    r = lin.J.T @ (dofs.scale * x) \
-        - _adjoint_rhs(dofs.mesh, state, data, dofs)
+    r = lin.J.T @ x - _adjoint_rhs(dofs.mesh, state, data, dofs)
     return float(np.sqrt(np.linalg.norm(r) ** 2
                          + float(dofs.area @ xi) ** 2))

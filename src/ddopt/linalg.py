@@ -14,12 +14,9 @@ from scipy.sparse import linalg as spla
 __all__ = ["SolverError", "SingularMatrixError", "LinearSolveError",
            "DirectSolver", "BorderedSolver"]
 
-# Relative residual targets.  DirectSolver.solve refines up to
-# _DIRECT_REFINE times towards _DIRECT_RTOL.  The bordered solves, direct
-# and GMRES alike, aim at _BORDERED_RTOL; the direct one refines up to
+# Relative residual targets of the bordered solves, direct and GMRES
+# alike: they aim at _BORDERED_RTOL; the direct one refines up to
 # _BORDERED_REFINE times and accepts up to _BORDERED_ACCEPT.
-_DIRECT_RTOL = 1e-9
-_DIRECT_REFINE = 4
 _BORDERED_RTOL = 1e-12
 _BORDERED_ACCEPT = 1e-8
 _BORDERED_REFINE = 6
@@ -41,7 +38,8 @@ class LinearSolveError(SolverError):
 
 
 class DirectSolver:
-    """Sparse LU factorization with reusable solves.
+    """Sparse LU factorization of a square matrix, kept as ``lu`` (a
+    SuperLU object) for solves with it and with its transpose.
 
     Parameters
     ----------
@@ -55,51 +53,26 @@ class DirectSolver:
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(A.data)):
             raise SingularMatrixError("matrix has non-finite entries")
-        self._A = A
         try:
-            self._lu = spla.splu(A)
+            self.lu = spla.splu(A)
         except RuntimeError as exc:  # SuperLU met an exactly zero pivot
             raise SingularMatrixError(str(exc)) from exc
 
-    def solve(self, b):
-        """Solve A x = b with iterative refinement to relative residual
-        ``_DIRECT_RTOL``."""
-        b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SingularMatrixError("factorization produced a non-finite "
-                                      "solution")
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            return np.zeros_like(b)
-        for _ in range(_DIRECT_REFINE):
-            r = b - self._A @ x
-            if np.linalg.norm(r) <= _DIRECT_RTOL * norm_b:
-                return x
-            x = x + self._lu.solve(r)
-        r = b - self._A @ x
-        if np.linalg.norm(r) > _DIRECT_RTOL * norm_b:
-            raise LinearSolveError(
-                "direct solve stalled at relative residual {:.3e}".format(
-                    np.linalg.norm(r) / norm_b))
-        return x
-
 
 class _Elimination:
-    """Border and pin elimination on one side of the factored core K + pin:
-    the core itself, or S^{-1} (K + pin)^T S when ``scale`` (S) is given,
-    solved with the transposed factors.  Block elimination of the border
-    solves Mtilde = [[core, d], [e^T, 0]]; Sherman-Morrison removes the pin.
+    """Border and pin elimination on one side of the factored core K + pin.
+
+    The side is the bordered system [[core, d], [e^T, 0]] with the core
+    solved by the LU (``trans`` "N") or by its transposed factors ("T");
+    the transposed side of [[K, d], [e^T, 0]] has the border (e, d) and
+    the pin swapped.  Block elimination of the border solves
+    Mtilde = [[core, d], [e^T, 0]]; Sherman-Morrison removes the pin.
     """
 
-    def __init__(self, lu, d, e, pin_row, pin_col, scale=None):
-        self.lu, self.scale, self.d, self.e = lu, scale, d, e
+    def __init__(self, lu, d, e, pin_row, pin_col, trans="N"):
+        self.lu, self.trans, self.d, self.e = lu, trans, d, e
         w = np.zeros(d.size)
-        if scale is None:
-            w[pin_row] = 1.0
-        else:  # the transposed core carries the pin at (pin_col, pin_row)
-            pin_row, pin_col = pin_col, pin_row
-            w[pin_row] = scale[pin_col] / scale[pin_row]
+        w[pin_row] = 1.0
         self.s = self.core_solve(d)
         self.es = float(e @ self.s)
         if self.es == 0.0 or not np.isfinite(self.es):
@@ -112,9 +85,7 @@ class _Elimination:
             raise SingularMatrixError("pin elimination degenerate")
 
     def core_solve(self, r):
-        if self.scale is None:
-            return self.lu.solve(r)
-        return self.lu.solve(self.scale * r, trans="T") / self.scale
+        return self.lu.solve(r, trans=self.trans)
 
     def mtilde_solve(self, r, rho):
         y = self.core_solve(r)
@@ -128,7 +99,8 @@ class _Elimination:
 
 
 class BorderedSolver:
-    """Direct solver for [[K, d], [e^T, 0]] and its scaled transpose.
+    """Direct solver for M = [[K, d], [e^T, 0]] and its transpose
+    M^T = [[K^T, e], [d^T, 0]].
 
     A scalar Lagrange multiplier (the zero-mean pressure constraint) adds a
     dense row and column to an otherwise sparse system; factoring them
@@ -137,8 +109,8 @@ class BorderedSolver:
     (pin_row, pin_col); the border and the pin are then eliminated exactly
     by block elimination and the Sherman-Morrison formula, followed by
     iterative refinement on the full bordered system.  The same LU solves
-    [[S^{-1} K^T S, d], [e^T, 0]], S = diag(scale), with the transposed
-    factors; that side's elimination data are computed on its first solve.
+    the transposed bordered system with the transposed factors; that
+    side's elimination data are computed on its first solve.
     ``krylov_solve`` uses the elimination of either side as the
     preconditioner of GMRES for the bordered system of a nearby core, so
     a kept (lagged) LU serves a later Jacobian and its transpose.
@@ -153,41 +125,38 @@ class BorderedSolver:
         Constraint row.
     pin_row, pin_col : int
         Pin entry; K + e_{pin_row} e_{pin_col}^T must be nonsingular.
-    scale : ndarray (n,), optional
-        Positive diagonal S of the transposed system (identity if omitted).
     """
 
-    def __init__(self, K, d, e, pin_row, pin_col, scale=None):
+    def __init__(self, K, d, e, pin_row, pin_col):
         n = K.shape[0]
-        self.d = np.asarray(d, dtype=float)
-        self.e = np.asarray(e, dtype=float)
         self.pin_row, self.pin_col = pin_row, pin_col
-        self.scale = np.ones(n) if scale is None \
-            else np.asarray(scale, dtype=float)
         self.K = sp.csc_matrix(K)
         pin = sp.coo_matrix(([1.0], ([pin_row], [pin_col])), shape=(n, n))
         self.core = DirectSolver(self.K + pin)
-        self._sides = {False: _Elimination(self.core._lu, self.d, self.e,
-                                           pin_row, pin_col)}
+        self._sides = {False: _Elimination(
+            self.core.lu, np.asarray(d, dtype=float),
+            np.asarray(e, dtype=float), pin_row, pin_col)}
 
     def solve(self, b, beta=0.0, transpose=False):
-        """Solve the bordered system (or its scaled transpose) for (x, m).
+        """Solve the bordered system (or its transpose) for (x, m).
 
         Refines to relative residual ``_BORDERED_RTOL`` when possible and
         accepts up to ``_BORDERED_ACCEPT`` (raising LinearSolveError beyond
-        that).  The residual is that of the system solved, in its own
-        scaling.
+        that).  A non-finite first solve raises SingularMatrixError.
         """
         side = self._side(transpose)
         b = np.asarray(b, dtype=float)
         x, m = side.apply(b, beta)
+        if not (np.all(np.isfinite(x)) and np.isfinite(m)):
+            raise SingularMatrixError("factorization produced a non-finite "
+                                      "solution")
         norm = np.linalg.norm(b) + abs(beta)
         if norm == 0.0:
             return np.zeros_like(b), 0.0
         best = None
         for _ in range(_BORDERED_REFINE + 1):
-            rx = b - (self._core_product(self.K, x, transpose) + m * self.d)
-            rm = beta - float(self.e @ x)
+            rx = b - (self._core_product(self.K, x, transpose) + m * side.d)
+            rm = beta - float(side.e @ x)
             res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
             if best is None or res < best[0]:
                 best = (res, x.copy(), m)
@@ -204,22 +173,25 @@ class BorderedSolver:
         return x, m
 
     def _side(self, transpose):
-        """Elimination of the core, or of its scaled transpose (lazily)."""
+        """Elimination of the core, or of its transpose (lazily): border
+        (e, d), pin swapped, transposed factors."""
         if transpose not in self._sides:
-            self._sides[True] = _Elimination(self.core._lu, self.d, self.e,
-                                             self.pin_row, self.pin_col,
-                                             self.scale)
+            fwd = self._sides[False]
+            self._sides[True] = _Elimination(self.core.lu, fwd.e, fwd.d,
+                                             self.pin_col, self.pin_row,
+                                             trans="T")
         return self._sides[transpose]
 
-    def _core_product(self, K, x, transpose):
-        """K x, or S^{-1} K^T S x if ``transpose``."""
-        return K.T @ (self.scale * x) / self.scale if transpose else K @ x
+    @staticmethod
+    def _core_product(K, x, transpose):
+        """K x, or K^T x if ``transpose``."""
+        return K.T @ x if transpose else K @ x
 
     def krylov_solve(self, K, b, maxiter, beta=0.0, transpose=False):
-        """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta), or the system with
-        S^{-1} K^T S if ``transpose``, for a core K near the factored one,
-        by restarted GMRES right-preconditioned with this solver's
-        elimination of the same side (core LU, border and pin).
+        """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta), or the transposed
+        system [[K^T, e], [d^T, 0]] if ``transpose``, for a core K near the
+        factored one, by restarted GMRES right-preconditioned with this
+        solver's elimination of the same side (core LU, border and pin).
 
         Right preconditioning leaves the minimized residual that of the
         bordered system itself; each cycle ends on the true residual,
@@ -234,7 +206,7 @@ class BorderedSolver:
 
         def bordered(x, m):
             return np.append(self._core_product(K, x, transpose)
-                             + m * self.d, self.e @ x)
+                             + m * side.d, side.e @ x)
 
         rhs = np.append(b, beta)
         target = _BORDERED_RTOL * (np.linalg.norm(b) + abs(beta))

@@ -3,17 +3,18 @@
 Meshes are immutable after construction: all adjacency arrays (edges,
 cell-to-edge maps, normals, sizes) are built once in ``__init__`` and the
 class exposes them as plain numpy arrays; the edge traces of the CR basis
-are built on first use and kept with the mesh.  Cells are stored
-counter-clockwise and edges in canonical order (lower vertex index first,
-list sorted lexicographically) so that degree-of-freedom numbering is
-reproducible.
+and the degree-4 cell rule are built on first use and kept with the mesh.
+Cells are stored counter-clockwise and edges in canonical order (lower
+vertex index first, list sorted lexicographically) so that
+degree-of-freedom numbering is reproducible.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .quadrature import edge_quadrature
+from .quadrature import cell_quad_points, edge_quadrature, tri_quadrature
+from .spaces import cr_basis_values
 
 __all__ = ["Mesh", "build_unit_square_mesh", "refine_uniform", "mesh_stats",
            "dump_ascii"]
@@ -52,6 +53,9 @@ class Mesh:
     edge_traces
         CR basis traces at the edge quadrature points (``_EdgeTraceData``),
         built on first access.
+    cell_quadrature
+        The degree-4 cell rule on every cell (``_CellQuadrature``), built
+        on first access.
     """
 
     def __init__(self, vertices, cells):
@@ -113,6 +117,10 @@ class Mesh:
     @cached_property
     def edge_traces(self):
         return _EdgeTraceData(self)
+
+    @cached_property
+    def cell_quadrature(self):
+        return _CellQuadrature(self)
 
     @property
     def num_vertices(self):
@@ -182,6 +190,24 @@ class _EdgeTraceData:
         # int_e psi_i psi_j for the four side pairings, shape (ne, 2, 2, 3, 3)
         self.pairs = np.einsum("q,esqi,erqj,e->esrij", w, self.psi, self.psi,
                                mesh.h_edge)
+
+
+class _CellQuadrature:
+    """The six-point degree-4 rule on every cell, all arrays read-only.
+
+    ``bary`` (nq, 3) and ``w`` (nq,) are the reference nodes and weights,
+    ``psi`` (nq, 3) the CR basis values at the nodes, ``pts`` (nc, nq, 2)
+    the physical nodes and ``wts`` (nc, nq) the weights scaled by the cell
+    areas.
+    """
+
+    def __init__(self, mesh):
+        self.bary, self.w = tri_quadrature()
+        self.psi = cr_basis_values(self.bary)
+        self.pts = cell_quad_points(mesh, self.bary)
+        self.wts = self.w[None, :] * mesh.area_cell[:, None]
+        for a in (self.bary, self.w, self.psi, self.pts, self.wts):
+            a.setflags(write=False)
 
 
 def build_unit_square_mesh(n):

@@ -1,9 +1,8 @@
 """Weighted broken norms of discrete fields.
 
 The velocity norm is ||v||^2 = sum_K sigma ||v||_{0,K}^2 + nu2 ||grad v||^2
-and the transport norm sum_K sigma_bar ||grad s||^2; the modified variant
-adds the scaled jump seminorm sum_e h_e^{-1} ||[v]||_{0,e}^2.  All terms are
-exact for CR fields (diagonal mass, constant gradients, quadratic traces).
+and the transport norm sum_K sigma_bar ||grad s||^2.  All terms are exact
+for CR fields (diagonal mass, constant gradients).
 """
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .spaces import cr_cell_gradients
 
 __all__ = ["l2_cr", "h1_semi_cr", "broken_velocity_norm",
-           "broken_transport_norm", "jump_seminorm", "l2_p0"]
+           "broken_transport_norm", "l2_p0"]
 
 
 def l2_cr(mesh, dof):
@@ -38,25 +37,6 @@ def broken_velocity_norm(mesh, dof, sigma, nu2):
 def broken_transport_norm(mesh, dof, sigma_bar):
     """sqrt(sigma_bar) |s|_{1,h}."""
     return float(np.sqrt(sigma_bar) * h1_semi_cr(mesh, dof))
-
-
-def jump_seminorm(mesh, dof):
-    """sqrt(sum_e h_e^{-1} int_e |[v]|^2) with the boundary trace as jump.
-
-    ``dof`` has shape (ne,) or (ne, k); traces are integrated with the
-    two-point Gauss rule (exact).
-    """
-    td = mesh.edge_traces
-    d = dof if dof.ndim == 2 else dof[:, None]
-    # trace values per side at edge quad points: (ne, 2, nq, k)
-    tr = np.einsum("esqi,esik->esqk", td.psi,
-                   np.where(td.dofs[..., None] >= 0,
-                            d[np.maximum(td.dofs, 0)], 0.0))
-    jump = np.where(mesh.boundary_edge[:, None, None],
-                    tr[:, 0], tr[:, 0] - tr[:, 1])
-    # (1/h_e) int_e |[v]|^2 = sum_q w_q |[v](q)|^2 since int = h_e sum w_q
-    q = np.einsum("q,eqk,eqk->e", td.w, jump, jump)
-    return float(np.sqrt(np.sum(q)))
 
 
 def l2_p0(mesh, dof):

@@ -54,9 +54,6 @@ class CRVectorField:
     def copy(self):
         return CRVectorField(self.mesh, self.dof.copy())
 
-    def component(self, c):
-        return CRScalarField(self.mesh, self.dof[:, c].copy())
-
     def flat(self):
         """Interleaved dof vector of length 2*num_edges."""
         return self.dof.reshape(-1)

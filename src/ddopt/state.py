@@ -20,9 +20,9 @@ step, of ``state_residual`` and of the KKT check alike.
 
 Each step assembles one ``Linearization`` of the system at the iterate.
 A one-shot optimization loop takes the Newton one from ``linearize``, on
-the stepper's own layout, and solves its adjoint with the transposed LU;
-the next Newton step consumes it, a Picard step drops it before
-assembling its own operator.
+the stepper's own layout, and solves its adjoint, the transposed bordered
+system, with the same LU transposed; the next Newton step consumes it, a
+Picard step drops it before assembling its own operator.
 
 After a Newton step the stepper keeps the LU (BorderedSolver) that served
 it, new or lagged.  While the last increment is at most a fifth of the
@@ -46,9 +46,8 @@ from scipy import sparse as sp
 from . import assembly as asm
 from .linalg import BorderedSolver, SolverError
 from .norms import broken_velocity_norm, broken_transport_norm
-from .quadrature import tri_quadrature
-from .spaces import (CRVectorField, P0Field, cr_basis_values,
-                     cr_values_on_cells, cr_cell_gradients)
+from .spaces import (CRVectorField, P0Field, cr_values_on_cells,
+                     cr_cell_gradients)
 
 # Lagged Newton LU: once the increment contracted by at least
 # _LAG_CONTRACTION (the factor of the Picard->Newton switch), the solves of
@@ -135,16 +134,9 @@ def _balance_boundary_flux(mesh, values):
 
 def _buoyancy_load(mesh, params, y_dof):
     """(F(y_h), v) by quadrature, for buoyancy lagged to the right side."""
-    bary, w = tri_quadrature()
-    psi = cr_basis_values(bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    yq = cr_values_on_cells(mesh, y_dof, bary)
-    Fq = params.buoyancy_at(yq)
-    loc = np.einsum("cq,cqd,qi->cid", wts, Fq, psi)
-    b = np.zeros(2 * mesh.num_edges)
-    idx = 2 * mesh.cell_edges[:, :, None] + np.arange(2)[None, None, :]
-    np.add.at(b, idx.ravel(), loc.ravel())
-    return b
+    q = mesh.cell_quadrature
+    Fq = params.buoyancy_at(cr_values_on_cells(mesh, y_dof, q.bary))
+    return asm._cell_load(mesh, np.einsum("cq,cqd,qi->cid", q.wts, Fq, q.psi))
 
 
 class _Dofs:
@@ -204,9 +196,6 @@ class _Dofs:
         self.d_col[self.ip] = 1.0
         self.e_row = np.zeros(n_all)
         self.e_row[self.ip] = self.area
-        # S = diag(1, |K|, 1): the adjoint core is S^{-1} J^T S
-        self.scale = np.ones(n_all)
-        self.scale[self.ip] = self.area
 
     def full_u(self, u_free_flat):
         u = np.zeros((self.mesh.num_edges, 2))
@@ -233,10 +222,11 @@ class Linearization:
     share one upwind matrix.  The bordered free-dof core ``J`` (exact
     Jacobian with ``newton``, else the Picard operator) is assembled here
     and factored on the first solve that needs it, so callers assemble
-    what else they need first.  Its LU (``solver``) solves with J and,
-    transposed, with the adjoint's S^{-1} J^T S.  Given the ``kept`` LU
-    of an earlier linearization, each solve first tries GMRES
-    preconditioned with it; when GMRES first declines, J is factored.
+    what else they need first.  Its LU (``solver``) solves the bordered
+    system of J and, transposed, the adjoint's transposed bordered system.
+    Given the ``kept`` LU of an earlier linearization, each solve first
+    tries GMRES preconditioned with it; when GMRES first declines, J is
+    factored.
     """
 
     def __init__(self, dofs, u, y, newton=True, kept=None):
@@ -268,7 +258,8 @@ class Linearization:
         self.solver, self._lagged = kept, kept is not None
 
     def solve(self, rhs, beta=0.0, transpose=False):
-        """Bordered solve with J, or with S^{-1} J^T S if ``transpose``."""
+        """Bordered solve with J, or the transposed bordered solve if
+        ``transpose``."""
         if self._lagged:
             out = self.solver.krylov_solve(self.J, rhs, _LAG_MAXITER,
                                            beta=beta, transpose=transpose)
@@ -280,7 +271,7 @@ class Linearization:
             d = self.dofs
             self.solver = BorderedSolver(self.J, d.d_col, d.e_row,
                                          pin_row=d.nu_free,
-                                         pin_col=d.nu_free, scale=d.scale)
+                                         pin_col=d.nu_free)
         return self.solver.solve(rhs, beta=beta, transpose=transpose)
 
     def residual(self, p, b_mom, b_tr):

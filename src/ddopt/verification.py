@@ -16,7 +16,6 @@ from .adjoint import TrackingData
 from .assembly import ProblemParams
 from .control import ControlBounds, PdasSettings, _vi_residual, pdas_solve
 from .mesh import build_unit_square_mesh
-from .quadrature import tri_quadrature, cell_quad_points
 from .spaces import boundary_interpolate, cr_cell_gradients, \
     cr_values_on_cells
 from .state import NonlinearSettings
@@ -336,17 +335,15 @@ def _quadrature_error_parts(mesh, dof, value_fn, grad_fn):
     ``dof`` is (ne, k); value_fn/grad_fn return stacked (k, ...) and
     (k, 2, ...) arrays.
     """
-    bary, w = tri_quadrature()
-    pts = cell_quad_points(mesh, bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    x, yy = pts[:, :, 0], pts[:, :, 1]
-    vals = cr_values_on_cells(mesh, dof, bary)          # (nc, nq, k)
+    q = mesh.cell_quadrature
+    x, yy = q.pts[:, :, 0], q.pts[:, :, 1]
+    vals = cr_values_on_cells(mesh, dof, q.bary)        # (nc, nq, k)
     exact = np.moveaxis(value_fn(x, yy), 0, -1)         # (nc, nq, k)
-    l2 = float(np.einsum("cq,cqk,cqk->", wts, vals - exact, vals - exact))
+    l2 = float(np.einsum("cq,cqk,cqk->", q.wts, vals - exact, vals - exact))
     gh = cr_cell_gradients(mesh, dof)                    # (nc, k, 2)
     ge = np.moveaxis(grad_fn(x, yy), (0, 1), (-2, -1))   # (nc, nq, k, 2)
     diff = gh[:, None, :, :] - ge
-    h1 = float(np.einsum("cq,cqkx,cqkx->", wts, diff, diff))
+    h1 = float(np.einsum("cq,cqkx,cqkx->", q.wts, diff, diff))
     return l2, h1
 
 
@@ -367,13 +364,11 @@ def _jump_error_sq(mesh, dof, value_fn):
 
 
 def _control_error(mesh, U_cells, exact_fn, r):
-    bary, w = tri_quadrature()
-    pts = cell_quad_points(mesh, bary)
-    wts = w[None, :] * mesh.area_cell[:, None]
-    ex = np.moveaxis(exact_fn(pts[:, :, 0], pts[:, :, 1]), 0, -1)
+    q = mesh.cell_quadrature
+    ex = np.moveaxis(exact_fn(q.pts[:, :, 0], q.pts[:, :, 1]), 0, -1)
     diff = np.abs(U_cells[:, None, :] - ex)
-    lr = np.einsum("cq,cqk->k", wts, diff ** r) ** (1.0 / r)
-    l2 = np.sqrt(np.einsum("cq,cqk->k", wts, diff ** 2))
+    lr = np.einsum("cq,cqk->k", q.wts, diff ** r) ** (1.0 / r)
+    l2 = np.sqrt(np.einsum("cq,cqk->k", q.wts, diff ** 2))
     return lr, l2
 
 
@@ -435,14 +430,12 @@ def error_norms(mesh, fields, case, weights):
             lambda x, y_: gf(x, y_)[None])
         out["e_" + name] = np.sqrt(weights.sigma_bar * h1)
 
+    q = mesh.cell_quadrature
     for name, fn in (("e_p", case.p), ("e_zeta", case.zeta)):
         key = "p" if name == "e_p" else "zeta"
-        bary, w = tri_quadrature()
-        pts = cell_quad_points(mesh, bary)
-        wts = w[None, :] * mesh.area_cell[:, None]
-        ex = fn(pts[:, :, 0], pts[:, :, 1])
+        ex = fn(q.pts[:, :, 0], q.pts[:, :, 1])
         diff = fields[key].dof[:, None] - ex
-        out[name] = np.sqrt(float(np.einsum("cq,cq->", wts, diff ** 2)))
+        out[name] = np.sqrt(float(np.einsum("cq,cq->", q.wts, diff ** 2)))
 
     lr, l2c = _control_error(mesh, fields["U"].dof, case.U, weights.r)
     out["e_U1"], out["e_U2"] = float(lr[0]), float(lr[1])
@@ -506,9 +499,6 @@ class ConvergenceReport:
     div_max: list
     vi_res: list
     results: list
-
-    def final_rates(self):
-        return {name: self.rates[name][-1] for name in ERROR_NAMES}
 
 
 def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):

@@ -271,6 +271,38 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
 
 
+def test_adjoint_solves_transposed_bordered_system():
+    # the adjoint of the 8 x 8 cavity control is the solution of the
+    # transposed bordered state system [[J^T, e], [d^T, 0]] at the final
+    # state; its pressure block is |K| xi_raw
+    from scipy import sparse as sp
+    from scipy.sparse.linalg import spsolve
+    from ddopt.adjoint import _adjoint_rhs
+    from ddopt.cli import run_cavity
+    from ddopt.state import Linearization, _Dofs
+
+    res = run_cavity(_cavity_8())
+    ctx, state = res.context, res.state
+    dofs = _Dofs(ctx["mesh"], ctx["params"], ctx["y_bc"], ctx["u_bc"],
+                 state.penalty_a0)
+    J = Linearization(dofs, state.u.dof, state.y.dof).J
+    Mt = sp.bmat([[J.T, dofs.e_row[:, None]], [dofs.d_col[None, :], None]],
+                 format="csc")
+    rhs = _adjoint_rhs(ctx["mesh"], state, ctx["data"], dofs)
+    z = spsolve(Mt, np.append(rhs, 0.0))[:-1]
+    area = dofs.area
+    xi = z[dofs.ip] / area
+    ref = {"phi": z[:dofs.nu_free],
+           "xi_raw": xi - area @ xi / area.sum(),
+           "eta": z[dofs.ip.stop:]}
+    adj = res.adjoint
+    got = {"phi": adj.phi.dof[dofs.u_free_edges].ravel(),
+           "xi_raw": adj.xi_raw,
+           "eta": adj.eta.dof[dofs.y_free_edges].ravel()}
+    for name, b in ref.items():
+        assert np.abs(got[name] - b).max() <= 1e-10 * np.abs(b).max(), name
+
+
 def test_lagged_lu_leaves_optimization_unchanged(monkeypatch):
     # the 8 x 8 cavity control with the kept LU lagged through GMRES, and
     # with GMRES declining so that every linearization factors its own

@@ -8,13 +8,13 @@ from ddopt.linalg import BorderedSolver, DirectSolver, SingularMatrixError
 
 def test_identity_solve():
     b = np.array([3.0, -1.0, 2.0])
-    x = DirectSolver(sp.eye(3, format="csc")).solve(b)
+    x = DirectSolver(sp.eye(3, format="csc")).lu.solve(b)
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_hand_solved_2x2():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = DirectSolver(A).solve(np.array([3.0, 4.0]))
+    x = DirectSolver(A).lu.solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
@@ -24,7 +24,7 @@ def test_saddle_mean_projection():
     A = sp.csc_matrix(np.array([[1.0, 0.0, 0.5],
                                 [0.0, 1.0, 0.5],
                                 [0.5, 0.5, 0.0]]))
-    x = DirectSolver(A).solve(np.array([1.0, 1.0, 0.0]))
+    x = DirectSolver(A).lu.solve(np.array([1.0, 1.0, 0.0]))
     assert np.allclose(x, [0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -34,13 +34,13 @@ def test_residual_bound_on_assembled_system(mesh8):
     K = K[interior.tolist()][:, interior.tolist()].tocsc()
     rng = np.random.default_rng(0)
     b = rng.standard_normal(K.shape[0])
-    x = DirectSolver(K).solve(b)
+    x = DirectSolver(K).lu.solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_zero_rhs():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert np.all(DirectSolver(A).solve(np.zeros(2)) == 0.0)
+    assert np.all(DirectSolver(A).lu.solve(np.zeros(2)) == 0.0)
 
 
 def test_determinism():
@@ -48,22 +48,22 @@ def test_determinism():
     A = sp.random(60, 60, density=0.2, random_state=2, format="csc") \
         + 10 * sp.eye(60)
     b = rng.standard_normal(60)
-    x1 = DirectSolver(A).solve(b)
-    x2 = DirectSolver(A).solve(b)
+    x1 = DirectSolver(A).lu.solve(b)
+    x2 = DirectSolver(A).lu.solve(b)
     assert np.array_equal(x1, x2)
 
 
 def test_singular_matrix_raises():
     A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        DirectSolver(A).solve(np.array([1.0, 1.0]))
+        DirectSolver(A)
 
 
 def test_solver_reuse_multiple_rhs():
     A = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    solver = DirectSolver(A)
+    lu = DirectSolver(A).lu
     for b in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        x = solver.solve(b)
+        x = lu.solve(b)
         assert np.allclose(A @ x, b, atol=1e-12)
 
 
@@ -88,9 +88,8 @@ def test_bordered_solver_matches_monolithic():
     e = np.zeros(n)
     e[0] = 1.0
     b = rng.standard_normal(n)
-    M = sp.bmat([[K, d.reshape(-1, 1)], [e.reshape(1, -1), None]],
-                format="csc")
-    ref = DirectSolver(M).solve(np.concatenate([b, [0.25]]))
+    M = np.block([[K.toarray(), d[:, None]], [e[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(M, np.concatenate([b, [0.25]]))
     solver = BorderedSolver(K, d, e, pin_row=0, pin_col=0)
     x, m = solver.solve(b, beta=0.25)
     assert np.allclose(x, ref[:-1], atol=1e-10)
@@ -110,8 +109,9 @@ def test_bordered_solver_zero_rhs():
 @pytest.mark.parametrize("beta", [0.0, 0.25])
 @pytest.mark.parametrize("pin", [(0, 0), (0, 3)])
 def test_bordered_solver_transposed_matches_dense(pin, beta):
-    # [[S^{-1} K^T S, d], [e^T, 0]] through the LU of K + pin, against a
-    # dense solve; K lacks row pin[0] and column pin[1]
+    # the transpose [[K^T, e], [d^T, 0]] of M = [[K, d], [e^T, 0]] through
+    # the LU of K + pin, against a dense solve; K lacks row pin[0] and
+    # column pin[1]
     rng = np.random.default_rng(7)
     n = 12
     K = rng.standard_normal((n, n)) + 4 * np.eye(n)
@@ -119,20 +119,16 @@ def test_bordered_solver_transposed_matches_dense(pin, beta):
     K[:, pin[1]] = 0.0
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
-    S = rng.uniform(0.01, 2.0, n)
     b = rng.standard_normal(n)
-    M = np.block([[K.T * S[None, :] / S[:, None], d[:, None]],
-                  [e[None, :], np.zeros((1, 1))]])
-    ref = np.linalg.solve(M, np.concatenate([b, [beta]]))
+    M = np.block([[K, d[:, None]], [e[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(M.T, np.concatenate([b, [beta]]))
     solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
-                            pin_col=pin[1], scale=S)
+                            pin_col=pin[1])
     x, m = solver.solve(b, beta=beta, transpose=True)
     assert np.allclose(x, ref[:-1], rtol=0, atol=1e-10 * np.abs(ref).max())
     assert m == pytest.approx(ref[-1], rel=1e-10)
     # the forward side still solves with the same factorization
-    fwd = np.linalg.solve(np.block([[K, d[:, None]],
-                                    [e[None, :], np.zeros((1, 1))]]),
-                          np.concatenate([b, [beta]]))
+    fwd = np.linalg.solve(M, np.concatenate([b, [beta]]))
     x, m = solver.solve(b, beta=beta)
     assert np.allclose(x, fwd[:-1], rtol=0, atol=1e-10 * np.abs(fwd).max())
 
@@ -150,9 +146,9 @@ def _pinned_core(rng, n, pin):
     pytest.param(0.0, True, id="0.0-transpose"),
     pytest.param(-0.4, True, id="-0.4-transpose")])
 def test_krylov_solve_nearby_core_matches_dense(beta, transpose):
-    # GMRES on [[K + eps E, d], [e^T, 0]], or on its scaled transpose
-    # [[S^{-1} (K + eps E)^T S, d], [e^T, 0]], preconditioned with the LU
-    # of K + pin, against a dense solve of the bordered system
+    # GMRES on M = [[K + eps E, d], [e^T, 0]], or on its transpose
+    # [[(K + eps E)^T, e], [d^T, 0]], preconditioned with the LU of
+    # K + pin, against a dense solve of the bordered system
     rng = np.random.default_rng(11)
     n, pin = 30, (2, 5)
     K = _pinned_core(rng, n, pin)
@@ -163,20 +159,20 @@ def test_krylov_solve_nearby_core_matches_dense(beta, transpose):
     E[:, pin[1]] = 0.0
     near = K + 1e-2 * E
     b = rng.standard_normal(n)
-    S = rng.uniform(0.01, 2.0, n)
     solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
-                            pin_col=pin[1], scale=S)
-    core = near.T * S[None, :] / S[:, None] if transpose else near
-    ref = np.linalg.solve(np.block([[core, d[:, None]],
-                                    [e[None, :], np.zeros((1, 1))]]),
+                            pin_col=pin[1])
+    # the side's core and border: (near, d, e), or (near^T, e, d)
+    core, col, row = (near.T, e, d) if transpose else (near, d, e)
+    ref = np.linalg.solve(np.block([[core, col[:, None]],
+                                    [row[None, :], np.zeros((1, 1))]]),
                           np.concatenate([b, [beta]]))
     x, m = solver.krylov_solve(sp.csc_matrix(near), b, 25, beta=beta,
                                transpose=transpose)
     z = np.append(x, m)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
     # the stopping test is the true bordered residual
-    rx = b - (core @ x + m * d)
-    rm = beta - e @ x
+    rx = b - (core @ x + m * col)
+    rm = beta - row @ x
     assert np.hypot(np.linalg.norm(rx), rm) \
         <= 1e-12 * (np.linalg.norm(b) + abs(beta))
 
@@ -187,8 +183,8 @@ def test_krylov_solve_declines_far_core():
     K = _pinned_core(rng, n, pin)
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0,
-                            scale=rng.uniform(0.01, 2.0, n))
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0)
+    rng.uniform(0.01, 2.0, n)  # keeps the draws below as they were
     far = sp.csc_matrix(_pinned_core(rng, n, pin))
     for transpose in (False, True):
         side = solver._side(transpose)
@@ -209,3 +205,16 @@ def test_direct_solver_rejects_non_finite_matrix():
     A = sp.csc_matrix(np.array([[1.0, np.nan], [0.0, 2.0]]))
     with pytest.raises(SingularMatrixError):
         DirectSolver(A)
+
+
+def test_non_finite_bordered_solve_raises():
+    # a pivot of 1e-300 overflows the first solve; the refinement would
+    # turn it into NaN and return it
+    K = sp.lil_matrix((4, 4))
+    for i, v in enumerate((0.0, 1.0, 1e-300, 1.0)):
+        K[i, i] = v
+    K[1, 3] = 0.5
+    e0 = np.eye(4)[0]
+    solver = BorderedSolver(K.tocsc(), e0, e0, pin_row=0, pin_col=0)
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrixError):
+        solver.solve(np.array([0.0, 0.0, 1e10, 0.0]))

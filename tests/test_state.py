@@ -265,6 +265,35 @@ def test_state_blocks_assembled_once(monkeypatch):
     assert calls["assemble_cross_diffusion"] == 1
 
 
+def test_one_cell_rule_per_mesh(monkeypatch):
+    # every cell integral of a forward solve reads the mesh's one cell
+    # rule: the degree-4 rule is built once, and its arrays are read-only
+    import sys
+    from ddopt import quadrature
+    mesh, params, y_bc = _cavity(12, 100.0, 1e-3, 10.0)
+    rule = quadrature.tri_quadrature
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return rule()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ddopt") \
+                and getattr(module, "tri_quadrature", None) is rule:
+            monkeypatch.setattr(module, "tri_quadrature", counted)
+    sol = solve_state(mesh, params, y_bc,
+                      settings=NonlinearSettings(tol=1e-10))
+    assert sol.iterations > 1
+    assert len(calls) == 1
+    q = mesh.cell_quadrature
+    assert mesh.cell_quadrature is q
+    assert q.wts.shape == (mesh.num_cells, 6) and q.pts.shape[2] == 2
+    for name in ("bary", "w", "psi", "pts", "wts"):
+        with pytest.raises(ValueError):
+            getattr(q, name)[0] = 0.0
+
+
 @pytest.mark.parametrize("point, error", [
     ((0.75, 0.15, 0.95), LinearSolveError),
     ((0.85, 0.45, 0.65), SingularMatrixError)])
