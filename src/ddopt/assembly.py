@@ -5,6 +5,14 @@ not polynomial), facet integrals a two-point Gauss rule (exact for the cubic
 trace products that occur).  All matrices are returned over the full dof
 sets; Dirichlet elimination is done by the solvers through index slicing.
 
+Every iterate-dependent block is computed as local cell and facet values
+and summed by the mesh's scatter plan (``Mesh.scatter_plan``), which
+reproduces ``coo_matrix(...).tocsr()`` to the last bit without a COO
+conversion.  The value functions (``_upwind_values``, ``_stiffness_local``,
+``_advecting_local``, ...) are what the state solver composes its
+matrices from; each ``assemble_*`` function wraps one of them into the
+CSR matrix.
+
 Dof conventions: scalar CR dof = edge index; vector / two-component CR dofs
 are interleaved (2*edge + component); piecewise constants use the cell
 index (2*cell + component for controls).
@@ -27,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .spaces import cell_gradients, cr_values_on_cells, cr_cell_gradients
+from .mesh import _advecting_scatter, _cell_dofs
+from .spaces import cr_values_on_cells, cr_cell_gradients
 
 __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
            "assemble_brinkman_diffusion", "assemble_divergence",
@@ -147,27 +156,12 @@ def vector_indices(edges, ncomp=2):
     return (ncomp * edges[:, None] + np.arange(ncomp)[None, :]).ravel()
 
 
-def _cell_dofs(mesh, k=1):
-    """Interleaved dofs (nc, 3k) of a k-component CR field on each cell."""
-    return (k * mesh.cell_edges[:, :, None]
-            + np.arange(k)).reshape(mesh.num_cells, -1)
-
-
-def _cell_triplets(loc, rdofs, cdofs):
-    """COO data (values, (rows, cols)) of cell-local blocks ``loc``, whose
-    rows run over the cell dofs ``rdofs`` (nc, a) and columns over
-    ``cdofs`` (nc, b), in that order."""
-    rows = np.repeat(rdofs, cdofs.shape[1], axis=1).ravel()
-    cols = np.tile(cdofs, (1, rdofs.shape[1])).ravel()
-    return loc.reshape(-1), (rows, cols)
-
-
 def _cell_load(mesh, loc):
     """Global interleaved load vector of cell-local loads ``loc``, (nc, 3)
     for scalar or (nc, 3, k) for k-component test functions."""
     k = 1 if loc.ndim == 2 else loc.shape[2]
     b = np.zeros(k * mesh.num_edges)
-    np.add.at(b, _cell_dofs(mesh, k).ravel(), loc.ravel())
+    np.add.at(b, _cell_dofs(mesh.cell_edges, k).ravel(), loc.ravel())
     return b
 
 
@@ -189,15 +183,42 @@ def assemble_mass(mesh, coeff_cells=None, ncomp=1):
     return sp.kron(M, sp.eye(ncomp), format="csr")
 
 
-def assemble_stiffness(mesh, coeff_cells=None):
-    """Scalar CR stiffness matrix sum_K c_K int_K grad u . grad v."""
-    grads = cell_gradients(mesh)  # (nc, 3, 2)
+def _stiffness_local(mesh, coeff_cells=None):
+    """Cell blocks (nc, 3, 3) of c_K int_K grad psi_j . grad psi_i."""
+    grads = mesh.cell_gradients
     c = mesh.area_cell if coeff_cells is None \
         else mesh.area_cell * coeff_cells
-    loc = np.einsum("cix,cjx,c->cij", grads, grads, c)
-    ce = mesh.cell_edges
-    ne = mesh.num_edges
-    return sp.coo_matrix(_cell_triplets(loc, ce, ce), shape=(ne, ne)).tocsr()
+    return np.einsum("cix,cjx,c->cij", grads, grads, c)
+
+
+def assemble_stiffness(mesh, coeff_cells=None):
+    """Scalar CR stiffness matrix sum_K c_K int_K grad u . grad v."""
+    return mesh.scatter_plan.cell.csr(_stiffness_local(mesh, coeff_cells))
+
+
+def _reaction_entries(mesh, sigma):
+    """The reaction part K^{-1} u . v of the Brinkman block, as entries of
+    the vector pattern."""
+    sigma = float(sigma) * np.eye(2) if np.ndim(sigma) == 0 \
+        else np.asarray(sigma, dtype=float)
+    return mesh.scatter_plan.vector.entries(sp.kron(assemble_mass(mesh),
+                                                    sigma))
+
+
+def _brinkman_values(mesh, T_dof, params, reaction):
+    """The Brinkman block as values on the vector pattern: the viscous
+    stiffness at nu(T_h) plus ``reaction`` (``_reaction_entries``)."""
+    q = mesh.cell_quadrature
+    if T_dof is None:
+        Tq = np.zeros((mesh.num_cells, q.w.size))
+    else:
+        Tq = cr_values_on_cells(mesh, T_dof, q.bary)
+    nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
+    plan = mesh.scatter_plan
+    out = plan.lift(plan.cell.into(_stiffness_local(mesh, nu_bar)))
+    at, values = reaction
+    out[at] += values
+    return out
 
 
 def assemble_brinkman_diffusion(mesh, T_dof, params):
@@ -213,19 +234,17 @@ def assemble_brinkman_diffusion(mesh, T_dof, params):
     -------
     csr_matrix (2 ne, 2 ne), symmetric.
     """
-    q = mesh.cell_quadrature
-    if T_dof is None:
-        Tq = np.zeros((mesh.num_cells, q.w.size))
-    else:
-        Tq = cr_values_on_cells(mesh, T_dof, q.bary)
-    nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
-    K = assemble_stiffness(mesh, nu_bar)
-    M = assemble_mass(mesh)
-    sigma = params.sigma
-    if np.ndim(sigma) == 0:
-        return sp.kron(float(sigma) * M + K, sp.eye(2), format="csr")
-    return (sp.kron(M, np.asarray(sigma, dtype=float))
-            + sp.kron(K, sp.eye(2))).tocsr()
+    plan = mesh.scatter_plan
+    b = _brinkman_values(mesh, T_dof, params,
+                         _reaction_entries(mesh, params.sigma))
+    keep = b != 0
+    if np.ndim(params.sigma) != 0:
+        # a sum of 2 x 2 block matrices: a block with a nonzero entry
+        # keeps its zeros
+        S, V = plan.scalar, plan.vector
+        block = S.positions(V.rows // 2, V.indices // 2)
+        keep = np.bincount(block, weights=keep, minlength=S.nnz)[block] > 0
+    return plan.vector.csr(b, keep)
 
 
 def assemble_divergence(mesh):
@@ -234,8 +253,7 @@ def assemble_divergence(mesh):
     The divergence of a CR velocity is constant per cell, so entries are
     exact: -|K| * d(psi_e)/dx_c.
     """
-    grads = cell_gradients(mesh)
-    vals = -grads * mesh.area_cell[:, None, None]  # (nc, 3, 2)
+    vals = -mesh.cell_gradients * mesh.area_cell[:, None, None]
     rows = np.repeat(np.arange(mesh.num_cells), 6)
     cols = vector_indices(mesh.cell_edges.ravel()).ravel()
     return sp.coo_matrix((vals.ravel(), (rows, cols)),
@@ -251,49 +269,44 @@ def assemble_cross_diffusion(mesh, D):
     return sp.kron(K, np.asarray(D, dtype=float), format="csr")
 
 
-def _volume_convection(mesh, w_dof):
-    """Raw volume convection int (w . grad u) v over scalar CR dofs."""
+def _convection_local(mesh, w_dof):
+    """Cell blocks (nc, 3, 3) of the raw volume convection
+    int (w . grad psi_j) psi_i."""
     q = mesh.cell_quadrature
     wq = cr_values_on_cells(mesh, w_dof, q.bary)    # (nc, nq, 2)
-    grads = cell_gradients(mesh)                    # (nc, 3, 2)
-    adv = np.einsum("cqd,cjd->cqj", wq, grads)      # w . grad psi_j
-    loc = np.einsum("cq,qi,cqj->cij", q.wts, q.psi, adv)
-    ce = mesh.cell_edges
-    ne = mesh.num_edges
-    return sp.coo_matrix(_cell_triplets(loc, ce, ce), shape=(ne, ne)).tocsr()
+    adv = np.einsum("cqd,cjd->cqj", wq, mesh.cell_gradients)
+    return np.einsum("cq,qi,cqj->cij", q.wts, q.psi, adv)
 
 
-def _facet_blocks(mesh, coef11, coef12, coef21, coef22):
-    """Assemble sum_e of the four side-pair trace blocks with given per-edge
-    coefficients (boundary edges use only coef11)."""
+def _facet_local(mesh, coef11, coef12, coef21, coef22):
+    """The four side-pair trace blocks with per-edge coefficients, in the
+    order of the scatter plan's ``facet`` (boundary edges use only
+    coef11)."""
     td = mesh.edge_traces
     interior = mesh.interior_edges
-    ne = mesh.num_edges
-    rows, cols, vals = [], [], []
-
-    def add(edges, coefs, side_r, side_c):
-        if edges.size == 0:
-            return
-        block = td.pairs[edges, side_r, side_c] * coefs[:, None, None]
-        r = np.repeat(td.dofs[edges, side_r], 3, axis=1)
-        c = np.tile(td.dofs[edges, side_c], (1, 3))
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(block.ravel())
-
-    add(np.arange(ne), coef11, 0, 0)
-    add(interior, coef12[interior], 0, 1)
-    add(interior, coef21[interior], 1, 0)
-    add(interior, coef22[interior], 1, 1)
-    return sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ne, ne)).tocsr()
+    return np.concatenate([
+        (td.pairs[:, 0, 0] * coef11[:, None, None]).ravel(),
+        (td.pairs[interior, 0, 1] * coef12[interior, None, None]).ravel(),
+        (td.pairs[interior, 1, 0] * coef21[interior, None, None]).ravel(),
+        (td.pairs[interior, 1, 1] * coef22[interior, None, None]).ravel()])
 
 
 def _midpoint_flux(mesh, w_dof):
     """a_e = w(m_e) . n_e; single-valued since CR dofs sit at midpoints."""
     return np.einsum("ed,ed->e", w_dof, mesh.edge_normal)
+
+
+def _upwind_values(mesh, w_dof):
+    """The scalar upwind matrix N(w) as values on the scalar pattern: the
+    antisymmetric volume part plus the facet transfer blocks."""
+    plan = mesh.scatter_plan
+    C = plan.cell.into(_convection_local(mesh, w_dof))
+    a = _midpoint_flux(mesh, w_dof)
+    boundary_half_a = np.where(mesh.boundary_edge, 0.5 * a, 0.5 * np.abs(a))
+    F = plan.facet.into(_facet_local(mesh, boundary_half_a,
+                                     np.minimum(a, 0.0), -np.maximum(a, 0.0),
+                                     0.5 * np.abs(a)))
+    return 0.5 * (C - C[plan.transpose]) + F
 
 
 def assemble_upwind_advection(mesh, w_dof, n_components=1):
@@ -317,16 +330,8 @@ def assemble_upwind_advection(mesh, w_dof, n_components=1):
     -------
     csr_matrix
     """
-    C = _volume_convection(mesh, w_dof)
-    N = 0.5 * (C - C.T)
-    a = _midpoint_flux(mesh, w_dof)
-    boundary_half_a = np.where(mesh.boundary_edge, 0.5 * a, 0.5 * np.abs(a))
-    N = N + _facet_blocks(mesh,
-                          boundary_half_a,
-                          np.minimum(a, 0.0),
-                          -np.maximum(a, 0.0),
-                          0.5 * np.abs(a))
-    N = N.tocsr()
+    n = _upwind_values(mesh, w_dof)
+    N = mesh.scatter_plan.scalar.csr(n, n != 0)
     if n_components == 1:
         return N
     return sp.kron(N, sp.eye(n_components), format="csr")
@@ -352,12 +357,20 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
     -------
     csr_matrix (k*ne, 2*ne)
     """
-    ne = mesh.num_edges
+    k = carried_dof.shape[1]
+    scatter = mesh.scatter_plan.advecting if k == 2 \
+        else _advecting_scatter(mesh, k)
+    return scatter.csr(_advecting_local(mesh, w_dof, carried_dof))
+
+
+def _advecting_local(mesh, w_dof, carried_dof):
+    """Cell and facet values of ``assemble_advecting_linearization``, in
+    the order of the scatter plan's ``advecting``."""
     k = carried_dof.shape[1]
     q = mesh.cell_quadrature
-    grads = cell_gradients(mesh)
+    grads = mesh.cell_gradients
     cvals = cr_values_on_cells(mesh, carried_dof, q.bary)  # (nc, nq, k)
-    cgrad = cr_cell_gradients(mesh, carried_dof, grads)   # (nc, k, 2)
+    cgrad = cr_cell_gradients(mesh, carried_dof)          # (nc, k, 2)
 
     # volume skew part: 1/2 [ (dw . grad c) . v - (dw . grad v) . c ]
     # term 1: 1/2 int psi_j psi_i (grad c_m)_x, rows (i, m), cols (j, x)
@@ -366,9 +379,7 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
     # term 2: -1/2 int psi_j c_m (grad psi_i)_x
     pc = np.einsum("cq,qj,cqm->cjm", q.wts, q.psi, cvals)
     t2 = -0.5 * np.einsum("cjm,cix->cimjx", pc, grads)
-    loc = t1 + t2                                         # (nc,3,k,3,2)
-    v, (r, c) = _cell_triplets(loc, _cell_dofs(mesh, k), _cell_dofs(mesh, 2))
-    rows, cols, vals = [r], [c], [v]
+    vals = [(t1 + t2).reshape(-1)]                        # (nc,3,k,3,2)
 
     # facet part: coefficients differentiated with respect to a_e
     td = mesh.edge_traces
@@ -381,30 +392,21 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
         (1, 1): 0.5 * sgn,
     }
     interior = mesh.interior_edges
-    all_edges = np.arange(ne)
     for (sr, sc), coef in dcoef.items():
-        edges = all_edges if (sr, sc) == (0, 0) else interior
-        if edges.size == 0:
-            continue
-        cf = coef[edges]
+        edges = np.arange(mesh.num_edges) if (sr, sc) == (0, 0) \
+            else interior
+        cf = coef[edges][:, None, None]
         pare = td.pairs[edges, sr, sc]                      # (m, 3, 3)
         cloc = carried_dof[td.dofs[edges, sc]]              # (m, 3, k)
-        # row value for test dof (i, m): coef * sum_j pairs[i, j] c[j, m]
-        rv = np.einsum("e,eij,ejm->eim", cf, pare, cloc)    # (m, 3, k)
-        col_e = 2 * edges
+        # row value for test dof (i, m): coef * sum_j pairs[i, j] c[j, m],
+        # summed over j in the order np.einsum("e,eij,ejm->eim") sums
+        rv = np.zeros((edges.size, 3, k))
+        for j in range(3):
+            rv += cf * pare[:, :, j, None] * cloc[:, None, j]
         for x in range(2):
-            nx = mesh.edge_normal[edges, x]
-            v = rv * nx[:, None, None]
-            r = (k * td.dofs[edges, sr][:, :, None]
-                 + np.arange(k)[None, None, :])
-            c = np.broadcast_to((col_e + x)[:, None, None], v.shape)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(k * ne, 2 * ne)).tocsr()
+            vals.append((rv * mesh.edge_normal[edges, x][:, None, None])
+                        .ravel())
+    return np.concatenate(vals)
 
 
 def assemble_viscosity_coupling(mesh, u_dof, T_dof, params):
@@ -417,21 +419,22 @@ def assemble_viscosity_coupling(mesh, u_dof, T_dof, params):
     -------
     csr_matrix (2*ne, 2*ne)
     """
-    ne = mesh.num_edges
+    return mesh.scatter_plan.coupling.csr(
+        _viscosity_local(mesh, u_dof, T_dof, params))
+
+
+def _viscosity_local(mesh, u_dof, T_dof, params):
+    """Cell blocks (nc, 3, 2, 3) of ``assemble_viscosity_coupling``."""
     q = mesh.cell_quadrature
     Tq = cr_values_on_cells(mesh, T_dof, q.bary)
-    grads = cell_gradients(mesh)
-    ugrad = cr_cell_gradients(mesh, u_dof, grads)          # (nc, 2, 2)
+    grads = mesh.cell_gradients
+    ugrad = cr_cell_gradients(mesh, u_dof)                 # (nc, 2, 2)
     nuT = params.nu_T_at(Tq)                               # (nc, nq)
     # weight int nu'(T) psi_j per cell
     wj = np.einsum("cq,cq,qj->cj", q.wts, nuT, q.psi)      # (nc, 3)
     # (grad u_c . grad psi_i) per cell
     gg = np.einsum("cdx,cix->cdi", ugrad, grads)           # (nc, 2, 3)
-    loc = np.einsum("cdi,cj->cidj", gg, wj)                # (nc, 3, 2, 3)
-    # columns: the T component, index 2*e'
-    return sp.coo_matrix(
-        _cell_triplets(loc, _cell_dofs(mesh, 2), 2 * mesh.cell_edges),
-        shape=(2 * ne, 2 * ne)).tocsr()
+    return np.einsum("cdi,cj->cidj", gg, wj)
 
 
 def assemble_buoyancy_coupling(mesh, params, y_dof=None):
@@ -448,14 +451,16 @@ def assemble_buoyancy_coupling(mesh, params, y_dof=None):
         Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
         M = assemble_mass(mesh)
         return sp.kron(M, Fy, format="csr")
+    return mesh.scatter_plan.vector_cell.csr(
+        _buoyancy_local(mesh, params, y_dof))
+
+
+def _buoyancy_local(mesh, params, y_dof):
+    """Cell blocks (nc, 3, 2, 3, 2) of the general buoyancy coupling."""
     q = mesh.cell_quadrature
     yq = cr_values_on_cells(mesh, y_dof, q.bary)           # (nc, nq, 2)
     Fj = np.asarray(params.F_jac(yq), dtype=float)         # (nc, nq, 2, 2)
-    loc = np.einsum("cq,qi,qj,cqde->cidje", q.wts, q.psi, q.psi, Fj)
-    vdofs = _cell_dofs(mesh, 2)
-    ne = mesh.num_edges
-    return sp.coo_matrix(_cell_triplets(loc, vdofs, vdofs),
-                         shape=(2 * ne, 2 * ne)).tocsr()
+    return np.einsum("cq,qi,qj,cqde->cidje", q.wts, q.psi, q.psi, Fj)
 
 
 def assemble_jump_penalty(mesh, a0, nu2):
@@ -471,7 +476,8 @@ def assemble_jump_penalty(mesh, a0, nu2):
         Z = sp.csr_matrix((2 * ne, 2 * ne))
         return Z
     coef = a0 * nu2 / mesh.h_edge
-    P = _facet_blocks(mesh, coef, -coef, -coef, coef)
+    P = mesh.scatter_plan.facet.csr(_facet_local(mesh, coef, -coef, -coef,
+                                                 coef))
     return sp.kron(P, sp.eye(2), format="csr")
 
 

@@ -2,8 +2,10 @@
 
 Meshes are immutable after construction: all adjacency arrays (edges,
 cell-to-edge maps, normals, sizes) are built once in ``__init__`` and the
-class exposes them as plain numpy arrays; the edge traces of the CR basis
-and the degree-4 cell rule are built on first use and kept with the mesh.
+class exposes them as plain numpy arrays.  What is derived from them (the
+CR basis gradients, the edge sets, the edge traces, the degree-4 cell
+rule and the index patterns of the assembled blocks) is built on first
+use and kept, read-only, with the mesh.
 Cells are stored counter-clockwise and edges in canonical order (lower
 vertex index first, list sorted lexicographically) so that
 degree-of-freedom numbering is reproducible.
@@ -12,6 +14,7 @@ degree-of-freedom numbering is reproducible.
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse as sp
 
 from .quadrature import cell_quad_points, edge_quadrature, tri_quadrature
 from .spaces import cr_basis_values
@@ -50,12 +53,20 @@ class Mesh:
     h_cell : ndarray (nc,)
         Cell diameters (longest edge).
     area_cell : ndarray (nc,)
+    cell_gradients : ndarray (nc, 3, 2)
+        Gradient of the CR basis function psi_i on every cell.
+    interior_edges, boundary_edges : ndarray of int
+        Indices of the interior and the boundary edges.
     edge_traces
-        CR basis traces at the edge quadrature points (``_EdgeTraceData``),
-        built on first access.
+        CR basis traces at the edge quadrature points (``_EdgeTraceData``).
     cell_quadrature
-        The degree-4 cell rule on every cell (``_CellQuadrature``), built
-        on first access.
+        The degree-4 cell rule on every cell (``_CellQuadrature``).
+    scatter_plan
+        The index patterns of every assembled cell and facet block and
+        the order in which their duplicates are summed (``_ScatterPlan``).
+
+    ``cell_gradients`` and the attributes after it are built on first
+    access and are read-only.
     """
 
     def __init__(self, vertices, cells):
@@ -122,6 +133,24 @@ class Mesh:
     def cell_quadrature(self):
         return _CellQuadrature(self)
 
+    @cached_property
+    def scatter_plan(self):
+        return _ScatterPlan(self)
+
+    @cached_property
+    def cell_gradients(self):
+        """grad psi_i = -2 grad lambda_i, with grad lambda_i the rotated
+        opposite edge v_k - v_j over 2|K| (cells are counter-clockwise)."""
+        v = self.vertices[self.cells]  # (nc, 3, 2)
+        grad_lam = np.empty((self.num_cells, 3, 2))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            d = v[:, k] - v[:, j]
+            grad_lam[:, i, 0] = -d[:, 1]
+            grad_lam[:, i, 1] = d[:, 0]
+        grad_lam /= (2.0 * self.area_cell)[:, None, None]
+        return _frozen(-2.0 * grad_lam)
+
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
@@ -134,15 +163,13 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
-    @property
+    @cached_property
     def interior_edges(self):
-        """Indices of interior edges."""
-        return np.flatnonzero(~self.boundary_edge)
+        return _frozen(np.flatnonzero(~self.boundary_edge))
 
-    @property
+    @cached_property
     def boundary_edges(self):
-        """Indices of boundary edges."""
-        return np.flatnonzero(self.boundary_edge)
+        return _frozen(np.flatnonzero(self.boundary_edge))
 
     @property
     def cell_centroid(self):
@@ -207,7 +234,246 @@ class _CellQuadrature:
         self.pts = cell_quad_points(mesh, self.bary)
         self.wts = self.w[None, :] * mesh.area_cell[:, None]
         for a in (self.bary, self.w, self.psi, self.pts, self.wts):
-            a.setflags(write=False)
+            _frozen(a)
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _cell_dofs(cell_edges, k=1):
+    """Interleaved dofs (nc, 3k) of a k-component CR field on each cell."""
+    return (k * cell_edges[:, :, None]
+            + np.arange(k, dtype=cell_edges.dtype)).reshape(
+                cell_edges.shape[0], -1)
+
+
+def _cell_pairs(rdofs, cdofs):
+    """COO (rows, cols) of cell-local blocks whose rows run over the cell
+    dofs ``rdofs`` (nc, a) and columns over ``cdofs`` (nc, b), in that
+    order: the index sequence of ``loc.reshape(-1)`` for loc (nc, a, b)."""
+    return (np.repeat(rdofs, cdofs.shape[1], axis=1).ravel(),
+            np.tile(cdofs, (1, rdofs.shape[1])).ravel())
+
+
+def _offsets(counts):
+    """CSR index pointer (int32) of per-row entry counts."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class _Pattern:
+    """A sorted CSR pattern of the given shape (int32 ``indptr`` and
+    ``indices``); a matrix on it is an array of values over its
+    entries."""
+
+    def __init__(self, rows, cols, shape):
+        """From entries sorted by row, then column, without repeats."""
+        self.shape, self.nnz = shape, rows.size
+        self.indices = _frozen(cols.astype(np.int32))
+        self.indptr = _frozen(_offsets(np.bincount(rows,
+                                                   minlength=shape[0])))
+
+    @classmethod
+    def union(cls, pairs, shape):
+        """The pattern holding every (rows, cols) pair of ``pairs``."""
+        keys = np.sort(np.concatenate([r * np.int64(shape[1]) + c
+                                       for r, c in pairs]))
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        return cls(*divmod(keys[distinct], shape[1]), shape)
+
+    @property
+    def rows(self):
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32),
+                         np.diff(self.indptr))
+
+    def positions(self, rows, cols):
+        """Entry numbers of (row, col) pairs on the pattern."""
+        keys = self.rows * np.int64(self.shape[1]) + self.indices
+        return np.searchsorted(keys, rows * np.int64(self.shape[1])
+                               + cols).astype(np.int32)
+
+    def entries(self, A):
+        """(entry numbers, values) of the stored entries of a sparse
+        matrix on the pattern."""
+        A = A.tocoo()
+        return _frozen(self.positions(A.row, A.col)), _frozen(A.data)
+
+    def mask(self, at):
+        """The entries ``at`` as a mask over the pattern."""
+        mask = np.zeros(self.nnz, dtype=bool)
+        mask[at] = True
+        return mask
+
+    def csr(self, values, keep):
+        """The CSR matrix of the entries ``keep`` selects."""
+        start = np.zeros(self.nnz + 1, dtype=np.int32)
+        np.cumsum(keep, out=start[1:])
+        return sp.csr_matrix((values[keep], self.indices[keep],
+                              start[self.indptr]), shape=self.shape)
+
+
+def _conversion_order(rows, cols, shape):
+    """The entry numbers of an int32 COO index sequence in the order
+    ``coo_matrix.tocsr()`` leaves them before it sums the duplicates, with
+    their rows and columns (all int32): the entries bucketed by row in
+    input order, then each row sorted by scipy's ``sort_indices``, whose
+    permutation depends on the column indices alone (not on the values
+    carried along, here the entry numbers)."""
+    counts = np.bincount(rows, minlength=shape[0])
+    order = np.argsort(rows, kind="stable").astype(np.int32)
+    T = sp.csr_matrix((order, cols[order], _offsets(counts)), shape=shape)
+    T.sort_indices()
+    return (T.data, np.repeat(np.arange(shape[0], dtype=np.int32), counts),
+            T.indices)
+
+
+class _Scatter:
+    """``coo_matrix((values, (rows, cols))).tocsr()`` for one fixed COO
+    index sequence, to the last bit, without the conversion.
+
+    scipy buckets the entries by row in input order, sorts each row by
+    column (an unstable sort, whose permutation depends on the indices
+    alone) and adds each run of duplicates left to right.  The order is
+    recorded once by converting the entry numbers.  With the runs ranked
+    by length, the d-th members of the runs longer than d are one slice of
+    ``perm``, so ``into`` adds them one depth at a time over a prefix of
+    the runs: the same additions in the same order.  The sums land on the
+    entries ``at`` of the ``target`` pattern (by default the result's own
+    pattern), which ``stored`` marks.
+    """
+
+    def __init__(self, rows, cols, shape, target=None):
+        perm, rows, cols = _conversion_order(rows, cols, shape)
+        start = np.ones(perm.size, dtype=bool)
+        start[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+        first = np.flatnonzero(start)
+        length = np.diff(np.append(first, perm.size))
+        rank = np.argsort(-length, kind="stable")
+        self.counts = [int(np.count_nonzero(length > d))
+                       for d in range(length.max(initial=0))]
+        self.perm = _frozen(np.concatenate(
+            [perm[first[rank[:k]] + d] for d, k in enumerate(self.counts)]))
+        self.target = _Pattern(rows[start], cols[start], shape) \
+            if target is None else target
+        head = first[rank]
+        self.at = _frozen(self.target.positions(rows[head], cols[head]))
+
+    @property
+    def stored(self):
+        return self.target.mask(self.at)
+
+    def into(self, values):
+        """The summed values (in the order of the index sequence, any
+        shape) on the target pattern, zero where nothing is stored."""
+        values = values.reshape(-1)
+        k = self.counts
+        sums = values[self.perm[:k[0]]]
+        offset = k[0]
+        for n in k[1:]:
+            sums[:n] += values[self.perm[offset:offset + n]]
+            offset += n
+        out = np.zeros(self.target.nnz)
+        out[self.at] = sums
+        return out
+
+    def csr(self, values):
+        return self.target.csr(self.into(values), self.stored)
+
+
+class _ScatterPlan:
+    """The index patterns of the assembled blocks on one mesh.
+
+    Each ``_Scatter`` reproduces the COO index sequence its assembly
+    builds the values in:
+
+    - ``cell``: scalar cell blocks (nc, 3, 3), the stiffness and the
+      volume convection;
+    - ``facet``: scalar facet blocks (m, 3, 3), side pair (0, 0) on every
+      edge, then (0, 1), (1, 0) and (1, 1) on the interior edges, the
+      upwind flux and the jump penalty;
+    - ``coupling``: (nc, 3, 2, 3) rows over vector dofs, columns over the
+      temperature component, the viscosity coupling;
+    - ``vector_cell``: (nc, 3, 2, 3, 2) vector cell blocks, the general
+      buoyancy coupling (built on first use);
+    - ``advecting``: the advecting-slot linearization with a two-component
+      carried field (``_advecting_scatter``).
+
+    The scalar blocks sum onto ``scalar``, the union of the cell and the
+    facet pairs, and the vector ones onto ``vector``, the 2 x 2 component
+    blocks of the cell pairs and the diagonal components of ``scalar``,
+    which hold every block of the state system.  ``transpose`` maps each
+    entry of ``scalar`` to its mirror; ``lift`` places scalar values on
+    the diagonal components (kron with the 2 x 2 identity).
+    """
+
+    def __init__(self, mesh):
+        ne = mesh.num_edges
+        ce = self._cell_edges = mesh.cell_edges.astype(np.int32)
+        dofs = mesh.edge_traces.dofs.astype(np.int32)
+        cell = _cell_pairs(ce, ce)
+        facet = [np.concatenate(a) for a in zip(*(
+            _cell_pairs(dofs[e, sr], dofs[e, sc])
+            for e, sr, sc in _facet_sides(mesh)))]
+        self.scalar = S = _Pattern.union([cell, facet], (ne, ne))
+        rows = S.rows
+        self.transpose = _frozen(S.positions(S.indices, rows))
+        c, d = np.divmod(np.arange(4), 2)
+        self.vector = V = _Pattern.union(
+            [((2 * cell[0][:, None] + c).ravel(),
+              (2 * cell[1][:, None] + d).ravel())]
+            + [(2 * rows + c, 2 * S.indices + c) for c in range(2)],
+            (2 * ne, 2 * ne))
+        self._lift = [_frozen(V.positions(2 * rows + c, 2 * S.indices + c))
+                      for c in range(2)]
+        self.cell = _Scatter(*cell, S.shape, S)
+        self.facet = _Scatter(*facet, S.shape, S)
+        self.coupling = _Scatter(*_cell_pairs(_cell_dofs(ce, 2), 2 * ce),
+                                 V.shape, V)
+        self.advecting = _advecting_scatter(mesh, 2, V)
+
+    @cached_property
+    def vector_cell(self):
+        vdofs = _cell_dofs(self._cell_edges, 2)
+        return _Scatter(*_cell_pairs(vdofs, vdofs), self.vector.shape,
+                        self.vector)
+
+    def lift(self, values):
+        """Scalar values as vector values, kron with the 2 x 2 identity."""
+        out = np.zeros(self.vector.nnz, dtype=np.asarray(values).dtype)
+        for at in self._lift:
+            out[at] = values
+        return out
+
+
+def _facet_sides(mesh):
+    """(edges, row side, column side) of the facet blocks, in order."""
+    interior = mesh.interior_edges
+    return [(np.arange(mesh.num_edges), 0, 0), (interior, 0, 1),
+            (interior, 1, 0), (interior, 1, 1)]
+
+
+def _advecting_scatter(mesh, k, target=None):
+    """The advecting-slot linearization with a k-component carried field:
+    the cell blocks (nc, 3, k, 3, 2), then for each facet side pair with
+    edges e and each normal component x the rows (m, 3, k) in column
+    2 e + x."""
+    ce = mesh.cell_edges.astype(np.int32)
+    dofs = mesh.edge_traces.dofs.astype(np.int32)
+    rows, cols = ([a] for a in _cell_pairs(_cell_dofs(ce, k),
+                                           _cell_dofs(ce, 2)))
+    for edges, sr, _ in _facet_sides(mesh):
+        r = (k * dofs[edges, sr][:, :, None]
+             + np.arange(k, dtype=np.int32)).ravel()
+        for x in range(2):
+            rows.append(r)
+            cols.append(np.repeat(2 * edges.astype(np.int32) + x, 3 * k))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return _Scatter(rows, cols, (k * mesh.num_edges, 2 * mesh.num_edges),
+                    target)
 
 
 def build_unit_square_mesh(n):

@@ -18,7 +18,7 @@ from .quadrature import tri_quadrature, edge_quadrature
 
 __all__ = ["CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
            "cr_interpolate", "boundary_interpolate", "p0_project",
-           "evaluate_cr", "gradient_cr", "cr_basis_values", "cell_gradients",
+           "evaluate_cr", "gradient_cr", "cr_basis_values",
            "cr_values_on_cells", "cr_cell_gradients"]
 
 
@@ -115,25 +115,6 @@ def cr_basis_values(bary):
     return 1.0 - 2.0 * np.asarray(bary)
 
 
-def cell_gradients(mesh):
-    """Gradients of the three CR basis functions on every cell.
-
-    Returns an array of shape (nc, 3, 2) where entry [K, i] is the constant
-    gradient of psi_i = 1 - 2*lambda_i on cell K.
-    """
-    v = mesh.vertices[mesh.cells]  # (nc, 3, 2)
-    area = mesh.area_cell
-    grad_lam = np.empty((mesh.num_cells, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        # grad lambda_i = rot90ccw(v_k - v_j) / (2 A) for CCW cells
-        d = v[:, k] - v[:, j]
-        grad_lam[:, i, 0] = -d[:, 1]
-        grad_lam[:, i, 1] = d[:, 0]
-    grad_lam /= (2.0 * area)[:, None, None]
-    return -2.0 * grad_lam
-
-
 def cr_values_on_cells(mesh, dof, bary):
     """Values of a CR field at barycentric quadrature nodes of every cell.
 
@@ -153,18 +134,34 @@ def cr_values_on_cells(mesh, dof, bary):
     return np.einsum("qi,cid->cqd", psi, local)
 
 
-def cr_cell_gradients(mesh, dof, grads=None):
+def cr_cell_gradients(mesh, dof):
     """Cellwise constant gradient of a CR field.
 
     Returns (nc, 2) for scalar dofs or (nc, d, 2) for (ne, d) dofs, where
     entry [K, c] is grad of component c.
     """
-    if grads is None:
-        grads = cell_gradients(mesh)
+    grads = mesh.cell_gradients
     local = dof[mesh.cell_edges]
     if local.ndim == 2:
         return np.einsum("ci,cix->cx", local, grads)
     return np.einsum("cid,cix->cdx", local, grads)
+
+
+def _point_values(f, x, y):
+    """f at the points (x, y) as (m,) scalar or (m, k) component values.
+
+    f returns a scalar array, or a tuple or stacked array of components
+    on the leading axis; constants broadcast.  A stacked (k, m) array is
+    told from (m, k) values by its trailing shape, so with m == k it is
+    read as stacked, as documented.
+    """
+    v = f(x, y)
+    if isinstance(v, (tuple, list)):
+        v = np.stack([np.broadcast_to(c, x.shape) for c in v])
+    v = np.asarray(v, dtype=float)
+    if v.ndim > x.ndim and v.shape[1:] == x.shape:
+        v = np.moveaxis(v, 0, -1)
+    return np.broadcast_to(v, x.shape + v.shape[x.ndim:])
 
 
 def cr_interpolate(f, mesh, ncomp=None):
@@ -189,17 +186,14 @@ def cr_interpolate(f, mesh, ncomp=None):
     t, w = edge_quadrature(2)
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
-    vals = []
+    acc = 0
     for tk, wk in zip(t, w):
         p = a + tk * (b - a)
-        vals.append((wk, np.asarray(f(p[:, 0], p[:, 1]), dtype=float)))
-    acc = sum(wk * fv for wk, fv in vals)
+        acc = acc + wk * _point_values(f, p[:, 0], p[:, 1])
     if ncomp is None:
         ncomp = 1 if acc.ndim == 1 else 2
     if ncomp == 1:
         return CRScalarField(mesh, acc)
-    if acc.shape[0] == 2 and acc.shape != (mesh.num_edges, 2):
-        acc = acc.T
     return CRVectorField(mesh, acc)
 
 
@@ -226,10 +220,8 @@ def boundary_interpolate(g, mesh, edges=None):
     acc = None
     for tk, wk in zip(t, w):
         p = a + tk * (b - a)
-        fv = np.asarray(g(p[:, 0], p[:, 1]), dtype=float)
+        fv = _point_values(g, p[:, 0], p[:, 1])
         acc = wk * fv if acc is None else acc + wk * fv
-    if acc.ndim == 2 and acc.shape[0] == 2 and acc.shape != (edges.size, 2):
-        acc = acc.T
     return BoundaryTrace(mesh, edges, acc)
 
 
@@ -254,10 +246,8 @@ def p0_project(source, mesh, ncomp=None):
     acc = None
     for q in range(bary.shape[0]):
         p = np.einsum("k,ckd->cd", bary[q], v)
-        fv = np.asarray(source(p[:, 0], p[:, 1]), dtype=float)
+        fv = _point_values(source, p[:, 0], p[:, 1])
         acc = w[q] * fv if acc is None else acc + w[q] * fv
-    if acc.ndim == 2 and acc.shape[0] == 2 and acc.shape != (mesh.num_cells, 2):
-        acc = acc.T
     return P0Field(mesh, acc)
 
 
@@ -290,7 +280,7 @@ def gradient_cr(field, cell):
     Returns a 2-vector for scalar fields and a (2, 2) array (rows are
     component gradients) for vector fields.
     """
-    grads = cell_gradients(field.mesh)[cell]  # (3, 2)
+    grads = field.mesh.cell_gradients[cell]  # (3, 2)
     local = field.dof[field.mesh.cell_edges[cell]]
     if local.ndim == 1:
         return local @ grads

@@ -18,6 +18,15 @@ by the momentum and transport operators, and the Newton couplings.  Its
 ``residual`` forms the momentum and transport residuals of the Newton
 step, of ``state_residual`` and of the KKT check alike.
 
+Who owns what of the assembly: the mesh owns the index patterns
+(``Mesh.scatter_plan``: where each cell and facet value lands and in which
+order duplicates add), the layout owns the composition of J
+(``_Dofs.jacobian``: where each block lands in the CSC arrays of J).  A
+step only computes local values, sums them onto the mesh's vector
+pattern, adds the blocks there and gathers A_mom, A_tr and J; no COO
+conversion, sort or ``bmat`` runs per step, and every matrix is bit for
+bit the one the sparse sums and ``bmat`` of the sliced blocks would give.
+
 Each step assembles one ``Linearization`` of the system at the iterate.
 A one-shot optimization loop takes the Newton one from ``linearize``, on
 the stepper's own layout, and solves its adjoint, the transposed bordered
@@ -38,6 +47,7 @@ interleave state linearizations with active-set updates; ``solve_state``
 drives the stepper to the increment tolerance.
 """
 
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +150,12 @@ def _buoyancy_load(mesh, params, y_dof):
 
 
 class _Dofs:
-    """Free/fixed dofs, the bordered (u, p, y) free-dof layout and the
-    iterate-independent blocks; ``MF`` (the affine buoyancy coupling) and
-    ``penalty`` (the jump penalty) are None when absent."""
+    """Free/fixed dofs, the bordered (u, p, y) free-dof layout, the
+    iterate-independent blocks and where the blocks land in J
+    (``jacobian``).  ``reaction``, ``cross``, ``penalty`` (the jump
+    penalty) and ``MF_entries`` are (entry numbers, values) on the mesh's
+    vector pattern; ``MF`` is the affine buoyancy coupling matrix.
+    ``penalty`` and ``MF`` are None when absent."""
 
     def __init__(self, mesh, params, y_bc, u_bc, penalty_a0=0.0):
         ne = mesh.num_edges
@@ -176,13 +189,19 @@ class _Dofs:
         self.iy_free = asm.vector_indices(self.y_free_edges)
         self.iy_fixed = asm.vector_indices(self.y_fixed_edges)
 
+        # the constant terms of A_mom, A_tr and K_uy as entries of the
+        # mesh's vector pattern: the reaction, the cross-diffusion, the
+        # jump penalty and the affine buoyancy coupling
+        V = mesh.scatter_plan.vector
         self.B = asm.assemble_divergence(mesh)
-        self.cross = asm.assemble_cross_diffusion(mesh, params.diffusion)
-        self.penalty = asm.assemble_jump_penalty(mesh, penalty_a0,
-                                                 params.nu2) \
-            if penalty_a0 > 0 else None
+        self.reaction = asm._reaction_entries(mesh, params.sigma)
+        self.cross = V.entries(asm.assemble_cross_diffusion(
+            mesh, params.diffusion))
+        self.penalty = V.entries(asm.assemble_jump_penalty(
+            mesh, penalty_a0, params.nu2)) if penalty_a0 > 0 else None
         self.MF = asm.assemble_buoyancy_coupling(mesh, params) \
             if params.F_jac is None else None
+        self.MF_entries = None if self.MF is None else V.entries(self.MF)
         self.area = asm.assemble_mean_constraint(mesh)
         self.B_free = self.B[:, self.iu_free]
         # scale only the continuity rows by 1/|K| so the solver residual
@@ -196,6 +215,7 @@ class _Dofs:
         self.d_col[self.ip] = 1.0
         self.e_row = np.zeros(n_all)
         self.e_row[self.ip] = self.area
+        self.jacobian = _JacobianPlan(self)
 
     def full_u(self, u_free_flat):
         u = np.zeros((self.mesh.num_edges, 2))
@@ -212,18 +232,89 @@ class _Dofs:
 
 
 def _sub(A, rows, cols):
-    return None if A is None else A[rows][:, cols]
+    return A[rows][:, cols]
+
+
+class _JacobianPlan:
+    """Where each block of the bordered free-dof core
+
+        J = [[A_uu, B_free^T, K_uy], [B_scaled, 0, 0], [K_yu, 0, A_tr]]
+
+    lands in the CSC arrays of J, for one layout.  The iterate-dependent
+    blocks come as values on the mesh's vector pattern, of which J holds
+    the entries with free rows and columns that the block can store; the
+    constant blocks keep their own structure.  ``src`` numbers, for every
+    such entry of J in CSC order, its source in the four value arrays and
+    the constant entries laid end to end.  ``assemble`` keeps the entries
+    each block's mask selects, so J is, to the bit, what ``sp.bmat`` of
+    the sliced blocks gives.
+    """
+
+    def __init__(self, dofs):
+        plan = dofs.mesh.scatter_plan
+        V = plan.vector
+        nu, nc = dofs.nu_free, dofs.mesh.num_cells
+        self.n = n = nu + nc + dofs.iy_free.size
+        ju = np.full(V.shape[0], -1, dtype=np.int32)
+        ju[dofs.iu_free] = np.arange(nu)
+        jy = np.full(V.shape[0], -1, dtype=np.int32)
+        jy[dofs.iy_free] = np.arange(nu + nc, n)
+        MF = plan.vector_cell.stored if dofs.MF is None \
+            else V.mask(dofs.MF_entries[0])
+        # the entries each block may store: A_uu, K_uy, K_yu, A_tr
+        lifted = plan.lift(np.ones(plan.scalar.nnz, dtype=bool))
+        held = (lifted | V.mask(dofs.reaction[0]) | plan.advecting.stored,
+                plan.coupling.stored | MF, plan.advecting.stored,
+                lifted | V.mask(dofs.cross[0]))
+        vrows = V.rows
+        rows, cols, src = [], [], []
+        for b, ((jr, jc), may) in enumerate(zip(
+                ((ju, ju), (ju, jy), (jy, ju), (jy, jy)), held)):
+            r, c = jr[vrows], jc[V.indices]
+            at = np.flatnonzero(may & (r >= 0) & (c >= 0)).astype(np.int32)
+            rows.append(r[at])
+            cols.append(c[at])
+            src.append(b * V.nnz + at)
+        BT, BS = dofs.B_free.T.tocoo(), dofs.B_scaled.tocoo()
+        rows += [BT.row, BS.row + nu]
+        cols += [BT.col + nu, BS.col]
+        src.append(4 * V.nnz + np.arange(BT.nnz + BS.nnz, dtype=np.int32))
+        self.constant = np.concatenate([BT.data, BS.data])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.argsort(cols * np.int64(n) + rows)  # by column, then row
+        self.src = np.concatenate(src)[order]
+        self.rows = rows[order]
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        for a in (self.src, self.rows, self.indptr, self.constant):
+            a.setflags(write=False)
+
+    def assemble(self, blocks):
+        """J from the (values, keep) pairs of A_uu, K_uy, K_yu and A_tr on
+        the vector pattern (None: the block is absent)."""
+        nv = blocks[0][0].size
+        absent = (np.zeros(nv), np.zeros(nv, dtype=bool))
+        blocks = [absent if b is None else b for b in blocks]
+        values = np.concatenate([b[0] for b in blocks] + [self.constant])
+        keep = np.concatenate([b[1] for b in blocks]
+                              + [np.ones(self.constant.size, dtype=bool)])
+        values, keep = values[self.src], keep[self.src]
+        start = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=start[1:])
+        return sp.csc_matrix((values[keep], self.rows[keep],
+                              start[self.indptr]), shape=(self.n, self.n))
 
 
 class Linearization:
     """The state system linearized at an iterate (u, y).
 
     A_mom (Brinkman + N(u) + penalty) and A_tr (cross-diffusion + N(u))
-    share one upwind matrix.  The bordered free-dof core ``J`` (exact
-    Jacobian with ``newton``, else the Picard operator) is assembled here
-    and factored on the first solve that needs it, so callers assemble
-    what else they need first.  Its LU (``solver``) solves the bordered
-    system of J and, transposed, the adjoint's transposed bordered system.
+    share one set of upwind values.  The bordered free-dof core ``J``
+    (exact Jacobian with ``newton``, else the Picard operator) is gathered
+    here by the layout's ``jacobian`` plan and factored on the first
+    solve that needs it, so callers assemble what else they need first.
+    Its LU (``solver``) solves the bordered system of J and, transposed,
+    the adjoint's transposed bordered system.
     Given the ``kept`` LU of an earlier linearization, each solve first
     tries GMRES preconditioned with it; when GMRES first declines, J is
     factored.
@@ -231,30 +322,40 @@ class Linearization:
 
     def __init__(self, dofs, u, y, newton=True, kept=None):
         mesh, params = dofs.mesh, dofs.params
+        plan = mesh.scatter_plan
         self.dofs, self.u, self.y = dofs, u, y
-        N = asm.assemble_upwind_advection(mesh, u, n_components=2)
-        A_mom = asm.assemble_brinkman_diffusion(mesh, y[:, 0], params) + N
+        # every block as values on the vector pattern; a sum keeps only
+        # its nonzero entries, as a sum of sparse matrices does
+        N = plan.lift(asm._upwind_values(mesh, u))
+        A_mom = asm._brinkman_values(mesh, y[:, 0], params, dofs.reaction)
+        A_mom += N
         if dofs.penalty is not None:
-            A_mom = A_mom + dofs.penalty
-        self.A_mom = A_mom
-        self.A_tr = dofs.cross + N
-        MF = dofs.MF
+            A_mom[dofs.penalty[0]] += dofs.penalty[1]
+        A_tr = N
+        A_tr[dofs.cross[0]] += dofs.cross[1]
+        self.A_mom = plan.vector.csr(A_mom, A_mom != 0)
+        self.A_tr = plan.vector.csr(A_tr, A_tr != 0)
         if newton:
-            if MF is None:
-                MF = asm.assemble_buoyancy_coupling(mesh, params, y)
-            A_uu = self.A_mom + asm.assemble_advecting_linearization(
-                mesh, u, u)
-            K_uy = asm.assemble_viscosity_coupling(mesh, u, y[:, 0],
-                                                   params) - MF
-            K_yu = asm.assemble_advecting_linearization(mesh, u, y)
+            A_mom += plan.advecting.into(asm._advecting_local(mesh, u, u))
+            K_uy = plan.coupling.into(asm._viscosity_local(mesh, u, y[:, 0],
+                                                           params))
+            if dofs.MF is None:
+                K_uy -= plan.vector_cell.into(asm._buoyancy_local(
+                    mesh, params, y))
+            else:
+                K_uy[dofs.MF_entries[0]] -= dofs.MF_entries[1]
+            # the raw linearization keeps its stored zeros
+            K_yu = (plan.advecting.into(asm._advecting_local(mesh, u, y)),
+                    plan.advecting.stored)
+            blocks = ((A_mom, A_mom != 0), (K_uy, K_uy != 0), K_yu)
         else:
-            A_uu, K_uy, K_yu = self.A_mom, None if MF is None else -MF, None
-        iu, iy = dofs.iu_free, dofs.iy_free
-        self.J = sp.bmat([[_sub(A_uu, iu, iu), dofs.B_free.T,
-                           _sub(K_uy, iu, iy)],
-                          [dofs.B_scaled, None, None],
-                          [_sub(K_yu, iy, iu), None, _sub(self.A_tr, iy, iy)]],
-                         format="csc")
+            K_uy = None  # -MF keeps its stored entries
+            if dofs.MF is not None:
+                at, MF = dofs.MF_entries
+                K_uy = (np.zeros(A_mom.size), plan.vector.mask(at))
+                K_uy[0][at] = -MF
+            blocks = ((A_mom, A_mom != 0), K_uy, None)
+        self.J = dofs.jacobian.assemble(blocks + ((A_tr, A_tr != 0),))
         self.solver, self._lagged = kept, kept is not None
 
     def solve(self, rhs, beta=0.0, transpose=False):
@@ -510,14 +611,21 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
                            settings=settings, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
-    for _ in range(stepper.settings.max_iter):
-        incr = stepper.step()
-        if stepper.converged(incr):
-            return stepper.solution()
-    raise NonconvergenceError(
-        "state iteration did not reach tol={} in {} steps".format(
-            stepper.settings.tol, stepper.settings.max_iter),
-        stepper.increments)
+    try:
+        for _ in range(stepper.settings.max_iter):
+            incr = stepper.step()
+            if stepper.converged(incr):
+                return stepper.solution()
+        raise NonconvergenceError(
+            "state iteration did not reach tol={} in {} steps".format(
+                stepper.settings.tol, stepper.settings.max_iter),
+            stepper.increments)
+    except SolverError as exc:
+        # the error keeps its message and history; the solver state of the
+        # failed step (linearization, layout, LUs) goes with the frames
+        traceback.clear_frames(exc.__traceback__)
+        del stepper
+        raise
 
 
 def state_residual(mesh, params, solution, y_bc=None, control=None,

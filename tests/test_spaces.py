@@ -51,6 +51,34 @@ def test_boundary_trace_rejects_interior_edges(mesh4):
         BoundaryTrace(mesh4, interior, np.zeros(1))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("stacked", [
+    lambda x, y: np.stack([x + 2.0 * y, 1.0 - x]),
+    lambda x, y: (x + 2.0 * y, 1.0 - x)], ids=["array", "tuple"])
+def test_stacked_components_with_two_points(n, stacked):
+    # a stacked (2, m) result is component-first even when m == 2: the
+    # unit square's two cells, or two boundary edges
+    mesh = build_unit_square_mesh(n)
+
+    def affine(p):
+        return np.column_stack([p[:, 0] + 2.0 * p[:, 1], 1.0 - p[:, 0]])
+
+    assert np.allclose(p0_project(stacked, mesh).dof,
+                       affine(mesh.cell_centroid), atol=1e-14)
+    edges = mesh.boundary_edges[:2]
+    tr = boundary_interpolate(stacked, mesh, edges=edges)
+    assert np.allclose(tr.values, affine(mesh.edge_midpoint[edges]),
+                       atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_components_broadcast(n):
+    mesh = build_unit_square_mesh(n)
+    U = p0_project(lambda x, y: (1.0, 2.0), mesh).dof
+    assert U.shape == (mesh.num_cells, 2)
+    assert np.allclose(U, [1.0, 2.0], atol=1e-14)
+
+
 def test_p0_project_constant(mesh4):
     f = p0_project(lambda x, y: np.full_like(x, 2.0), mesh4)
     assert np.allclose(f.dof, 2.0, atol=1e-14)

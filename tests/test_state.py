@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -250,10 +253,10 @@ def test_lag_gate_needs_two_increments():
 
 
 def test_state_blocks_assembled_once(monkeypatch):
-    # one upwind matrix per step serves both convection blocks, and the
-    # cross-diffusion is built once per layout
+    # one set of upwind values per step serves both convection blocks, and
+    # the cross-diffusion is built once per layout
     mesh, params, y_bc = _cavity(12, 100.0, 1e-3, 10.0)
-    calls = {"assemble_upwind_advection": 0, "assemble_cross_diffusion": 0}
+    calls = {"_upwind_values": 0, "assemble_cross_diffusion": 0}
     for name in calls:
         def counted(*args, _fn=getattr(asm, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -261,7 +264,7 @@ def test_state_blocks_assembled_once(monkeypatch):
         monkeypatch.setattr(asm, name, counted)
     sol = solve_state(mesh, params, y_bc,
                       settings=NonlinearSettings(tol=1e-10))
-    assert calls["assemble_upwind_advection"] == sol.iterations
+    assert calls["_upwind_values"] == sol.iterations
     assert calls["assemble_cross_diffusion"] == 1
 
 
@@ -312,7 +315,17 @@ def test_divergent_cavity_raises_linear_solver_error(point, error,
     krylov = linalg.BorderedSolver.krylov_solve
     monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
                         lambda *a, **k: lagged.append(1) or krylov(*a, **k))
-    with pytest.raises(error):
+    # the kept error keeps its traceback, but not the solver state of the
+    # failed step: stepper, layout and LUs are freed with the frames
+    alive = weakref.WeakSet()
+    for cls in (StateStepper, linalg.DirectSolver):
+        def tracked(self, *args, _init=cls.__init__, **kwargs):
+            alive.add(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", tracked)
+    with pytest.raises(error) as failed:
         solve_state(mesh, params, y_bc,
                     settings=NonlinearSettings(tol=1e-10))
     assert not lagged
+    gc.collect()
+    assert failed.value.__traceback__ is not None and not list(alive)
