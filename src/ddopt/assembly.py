@@ -66,14 +66,11 @@ class ProblemParams:
     nu1, nu2 : float
         Lower/upper viscosity bounds (nu2 is also the gradient norm weight).
     F_y : (2, 2) ndarray, optional
-        Jacobian of an affine buoyancy F(y) = F_y y + F0; the affine form is
-        kept implicit in the solver.
+        Jacobian of the affine buoyancy F(y) = F_y y + F0, the only
+        buoyancy the model has; the solver keeps it implicit.  None means
+        no buoyancy.
     F0 : (2,) ndarray
         Constant part of the affine buoyancy.
-    F_fun, F_jac : callable, optional
-        General buoyancy y -> F(y) and its Jacobian; when given they
-        override the affine data and the solver lags F to the right-hand
-        side.
     """
 
     sigma: object = 1.0
@@ -84,16 +81,11 @@ class ProblemParams:
     nu2: float = 1.0
     F_y: object = None
     F0: object = None
-    F_fun: object = None
-    F_jac: object = None
 
     def __post_init__(self):
         if self.diffusion is None:
             self.diffusion = np.eye(2)
         self.diffusion = np.asarray(self.diffusion, dtype=float)
-        if self.F_fun is not None and self.F_jac is None:
-            raise ValueError("a general buoyancy F_fun requires its "
-                             "Jacobian F_jac")
         if self.F0 is not None:
             self.F0 = np.asarray(self.F0, dtype=float)
         if self.F_y is not None:
@@ -115,14 +107,6 @@ class ProblemParams:
         if self.nu_T is None:
             return np.zeros_like(np.asarray(T, dtype=float))
         return np.asarray(self.nu_T(T), dtype=float)
-
-    def buoyancy_at(self, yvals):
-        """F evaluated at stacked (..., 2) values of (T, S)."""
-        if self.F_fun is not None:
-            return np.asarray(self.F_fun(yvals), dtype=float)
-        if self.F_y is None:
-            return np.zeros_like(yvals)
-        return yvals @ self.F_y.T + self.F0
 
     def validate(self, T_samples=None, s_samples=None):
         """Check the standing assumptions on the coefficients.
@@ -437,30 +421,15 @@ def _viscosity_local(mesh, u_dof, T_dof, params):
     return np.einsum("cdi,cj->cidj", gg, wj)
 
 
-def assemble_buoyancy_coupling(mesh, params, y_dof=None):
-    """Buoyancy Jacobian block int (F_y(y_h) dy) . v.
-
-    For affine buoyancy this is kron(M, F_y) exactly; otherwise F_jac is
-    sampled at the quadrature points.
+def assemble_buoyancy_coupling(mesh, params):
+    """Buoyancy Jacobian block int (F_y dy) . v, exactly kron(M, F_y).
 
     Returns
     -------
     csr_matrix (2*ne, 2*ne), rows velocity dofs, columns (T, S) dofs.
     """
-    if params.F_jac is None:
-        Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
-        M = assemble_mass(mesh)
-        return sp.kron(M, Fy, format="csr")
-    return mesh.scatter_plan.vector_cell.csr(
-        _buoyancy_local(mesh, params, y_dof))
-
-
-def _buoyancy_local(mesh, params, y_dof):
-    """Cell blocks (nc, 3, 2, 3, 2) of the general buoyancy coupling."""
-    q = mesh.cell_quadrature
-    yq = cr_values_on_cells(mesh, y_dof, q.bary)           # (nc, nq, 2)
-    Fj = np.asarray(params.F_jac(yq), dtype=float)         # (nc, nq, 2, 2)
-    return np.einsum("cq,qi,qj,cqde->cidje", q.wts, q.psi, q.psi, Fj)
+    Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
+    return sp.kron(assemble_mass(mesh), Fy, format="csr")
 
 
 def assemble_jump_penalty(mesh, a0, nu2):

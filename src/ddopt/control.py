@@ -27,7 +27,7 @@ import numpy as np
 
 from . import assembly as asm
 from .adjoint import _adjoint_rhs, solve_adjoint
-from .linalg import SolverError
+from .linalg import SolverError, _frees_on_failure
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
 from .state import Linearization, NonlinearSettings, StateStepper, _Dofs, \
@@ -140,6 +140,7 @@ def eval_cost(state, control, data, lam):
     return float(J)
 
 
+@_frees_on_failure
 def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
                forcing_mom=None, forcing_tr=None, penalty_a0=0.0):
     """Solve the discrete optimality system by the active-set outer loop.

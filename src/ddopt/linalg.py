@@ -7,6 +7,9 @@ computations.  A factorization is immutable and reusable across right-hand
 sides.
 """
 
+import functools
+import traceback
+
 import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import linalg as spla
@@ -26,6 +29,23 @@ class SolverError(RuntimeError):
     """Base of every solver failure: nonlinear nonconvergence or
     divergence, an unsettled active set, a singular factorization or a
     stalled linear solve."""
+
+
+def _frees_on_failure(solve):
+    """A SolverError escaping ``solve`` keeps its message, history and
+    traceback, but the frames of ``solve`` and below drop their locals, so
+    the solver state of the failed call (stepper, layout, LUs) goes with
+    them rather than living as long as the error is kept."""
+
+    @functools.wraps(solve)
+    def wrapper(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except SolverError as exc:
+            traceback.clear_frames(exc.__traceback__)
+            raise
+
+    return wrapper
 
 
 class SingularMatrixError(SolverError):

@@ -397,8 +397,6 @@ class _ScatterPlan:
       upwind flux and the jump penalty;
     - ``coupling``: (nc, 3, 2, 3) rows over vector dofs, columns over the
       temperature component, the viscosity coupling;
-    - ``vector_cell``: (nc, 3, 2, 3, 2) vector cell blocks, the general
-      buoyancy coupling (built on first use);
     - ``advecting``: the advecting-slot linearization with a two-component
       carried field (``_advecting_scatter``).
 
@@ -412,7 +410,7 @@ class _ScatterPlan:
 
     def __init__(self, mesh):
         ne = mesh.num_edges
-        ce = self._cell_edges = mesh.cell_edges.astype(np.int32)
+        ce = mesh.cell_edges.astype(np.int32)
         dofs = mesh.edge_traces.dofs.astype(np.int32)
         cell = _cell_pairs(ce, ce)
         facet = [np.concatenate(a) for a in zip(*(
@@ -434,12 +432,6 @@ class _ScatterPlan:
         self.coupling = _Scatter(*_cell_pairs(_cell_dofs(ce, 2), 2 * ce),
                                  V.shape, V)
         self.advecting = _advecting_scatter(mesh, 2, V)
-
-    @cached_property
-    def vector_cell(self):
-        vdofs = _cell_dofs(self._cell_edges, 2)
-        return _Scatter(*_cell_pairs(vdofs, vdofs), self.vector.shape,
-                        self.vector)
 
     def lift(self, values):
         """Scalar values as vector values, kron with the 2 x 2 identity."""

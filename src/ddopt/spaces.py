@@ -14,7 +14,7 @@ components are interleaved (global index 2*edge + component).
 
 import numpy as np
 
-from .quadrature import tri_quadrature, edge_quadrature
+from .quadrature import edge_quadrature
 
 __all__ = ["CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
            "cr_interpolate", "boundary_interpolate", "p0_project",
@@ -230,7 +230,7 @@ def p0_project(source, mesh, ncomp=None):
 
     For a CR field the average of the affine function is its centroid value,
     computed exactly as the mean of the three edge dofs.  For a callable the
-    average is computed with the degree-4 cell rule.
+    average is computed with the mesh's degree-4 cell rule.
 
     Returns
     -------
@@ -241,13 +241,11 @@ def p0_project(source, mesh, ncomp=None):
         return P0Field(mesh, vals)
     if isinstance(source, P0Field):
         return source.copy()
-    bary, w = tri_quadrature()
-    v = mesh.vertices[mesh.cells]
+    q = mesh.cell_quadrature
     acc = None
-    for q in range(bary.shape[0]):
-        p = np.einsum("k,ckd->cd", bary[q], v)
-        fv = _point_values(source, p[:, 0], p[:, 1])
-        acc = w[q] * fv if acc is None else acc + w[q] * fv
+    for k, w in enumerate(q.w):
+        fv = _point_values(source, q.pts[:, k, 0], q.pts[:, k, 1])
+        acc = w * fv if acc is None else acc + w * fv
     return P0Field(mesh, acc)
 
 

@@ -4,9 +4,11 @@ The discrete state system is advanced by frozen-coefficient (Picard) steps
 that switch to exact-Jacobian Newton steps once the iterate is in the
 attraction basin: each step solves one monolithic linear saddle-point
 system with the viscosity at the current temperature, the advecting
-velocity in both upwind convection blocks, the affine buoyancy implicit,
-and the pressure mean fixed by a scalar Lagrange multiplier (handled as a
-bordered system to keep the factorization sparse).  Dirichlet dofs
+velocity in both upwind convection blocks, the buoyancy implicit, and the
+pressure mean fixed by a scalar Lagrange multiplier (handled as a
+bordered system to keep the factorization sparse).  The buoyancy is
+affine, F(y) = F_y y + F0, the only kind the model has: its block
+kron(M, F_y) never changes and F0 is a constant load.  Dirichlet dofs
 (velocity on the whole boundary, transported scalars on the Dirichlet
 part) are eliminated and carried by a discrete lifting.
 
@@ -47,17 +49,15 @@ interleave state linearizations with active-set updates; ``solve_state``
 drives the stepper to the increment tolerance.
 """
 
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp
 
 from . import assembly as asm
-from .linalg import BorderedSolver, SolverError
+from .linalg import BorderedSolver, SolverError, _frees_on_failure
 from .norms import broken_velocity_norm, broken_transport_norm
-from .spaces import (CRVectorField, P0Field, cr_values_on_cells,
-                     cr_cell_gradients)
+from .spaces import CRVectorField, P0Field, cr_cell_gradients
 
 # Lagged Newton LU: once the increment contracted by at least
 # _LAG_CONTRACTION (the factor of the Picard->Newton switch), the solves of
@@ -142,20 +142,13 @@ def _balance_boundary_flux(mesh, values):
     return values - (flux / perimeter) * n
 
 
-def _buoyancy_load(mesh, params, y_dof):
-    """(F(y_h), v) by quadrature, for buoyancy lagged to the right side."""
-    q = mesh.cell_quadrature
-    Fq = params.buoyancy_at(cr_values_on_cells(mesh, y_dof, q.bary))
-    return asm._cell_load(mesh, np.einsum("cq,cqd,qi->cid", q.wts, Fq, q.psi))
-
-
 class _Dofs:
     """Free/fixed dofs, the bordered (u, p, y) free-dof layout, the
     iterate-independent blocks and where the blocks land in J
     (``jacobian``).  ``reaction``, ``cross``, ``penalty`` (the jump
     penalty) and ``MF_entries`` are (entry numbers, values) on the mesh's
-    vector pattern; ``MF`` is the affine buoyancy coupling matrix.
-    ``penalty`` and ``MF`` are None when absent."""
+    vector pattern; ``MF`` is the buoyancy coupling matrix kron(M, F_y).
+    ``penalty`` is None when absent."""
 
     def __init__(self, mesh, params, y_bc, u_bc, penalty_a0=0.0):
         ne = mesh.num_edges
@@ -199,9 +192,8 @@ class _Dofs:
             mesh, params.diffusion))
         self.penalty = V.entries(asm.assemble_jump_penalty(
             mesh, penalty_a0, params.nu2)) if penalty_a0 > 0 else None
-        self.MF = asm.assemble_buoyancy_coupling(mesh, params) \
-            if params.F_jac is None else None
-        self.MF_entries = None if self.MF is None else V.entries(self.MF)
+        self.MF = asm.assemble_buoyancy_coupling(mesh, params)
+        self.MF_entries = V.entries(self.MF)
         self.area = asm.assemble_mean_constraint(mesh)
         self.B_free = self.B[:, self.iu_free]
         # scale only the continuity rows by 1/|K| so the solver residual
@@ -259,12 +251,11 @@ class _JacobianPlan:
         ju[dofs.iu_free] = np.arange(nu)
         jy = np.full(V.shape[0], -1, dtype=np.int32)
         jy[dofs.iy_free] = np.arange(nu + nc, n)
-        MF = plan.vector_cell.stored if dofs.MF is None \
-            else V.mask(dofs.MF_entries[0])
         # the entries each block may store: A_uu, K_uy, K_yu, A_tr
         lifted = plan.lift(np.ones(plan.scalar.nnz, dtype=bool))
         held = (lifted | V.mask(dofs.reaction[0]) | plan.advecting.stored,
-                plan.coupling.stored | MF, plan.advecting.stored,
+                plan.coupling.stored | V.mask(dofs.MF_entries[0]),
+                plan.advecting.stored,
                 lifted | V.mask(dofs.cross[0]))
         vrows = V.rows
         rows, cols, src = [], [], []
@@ -339,21 +330,15 @@ class Linearization:
             A_mom += plan.advecting.into(asm._advecting_local(mesh, u, u))
             K_uy = plan.coupling.into(asm._viscosity_local(mesh, u, y[:, 0],
                                                            params))
-            if dofs.MF is None:
-                K_uy -= plan.vector_cell.into(asm._buoyancy_local(
-                    mesh, params, y))
-            else:
-                K_uy[dofs.MF_entries[0]] -= dofs.MF_entries[1]
+            K_uy[dofs.MF_entries[0]] -= dofs.MF_entries[1]
             # the raw linearization keeps its stored zeros
             K_yu = (plan.advecting.into(asm._advecting_local(mesh, u, y)),
                     plan.advecting.stored)
             blocks = ((A_mom, A_mom != 0), (K_uy, K_uy != 0), K_yu)
         else:
-            K_uy = None  # -MF keeps its stored entries
-            if dofs.MF is not None:
-                at, MF = dofs.MF_entries
-                K_uy = (np.zeros(A_mom.size), plan.vector.mask(at))
-                K_uy[0][at] = -MF
+            at, MF = dofs.MF_entries  # -MF keeps its stored entries
+            K_uy = (np.zeros(A_mom.size), plan.vector.mask(at))
+            K_uy[0][at] = -MF
             blocks = ((A_mom, A_mom != 0), K_uy, None)
         self.J = dofs.jacobian.assemble(blocks + ((A_tr, A_tr != 0),))
         self.solver, self._lagged = kept, kept is not None
@@ -377,27 +362,23 @@ class Linearization:
 
     def residual(self, p, b_mom, b_tr):
         """Full-length momentum and transport residuals at (u, p, y); the
-        loads ``b_mom`` are subtracted in turn, the buoyancy as MF y
-        (affine) or as the load F(y_h)."""
+        loads ``b_mom`` are subtracted in turn, then the buoyancy MF y."""
         dofs = self.dofs
         r_mom = self.A_mom @ self.u.reshape(-1) + dofs.B.T @ p
         for b in b_mom:
             r_mom = r_mom - b
-        if dofs.MF is not None:
-            r_mom = r_mom - dofs.MF @ self.y.reshape(-1)
-        else:
-            r_mom = r_mom - _buoyancy_load(dofs.mesh, dofs.params, self.y)
+        r_mom = r_mom - dofs.MF @ self.y.reshape(-1)
         return r_mom, self.A_tr @ self.y.reshape(-1) - b_tr
 
 
 def _loads(mesh, params, forcing_mom, forcing_tr):
-    """Momentum load (forcing, plus F0 for affine buoyancy) and transport
-    load (forcing), both independent of the iterate and the control."""
+    """Momentum load (forcing, plus the buoyancy's constant F0) and
+    transport load (forcing), both independent of the iterate and the
+    control."""
     b_mom = np.zeros(2 * mesh.num_edges)
     if forcing_mom is not None:
         b_mom += asm.assemble_load(mesh, forcing_mom, ncomp=2)
-    if params.F_jac is None and params.F0 is not None \
-            and np.any(params.F0 != 0.0):
+    if params.F0 is not None and np.any(params.F0 != 0.0):
         b_mom += asm.assemble_p0_load(
             mesh, np.tile(params.F0, (mesh.num_cells, 1)))
     b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
@@ -495,7 +476,7 @@ class StateStepper:
 
     def step(self):
         """Advance one Picard or Newton step; returns the increment norm."""
-        mesh, params, dofs = self.mesh, self.params, self.dofs
+        dofs = self.dofs
         nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
         # a Picard step drops a handed linearization before it assembles
@@ -507,9 +488,7 @@ class StateStepper:
 
         if not self.newton:
             b_mom = self.b_forcing + self.b_control
-            if dofs.MF is None:
-                b_mom = b_mom + _buoyancy_load(mesh, params, y)
-            elif dofs.iy_fixed.size:
+            if dofs.iy_fixed.size:
                 b_mom = b_mom + dofs.MF[:, dofs.iy_fixed] \
                     @ dofs.y_fixed_values.reshape(-1)
             b_mom_free = b_mom[dofs.iu_free] \
@@ -572,6 +551,7 @@ class StateStepper:
             penalty_a0=self.penalty_a0)
 
 
+@_frees_on_failure
 def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
                 forcing_mom=None, forcing_tr=None, penalty_a0=0.0):
     """Solve the nonlinear discrete state system for a given control.
@@ -611,21 +591,14 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
                            settings=settings, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
-    try:
-        for _ in range(stepper.settings.max_iter):
-            incr = stepper.step()
-            if stepper.converged(incr):
-                return stepper.solution()
-        raise NonconvergenceError(
-            "state iteration did not reach tol={} in {} steps".format(
-                stepper.settings.tol, stepper.settings.max_iter),
-            stepper.increments)
-    except SolverError as exc:
-        # the error keeps its message and history; the solver state of the
-        # failed step (linearization, layout, LUs) goes with the frames
-        traceback.clear_frames(exc.__traceback__)
-        del stepper
-        raise
+    for _ in range(stepper.settings.max_iter):
+        incr = stepper.step()
+        if stepper.converged(incr):
+            return stepper.solution()
+    raise NonconvergenceError(
+        "state iteration did not reach tol={} in {} steps".format(
+            stepper.settings.tol, stepper.settings.max_iter),
+        stepper.increments)
 
 
 def state_residual(mesh, params, solution, y_bc=None, control=None,

@@ -8,6 +8,7 @@ derivatives.  A central finite-difference oracle cross-checks those
 derivatives before any convergence run is trusted.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +235,11 @@ def manufactured_forcing(case, x, y):
     f_tr : ndarray (2, ...)
         -div(D grad y) + (u . grad) y.
     """
+    return _momentum_forcing(case, x, y), _transport_forcing(case, x, y)
+
+
+def _momentum_forcing(case, x, y):
+    """The momentum half of ``manufactured_forcing``."""
     x = np.asarray(x, dtype=float)
     y_ = np.asarray(y, dtype=float)
     u = case.u(x, y_)
@@ -245,14 +251,18 @@ def manufactured_forcing(case, x, y):
     conv = np.einsum("j...,ij...->i...", u, gu)
     visc = nu * case.lap_u(x, y_) \
         + nuT * np.einsum("j...,ij...->i...", gT, gu)
-    f_mom = case.sigma * u + conv - visc + case.grad_p(x, y_) \
+    return case.sigma * u + conv - visc + case.grad_p(x, y_) \
         - case.buoyancy(x, y_) - case.U(x, y_)
 
-    gy = case.grad_y(x, y_)
-    conv_y = np.einsum("j...,ij...->i...", u, gy)
+
+def _transport_forcing(case, x, y):
+    """The transport half of ``manufactured_forcing``."""
+    x = np.asarray(x, dtype=float)
+    y_ = np.asarray(y, dtype=float)
+    conv_y = np.einsum("j...,ij...->i...", case.u(x, y_),
+                       case.grad_y(x, y_))
     diff_y = np.einsum("ij,j...->i...", case.diffusion, case.lap_y(x, y_))
-    f_tr = -diff_y + conv_y
-    return f_mom, f_tr
+    return -diff_y + conv_y
 
 
 def tracking_data(case):
@@ -534,6 +544,8 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
     weights = NormWeights.from_case(case,
                                     include_jump=regime.modified_norm)
     data = tracking_data(case)
+    f_mom = functools.partial(_momentum_forcing, case)
+    f_tr = functools.partial(_transport_forcing, case)
     settings = pdas_settings or PdasSettings(
         lam=case.lam, tol=1e-6, tol_mode="absolute",
         inner=NonlinearSettings(tol=1e-10, max_iter=100))
@@ -548,12 +560,6 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
         mesh = build_unit_square_mesh(n)
         y_bc = boundary_interpolate(lambda x, y_: case.y(x, y_), mesh)
         u_bc = boundary_interpolate(lambda x, y_: case.u(x, y_), mesh)
-
-        def f_mom(x, y_):
-            return manufactured_forcing(case, x, y_)[0]
-
-        def f_tr(x, y_):
-            return manufactured_forcing(case, x, y_)[1]
 
         result = pdas_solve(mesh, params, y_bc, data, case.bounds,
                             settings=settings, u_bc=u_bc,

@@ -22,8 +22,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProblemParams(diffusion=np.array([[1.0, 5.0],
                                           [5.0, 1.0]])).validate()
-    with pytest.raises(ValueError):
-        ProblemParams(F_fun=lambda yv: yv)  # Jacobian required
 
 
 def test_sigma_bar_is_max_entry():
@@ -305,12 +303,17 @@ def test_viscosity_coupling_fd(mesh4):
 
 
 def test_buoyancy_coupling_affine_vs_general(mesh4):
+    # kron(M, F_y) is the general form int (F_y dy) . v with its constant
+    # Jacobian sampled at the cell rule's points; no F_y, no coupling
     Fy = np.array([[0.0, 0.0], [1.0, 2.0]])
-    p_affine = ProblemParams(F_y=Fy)
-    p_general = ProblemParams(F_jac=lambda yv: np.broadcast_to(
-        Fy, yv.shape[:-1] + (2, 2)))
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal((mesh4.num_edges, 2))
-    Ma = asm.assemble_buoyancy_coupling(mesh4, p_affine)
-    Mg = asm.assemble_buoyancy_coupling(mesh4, p_general, y)
+    q = mesh4.cell_quadrature
+    loc = np.einsum("cq,qi,qj,de->cidje", q.wts, q.psi, q.psi, Fy)
+    vdofs = (2 * mesh4.cell_edges[:, :, None] + np.arange(2)).reshape(
+        mesh4.num_cells, 6)
+    n = 2 * mesh4.num_edges
+    Mg = sp.coo_matrix((loc.ravel(), (np.repeat(vdofs, 6, axis=1).ravel(),
+                                      np.tile(vdofs, (1, 6)).ravel())),
+                       shape=(n, n)).tocsr()
+    Ma = asm.assemble_buoyancy_coupling(mesh4, ProblemParams(F_y=Fy))
     assert abs(Ma - Mg).max() < 1e-12
+    assert asm.assemble_buoyancy_coupling(mesh4, ProblemParams()).nnz == 0

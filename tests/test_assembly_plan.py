@@ -157,17 +157,9 @@ def ref_viscosity(mesh, u, T, params):
                    (2 * ne, 2 * ne))
 
 
-def ref_buoyancy(mesh, params, y):
-    ne = mesh.num_edges
-    if params.F_jac is None:
-        Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
-        return sp.kron(asm.assemble_mass(mesh), Fy, format="csr")
-    q = mesh.cell_quadrature
-    yq = np.einsum("qi,cid->cqd", q.psi, y[mesh.cell_edges])
-    Fj = np.asarray(params.F_jac(yq), dtype=float)
-    loc = np.einsum("cq,qi,qj,cqde->cidje", q.wts, q.psi, q.psi, Fj)
-    vd = ref_cell_dofs(mesh, 2)
-    return ref_coo(loc, vd, vd, (2 * ne, 2 * ne))
+def ref_buoyancy(mesh, params):
+    Fy = params.F_y if params.F_y is not None else np.zeros((2, 2))
+    return sp.kron(asm.assemble_mass(mesh), Fy, format="csr")
 
 
 def ref_linearization(dofs, u, y, penalty_a0, newton):
@@ -180,15 +172,13 @@ def ref_linearization(dofs, u, y, penalty_a0, newton):
         P = ref_facet_blocks(mesh, coef, -coef, -coef, coef)
         A_mom = A_mom + sp.kron(P, sp.eye(2), format="csr")
     A_tr = sp.kron(ref_stiffness(mesh), params.diffusion, format="csr") + N
-    MF = ref_buoyancy(mesh, params, y) if params.F_jac is None else None
+    MF = ref_buoyancy(mesh, params)
     if newton:
-        if MF is None:
-            MF = ref_buoyancy(mesh, params, y)
         A_uu = A_mom + ref_advecting(mesh, u, u)
         K_uy = ref_viscosity(mesh, u, y[:, 0], params) - MF
         K_yu = ref_advecting(mesh, u, y)
     else:
-        A_uu, K_uy, K_yu = A_mom, None if MF is None else -MF, None
+        A_uu, K_uy, K_yu = A_mom, -MF, None
 
     def sub(A, rows, cols):
         return None if A is None else A[rows][:, cols]
@@ -223,16 +213,8 @@ def _params(kind):
     elif kind == "diagonal_sigma":
         base["sigma"] = np.array([[2.0, 0.0], [0.0, 3.0]])
         base["diffusion"] = np.eye(2)
-    elif kind == "general_buoyancy":
-        base.update(F_y=None, F0=None,
-                    F_fun=lambda y: np.stack([np.sin(y[..., 1]),
-                                              y[..., 0] ** 2], axis=-1),
-                    F_jac=lambda y: np.stack([
-                        np.stack([np.zeros_like(y[..., 0]),
-                                  np.cos(y[..., 1])], axis=-1),
-                        np.stack([2.0 * y[..., 0],
-                                  np.zeros_like(y[..., 0])], axis=-1)],
-                        axis=-2))
+    elif kind == "no_buoyancy":  # an empty coupling block
+        base.update(F_y=None, F0=None)
     return asm.ProblemParams(**base)
 
 
@@ -256,7 +238,7 @@ def _iterate(mesh, kind, rng):
     ("zero", "affine", 0.0),
     ("divfree", "affine", 0.0),
     ("random", "affine", 2.5),
-    ("divfree", "general_buoyancy", 0.0),
+    ("divfree", "no_buoyancy", 0.0),
     ("random", "matrix_sigma", 0.0),
     ("random", "diagonal_sigma", 1.0)])
 def test_linearization_matches_coo_assembly(n, newton, iterate, kind, a0):
@@ -287,14 +269,14 @@ def test_assembled_blocks_match_coo_assembly(n):
     for carried in (u, y[:, :1], rng.standard_normal((ne, 3))):
         assert_same(asm.assemble_advecting_linearization(mesh, u, carried),
                     ref_advecting(mesh, u, carried))
-    for kind in ("affine", "matrix_sigma", "general_buoyancy"):
+    for kind in ("affine", "matrix_sigma", "no_buoyancy"):
         params = _params(kind)
         assert_same(asm.assemble_brinkman_diffusion(mesh, y[:, 0], params),
                     ref_brinkman(mesh, y[:, 0], params))
         assert_same(asm.assemble_viscosity_coupling(mesh, u, y[:, 0], params),
                     ref_viscosity(mesh, u, y[:, 0], params))
-        assert_same(asm.assemble_buoyancy_coupling(mesh, params, y),
-                    ref_buoyancy(mesh, params, y))
+        assert_same(asm.assemble_buoyancy_coupling(mesh, params),
+                    ref_buoyancy(mesh, params))
     coef = 2.0 / mesh.h_edge
     assert_same(asm.assemble_jump_penalty(mesh, 2.0, 1.0),
                 sp.kron(ref_facet_blocks(mesh, coef, -coef, -coef, coef),
@@ -328,8 +310,7 @@ def test_plan_lifetime(monkeypatch):
     arrays = [plan.transpose, *plan._lift]
     for pattern in (plan.scalar, plan.vector):
         arrays += [pattern.indices, pattern.indptr]
-    for s in (plan.cell, plan.facet, plan.coupling, plan.vector_cell,
-              plan.advecting):
+    for s in (plan.cell, plan.facet, plan.coupling, plan.advecting):
         arrays += [s.perm, s.at]
     jac = _Dofs(mesh, params, y_bc, None).jacobian
     arrays += [jac.src, jac.rows, jac.indptr, jac.constant]

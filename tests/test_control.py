@@ -207,6 +207,32 @@ def test_pdas_nonconvergence_error():
                    forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
 
 
+def test_failed_pdas_frees_its_solver_state(monkeypatch):
+    # the kept error keeps its history and traceback, but not the solver
+    # state of the failed loop: stepper, layout and LUs go with the frames
+    import gc
+    import weakref
+    from ddopt import cli, linalg
+    from ddopt.mesh import build_unit_square_mesh
+    from ddopt.state import StateStepper
+
+    alive = weakref.WeakSet()
+    for cls in (StateStepper, linalg.DirectSolver):
+        def tracked(self, *args, _init=cls.__init__, **kwargs):
+            alive.add(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", tracked)
+    params, _ = cli.derive_cavity_coefficients(_cavity_8())
+    mesh = build_unit_square_mesh(8)
+    with pytest.raises(PdasNonconvergence) as failed:
+        pdas_solve(mesh, params, cli.cavity_boundary_trace(mesh),
+                   TrackingData(), ControlBounds.symmetric(0.005),
+                   settings=PdasSettings(max_iter=1))
+    assert len(failed.value.set_changes) == 1
+    gc.collect()
+    assert failed.value.__traceback__ is not None and not list(alive)
+
+
 def test_settings_validation():
     for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"tol": 0.0},
                    {"tol": -1.0}, {"max_iter": 0}):

@@ -171,26 +171,6 @@ def test_residual_rejects_nan(mesh4):
         state_residual(mesh4, params, bad)
 
 
-def test_lagged_general_buoyancy_matches_affine():
-    # the same affine F supplied as a general callable must give the same
-    # solution through the lagged right-hand side path
-    s = manufactured_setup(8)
-    sol_a = solve_state(s["mesh"], s["params"], s["y_bc"], u_bc=s["u_bc"],
-                        forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
-    pg = ProblemParams(
-        sigma=s["params"].sigma, diffusion=s["params"].diffusion,
-        nu=s["params"].nu, nu_T=s["params"].nu_T, nu1=s["params"].nu1,
-        nu2=s["params"].nu2,
-        F_fun=lambda yv: yv @ s["case"].F_y.T,
-        F_jac=lambda yv: np.broadcast_to(s["case"].F_y,
-                                         yv.shape[:-1] + (2, 2)))
-    sol_g = solve_state(s["mesh"], pg, s["y_bc"], u_bc=s["u_bc"],
-                        forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
-                        settings=NonlinearSettings(tol=1e-12))
-    assert np.allclose(sol_g.u.dof, sol_a.u.dof, atol=1e-8)
-    assert np.allclose(sol_g.y.dof, sol_a.y.dof, atol=1e-8)
-
-
 def _cavity(n, ra, da, le):
     mesh = build_unit_square_mesh(n)
     params, _ = cli.derive_cavity_coefficients(
@@ -269,8 +249,9 @@ def test_state_blocks_assembled_once(monkeypatch):
 
 
 def test_one_cell_rule_per_mesh(monkeypatch):
-    # every cell integral of a forward solve reads the mesh's one cell
-    # rule: the degree-4 rule is built once, and its arrays are read-only
+    # every cell integral of a forward solve, and the cell averages of a
+    # function, read the mesh's one cell rule: the degree-4 rule is built
+    # once, and its arrays are read-only
     import sys
     from ddopt import quadrature
     mesh, params, y_bc = _cavity(12, 100.0, 1e-3, 10.0)
@@ -288,6 +269,8 @@ def test_one_cell_rule_per_mesh(monkeypatch):
     sol = solve_state(mesh, params, y_bc,
                       settings=NonlinearSettings(tol=1e-10))
     assert sol.iterations > 1
+    assert len(calls) == 1
+    p0_project(lambda x, y: x * y, mesh)
     assert len(calls) == 1
     q = mesh.cell_quadrature
     assert mesh.cell_quadrature is q

@@ -166,6 +166,41 @@ def test_transport_forcing_value_at_center():
     assert f_tr[0] == pytest.approx(250.0 * np.cos(0.25), rel=1e-12)
 
 
+def test_study_evaluates_each_forcing_half_once(monkeypatch):
+    # the study's momentum forcing computes no transport term and its
+    # transport forcing no momentum term; each equals its half of
+    # manufactured_forcing to the bit
+    from ddopt import verification
+    handed = {}
+
+    class Stop(Exception):
+        pass
+
+    def first_solve(*args, **kwargs):
+        handed.update(kwargs)
+        raise Stop
+
+    monkeypatch.setattr(verification, "pdas_solve", first_solve)
+    with pytest.raises(Stop):
+        run_convergence_study("flow", [2, 3, 4])
+    called = []
+    for name in ("lap_y", "grad_y", "lap_u", "grad_p", "U"):
+        def spy(self, *args, _name=name, _f=getattr(ManufacturedCase, name)):
+            called.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(ManufacturedCase, name, spy)
+    x, y = np.meshgrid(np.linspace(0.1, 0.9, 4), np.linspace(0.2, 0.7, 3))
+    f_mom = handed["forcing_mom"](x, y)
+    assert set(called) == {"lap_u", "grad_p", "U"}
+    del called[:]
+    f_tr = handed["forcing_tr"](x, y)
+    assert set(called) == {"grad_y", "lap_y"}
+    case = ManufacturedCase(sigma=1.0, nu2=1.0)
+    am, at = manufactured_forcing(case, x, y)
+    assert am.tobytes() == f_mom.tobytes()
+    assert at.tobytes() == f_tr.tobytes()
+
+
 def test_tracking_targets_match_fd_oracle():
     data = tracking_data(CASE)
     rng = np.random.default_rng(11)
