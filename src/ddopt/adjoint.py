@@ -36,29 +36,17 @@ __all__ = ["TrackingData", "AdjointSolution", "solve_adjoint",
            "gradient_of_reduced_cost"]
 
 
-class _FieldTarget:
-    """Discrete tracking target wrapping a CR dof array."""
-
-    def __init__(self, field):
-        self.dof = field.dof
-
-
 @dataclass
 class TrackingData:
-    """Desired states: callables of (x, y) or None for zero targets.
+    """Desired states: callables of (x, y), CR vector fields, or None for
+    zero targets.
 
-    ``u_d`` returns two velocity components, ``y_d`` the desired (T, S)
-    pair; CR fields can be passed through ``from_fields``.
+    A callable ``u_d`` returns two velocity components, ``y_d`` the desired
+    (T, S) pair, in any layout ``spaces._point_values`` reads; a field is
+    tracked through its dofs.
     """
     u_d: object = None
     y_d: object = None
-
-    @staticmethod
-    def from_fields(u_field, y_field):
-        """Tracking data given as discrete CR fields."""
-        return TrackingData(
-            u_d=None if u_field is None else _FieldTarget(u_field),
-            y_d=None if y_field is None else _FieldTarget(y_field))
 
 
 @dataclass
@@ -74,7 +62,7 @@ class AdjointSolution:
     phi: CRVectorField
     xi: P0Field
     eta: CRVectorField
-    xi_raw: object = None
+    xi_raw: np.ndarray
 
     def max_divergence(self):
         from .state import max_cell_div

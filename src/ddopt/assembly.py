@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .mesh import _advecting_scatter, _cell_dofs
-from .spaces import cr_values_on_cells, cr_cell_gradients
+from .spaces import _point_values, cr_values_on_cells, cr_cell_gradients
 
 __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
            "assemble_brinkman_diffusion", "assemble_divergence",
@@ -450,20 +450,16 @@ def assemble_jump_penalty(mesh, a0, nu2):
     return sp.kron(P, sp.eye(2), format="csr")
 
 
-def assemble_load(mesh, f, ncomp=2):
+def assemble_load(mesh, f):
     """Load vector (f, v) by the degree-4 cell rule.
 
-    f(x, y) returns a scalar array (ncomp=1) or two stacked components.
-    Vector loads are interleaved.
+    f(x, y) returns a scalar array, giving the scalar load, or components
+    in any layout ``spaces._point_values`` reads, giving the interleaved
+    vector load.
     """
     q = mesh.cell_quadrature
-    fv = np.asarray(f(q.pts[:, :, 0], q.pts[:, :, 1]), dtype=float)
-    if ncomp == 1:
-        fv = fv.reshape(mesh.num_cells, -1)
-        return _cell_load(mesh, np.einsum("cq,cq,qi->ci", q.wts, fv, q.psi))
-    if fv.shape[0] == ncomp:
-        fv = np.moveaxis(fv, 0, -1)
-    return _cell_load(mesh, np.einsum("cq,cqd,qi->cid", q.wts, fv, q.psi))
+    fv = _point_values(f, q.pts[:, :, 0], q.pts[:, :, 1])
+    return _cell_load(mesh, np.einsum("cq,cq...,qi->ci...", q.wts, fv, q.psi))
 
 
 def assemble_p0_load(mesh, U_cells):
@@ -482,27 +478,18 @@ def assemble_mean_constraint(mesh):
     return mesh.area_cell.copy()
 
 
-def _target_at(target, pts):
-    """Evaluate tracking data (a callable of x, y) at points (nc, nq, 2)."""
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    fv = np.asarray(target(x, y), dtype=float)
-    if fv.shape[0] == 2 and fv.shape != pts.shape[:2] + (2,):
-        fv = np.moveaxis(fv, 0, -1)
-    return fv
-
-
 def _difference_values(mesh, dof, target):
     """(field_h - target) at the cell quadrature points.
 
-    ``target`` may be None, a callable of (x, y), or an object carrying a
-    matching CR ``dof`` array (discrete target).
+    ``target`` may be None, a callable of (x, y), or a CR field (anything
+    carrying a matching ``dof`` array).
     """
     q = mesh.cell_quadrature
     if target is not None and hasattr(target, "dof"):
         return cr_values_on_cells(mesh, dof - target.dof, q.bary)
     vals = cr_values_on_cells(mesh, dof, q.bary)
     if target is not None:
-        vals = vals - _target_at(target, q.pts)
+        vals = vals - _point_values(target, q.pts[:, :, 0], q.pts[:, :, 1])
     return vals
 
 

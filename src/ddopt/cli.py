@@ -170,8 +170,9 @@ def derive_cavity_coefficients(config):
     return params, {"gr_t": gr_t, "gr_c": gr_c, "sc": sc}
 
 
-def cavity_wall_partition(mesh, tol=1e-12):
+def cavity_wall_partition(mesh):
     """Boundary edges per wall; each boundary edge lands in exactly one."""
+    tol = 1e-12
     mid = mesh.edge_midpoint[mesh.boundary_edges]
     walls = {
         "left": mesh.boundary_edges[mid[:, 0] < tol],
@@ -189,14 +190,14 @@ def cavity_wall_partition(mesh, tol=1e-12):
     return walls
 
 
-def cavity_boundary_trace(mesh, left_value=1.0, right_value=-1.0):
-    """Dirichlet trace for (T, C): hot/solutal left wall, cold right wall;
-    horizontal walls stay natural (adiabatic and impermeable)."""
+def cavity_boundary_trace(mesh):
+    """Dirichlet trace for (T, C): hot/solutal left wall at 1, cold right
+    wall at -1; horizontal walls stay natural (adiabatic and impermeable)."""
     walls = cavity_wall_partition(mesh)
     edges = np.concatenate([walls["left"], walls["right"]])
     values = np.vstack([
-        np.full((walls["left"].size, 2), left_value),
-        np.full((walls["right"].size, 2), right_value),
+        np.full((walls["left"].size, 2), 1.0),
+        np.full((walls["right"].size, 2), -1.0),
     ])
     return BoundaryTrace(mesh, edges, values)
 

@@ -263,7 +263,7 @@ def _adjoint_residual(lin, state, adjoint, data):
     """Euclidean norm of the adjoint equations' residual: the transposed
     bordered system of the linearization ``lin`` at ``state``."""
     dofs = lin.dofs
-    xi = adjoint.xi_raw if adjoint.xi_raw is not None else adjoint.xi.dof
+    xi = adjoint.xi_raw
     # the transposed bordered system's unknown on the pressure rows is
     # |K| xi, as the continuity rows of J carry 1/|K|
     x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(),

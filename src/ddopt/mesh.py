@@ -58,7 +58,8 @@ class Mesh:
     interior_edges, boundary_edges : ndarray of int
         Indices of the interior and the boundary edges.
     edge_traces
-        CR basis traces at the edge quadrature points (``_EdgeTraceData``).
+        The two-point Gauss rule on every edge, its physical points and the
+        CR basis traces there (``_EdgeTraceData``).
     cell_quadrature
         The degree-4 cell rule on every cell (``_CellQuadrature``).
     scatter_plan
@@ -181,17 +182,22 @@ class Mesh:
 
 
 class _EdgeTraceData:
-    """Per-edge trace values of the CR basis at the edge quadrature points.
+    """The two-point Gauss rule on every edge and the CR basis traces there.
 
-    For every edge and each adjacent side, stores the scalar dof (edge)
-    indices of the side's three basis functions and their trace values at
-    the edge quadrature points.
+    ``t`` and ``w`` (nq,) are the nodes on [0, 1] (from the lower vertex)
+    and the weights, ``pts`` (ne, nq, 2) the physical nodes.  For every edge
+    and each adjacent side, stores the scalar dof (edge) indices of the
+    side's three basis functions and their trace values at the nodes.
     """
 
-    def __init__(self, mesh, nq=2):
-        t, w = edge_quadrature(nq)
+    def __init__(self, mesh):
+        t, w = edge_quadrature()
+        nq = t.size
         self.t = t
         self.w = w
+        a = mesh.vertices[mesh.edges[:, 0]]
+        b = mesh.vertices[mesh.edges[:, 1]]
+        self.pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
         ne = mesh.num_edges
         self.dofs = np.full((ne, 2, 3), -1, dtype=np.int64)
         self.psi = np.zeros((ne, 2, nq, 3))

@@ -31,17 +31,17 @@ def tri_quadrature():
     return bary, weights
 
 
-def edge_quadrature(npts=2):
-    """Gauss rule on [0, 1].
+def edge_quadrature():
+    """Two-point Gauss rule on [0, 1] (exact for cubics).
 
     Returns
     -------
-    t : ndarray (npts,)
+    t : ndarray (2,)
         Nodes in (0, 1).
-    w : ndarray (npts,)
+    w : ndarray (2,)
         Weights summing to 1 (scale by the edge length).
     """
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = np.polynomial.legendre.leggauss(2)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -14,8 +14,6 @@ components are interleaved (global index 2*edge + component).
 
 import numpy as np
 
-from .quadrature import edge_quadrature
-
 __all__ = ["CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
            "cr_interpolate", "boundary_interpolate", "p0_project",
            "evaluate_cr", "gradient_cr", "cr_basis_values",
@@ -62,11 +60,10 @@ class CRVectorField:
 class P0Field:
     """Piecewise-constant field: one value (or a 2-vector) per cell."""
 
-    def __init__(self, mesh, dof=None, ncomp=1):
+    def __init__(self, mesh, dof=None):
         self.mesh = mesh
         if dof is None:
-            dof = np.zeros(mesh.num_cells) if ncomp == 1 \
-                else np.zeros((mesh.num_cells, ncomp))
+            dof = np.zeros(mesh.num_cells)
         self.dof = np.asarray(dof, dtype=float)
         if self.dof.shape[0] != mesh.num_cells:
             raise ValueError("dof length must equal the cell count")
@@ -148,11 +145,14 @@ def cr_cell_gradients(mesh, dof):
 
 
 def _point_values(f, x, y):
-    """f at the points (x, y) as (m,) scalar or (m, k) component values.
+    """f at the points (x, y) as scalar values of x's shape s, or as
+    component values of shape s + (k,).
 
-    f returns a scalar array, or a tuple or stacked array of components
-    on the leading axis; constants broadcast.  A stacked (k, m) array is
-    told from (m, k) values by its trailing shape, so with m == k it is
+    The one reader of a user function's output: every load, target,
+    interpolant and exact solution is sampled here.  f returns a scalar
+    array, or k components as a tuple or as an array stacked on the
+    leading axis (k,) + s; constants broadcast.  A stacked array is told
+    from s + (k,) values by its trailing shape, so where both match it is
     read as stacked, as documented.
     """
     v = f(x, y)
@@ -164,7 +164,15 @@ def _point_values(f, x, y):
     return np.broadcast_to(v, x.shape + v.shape[x.ndim:])
 
 
-def cr_interpolate(f, mesh, ncomp=None):
+def _edge_averages(f, mesh, edges):
+    """Averages of f over ``edges`` by the mesh's two-point Gauss rule."""
+    td = mesh.edge_traces
+    p = td.pts[edges]
+    fv = _point_values(f, p[..., 0], p[..., 1])
+    return td.w[0] * fv[:, 0] + td.w[1] * fv[:, 1]
+
+
+def cr_interpolate(f, mesh):
     """Nonconforming interpolation: dof per edge is the edge average of f.
 
     Edge averages are computed with a two-point Gauss rule (exact for
@@ -173,26 +181,16 @@ def cr_interpolate(f, mesh, ncomp=None):
     Parameters
     ----------
     f : callable
-        f(x, y) with array arguments; returns a scalar array or a tuple /
-        stacked array of two components.
+        f(x, y) with array arguments; returns a scalar array or two
+        components (see ``_point_values``).
     mesh : Mesh
-    ncomp : int, optional
-        Force scalar (1) or vector (2) output; inferred from f otherwise.
 
     Returns
     -------
     CRScalarField or CRVectorField
     """
-    t, w = edge_quadrature(2)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    acc = 0
-    for tk, wk in zip(t, w):
-        p = a + tk * (b - a)
-        acc = acc + wk * _point_values(f, p[:, 0], p[:, 1])
-    if ncomp is None:
-        ncomp = 1 if acc.ndim == 1 else 2
-    if ncomp == 1:
+    acc = _edge_averages(f, mesh, slice(None))
+    if acc.ndim == 1:
         return CRScalarField(mesh, acc)
     return CRVectorField(mesh, acc)
 
@@ -214,18 +212,10 @@ def boundary_interpolate(g, mesh, edges=None):
     if edges is None:
         edges = mesh.boundary_edges
     edges = np.asarray(edges, dtype=np.int64)
-    t, w = edge_quadrature(2)
-    a = mesh.vertices[mesh.edges[edges, 0]]
-    b = mesh.vertices[mesh.edges[edges, 1]]
-    acc = None
-    for tk, wk in zip(t, w):
-        p = a + tk * (b - a)
-        fv = _point_values(g, p[:, 0], p[:, 1])
-        acc = wk * fv if acc is None else acc + wk * fv
-    return BoundaryTrace(mesh, edges, acc)
+    return BoundaryTrace(mesh, edges, _edge_averages(g, mesh, edges))
 
 
-def p0_project(source, mesh, ncomp=None):
+def p0_project(source, mesh):
     """Cellwise L2 projection onto piecewise constants (cell averages).
 
     For a CR field the average of the affine function is its centroid value,

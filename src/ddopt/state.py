@@ -377,20 +377,18 @@ def _loads(mesh, params, forcing_mom, forcing_tr):
     control."""
     b_mom = np.zeros(2 * mesh.num_edges)
     if forcing_mom is not None:
-        b_mom += asm.assemble_load(mesh, forcing_mom, ncomp=2)
+        b_mom += asm.assemble_load(mesh, forcing_mom)
     if params.F0 is not None and np.any(params.F0 != 0.0):
         b_mom += asm.assemble_p0_load(
             mesh, np.tile(params.F0, (mesh.num_cells, 1)))
     b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
-        else asm.assemble_load(mesh, forcing_tr, ncomp=2)
+        else asm.assemble_load(mesh, forcing_tr)
     return b_mom, b_tr
 
 
 def _control_load(mesh, control):
     if control is None:
         return np.zeros(2 * mesh.num_edges)
-    if callable(control):
-        return asm.assemble_load(mesh, control, ncomp=2)
     dof = control.dof if isinstance(control, P0Field) else np.asarray(control)
     return asm.assemble_p0_load(mesh, dof)
 
@@ -408,7 +406,7 @@ class StateStepper:
     to Newton once the increment has dropped enough (or after a few
     steps).  Newton steps and the linearizations of ``linearize`` reuse a
     kept LU through GMRES while the increments contract fast (see the
-    module docstring).
+    module docstring).  The arguments are those of ``solve_state``.
     """
 
     def __init__(self, mesh, params, y_bc, control=None, settings=None,
@@ -563,15 +561,15 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
     y_bc : BoundaryTrace or None
         Dirichlet edge averages for (T, S); edges not referenced get the
         natural (zero-flux) condition.
-    control : P0Field, ndarray (nc, 2), callable or None
-        Distributed control (piecewise constant) or a momentum forcing
-        function.
+    control : P0Field, ndarray (nc, 2) or None
+        Distributed control, piecewise constant.
     settings : NonlinearSettings, optional
     u_bc : BoundaryTrace, optional
         Velocity Dirichlet averages (no-slip when omitted); a uniform
         normal-flux correction enforces discrete compatibility.
     forcing_mom, forcing_tr : callable, optional
-        Extra momentum / transport right-hand sides (manufactured data).
+        Extra momentum / transport right-hand sides (manufactured data),
+        two components each in any layout ``spaces._point_values`` reads.
     penalty_a0 : float
         Facet jump-penalty coefficient (Darcy regime), 0 disables.
 

@@ -22,7 +22,7 @@ def _state(n, tol=1e-10):
 
 def test_zero_rhs_gives_zero_adjoint():
     s, sol = _state(8)
-    data = TrackingData.from_fields(sol.u, sol.y)
+    data = TrackingData(u_d=sol.u, y_d=sol.y)
     adj = solve_adjoint(s["mesh"], s["params"], sol, data)
     assert np.abs(adj.phi.dof).max() < 1e-13
     assert np.abs(adj.eta.dof).max() < 1e-13
@@ -91,7 +91,8 @@ def test_buoyancy_block_is_transpose_of_state_coupling(mesh4):
 
 def test_gradient_formula_trivial_cases(mesh4):
     adj = AdjointSolution(phi=CRVectorField(mesh4), xi=P0Field(mesh4),
-                          eta=CRVectorField(mesh4))
+                          eta=CRVectorField(mesh4),
+                          xi_raw=np.zeros(mesh4.num_cells))
     U = np.full((mesh4.num_cells, 2), 0.7)
     g = gradient_of_reduced_cost(adj, P0Field(mesh4, U), 2.0)
     assert np.allclose(g.dof, 1.4, atol=1e-14)

@@ -227,10 +227,10 @@ def test_penalty_coefficient_darcy_value():
 
 def test_load_zero_and_partition_of_unity(mesh4):
     b = asm.assemble_load(mesh4, lambda x, y: np.stack(
-        [np.zeros_like(x), np.zeros_like(y)]), ncomp=2)
+        [np.zeros_like(x), np.zeros_like(y)]))
     assert np.all(b == 0)
     b = asm.assemble_load(mesh4, lambda x, y: np.stack(
-        [np.ones_like(x), np.zeros_like(y)]), ncomp=2)
+        [np.ones_like(x), np.zeros_like(y)]))
     assert b[0::2].sum() == pytest.approx(1.0, rel=1e-12)
     assert abs(b[1::2]).max() == 0.0
 

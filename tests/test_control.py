@@ -60,7 +60,7 @@ def test_attained_targets_drive_control_to_zero():
     uncontrolled = solve_state(s["mesh"], s["params"], s["y_bc"],
                                u_bc=s["u_bc"],
                                settings=NonlinearSettings(tol=1e-11))
-    data = TrackingData.from_fields(uncontrolled.u, uncontrolled.y)
+    data = TrackingData(u_d=uncontrolled.u, y_d=uncontrolled.y)
     # the targets are attained by the uncontrolled state, so the optimal
     # control is zero
     settings = PdasSettings(lam=1.0, tol=1e-8,

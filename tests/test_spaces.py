@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from ddopt import assembly as asm
+from ddopt.adjoint import TrackingData
 from ddopt.mesh import Mesh, build_unit_square_mesh
 from ddopt.spaces import (CRScalarField, CRVectorField, P0Field,
                           BoundaryTrace, cr_interpolate,
                           boundary_interpolate, p0_project, evaluate_cr,
                           gradient_cr, cr_basis_values)
+from ddopt.state import solve_state
 
 
 def find_edge(mesh, a, b):
@@ -77,6 +80,47 @@ def test_constant_components_broadcast(n):
     U = p0_project(lambda x, y: (1.0, 2.0), mesh).dof
     assert U.shape == (mesh.num_cells, 2)
     assert np.allclose(U, [1.0, 2.0], atol=1e-14)
+
+
+# the same two-component data in the three layouts a user function may use
+LAYOUTS = [
+    lambda x, y: (0.5, -1.25),
+    lambda x, y: (np.full_like(x, 0.5), np.full_like(y, -1.25)),
+    lambda x, y: np.stack([np.full_like(x, 0.5), np.full_like(y, -1.25)]),
+]
+
+
+def _state(mesh, f):
+    s = solve_state(mesh, asm.ProblemParams(), None, forcing_mom=f)
+    return np.concatenate([s.u.dof.ravel(), s.p.dof, s.y.dof.ravel()])
+
+
+def _tracked(mesh):
+    return np.random.default_rng(5).standard_normal((mesh.num_edges, 2))
+
+
+ENTRY_POINTS = {
+    "assemble_load": asm.assemble_load,
+    "solve_state": _state,
+    "tracking_load": lambda m, f: asm.tracking_load(m, _tracked(m), f),
+    "tracking_cost": lambda m, f: asm.tracking_cost(m, _tracked(m), f),
+    "cr_interpolate": lambda m, f: cr_interpolate(f, m).dof,
+    "boundary_interpolate": lambda m, f: boundary_interpolate(f, m).values,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_layout_samples_alike(mesh4, entry):
+    out = [np.asarray(ENTRY_POINTS[entry](mesh4, f)) for f in LAYOUTS]
+    assert all(o.tobytes() == out[0].tobytes() for o in out[1:])
+
+
+def test_cr_field_is_tracked_through_its_dofs(mesh4):
+    dof, target = np.random.default_rng(6).standard_normal(
+        (2, mesh4.num_edges, 2))
+    data = TrackingData(u_d=CRVectorField(mesh4, target))
+    assert asm.tracking_load(mesh4, dof, data.u_d).tobytes() \
+        == asm.tracking_load(mesh4, dof - target, None).tobytes()
 
 
 def test_p0_project_constant(mesh4):

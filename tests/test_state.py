@@ -130,7 +130,7 @@ def test_residual_zero_solution_equals_load_norm(mesh4):
         y_dirichlet_edges=np.zeros(0, dtype=np.int64))
     f = lambda x, y: np.stack([np.sin(x + y), np.cos(x - y)])
     res = state_residual(mesh4, params, zero, forcing_mom=f)
-    b = asm.assemble_load(mesh4, f, ncomp=2)
+    b = asm.assemble_load(mesh4, f)
     iu = asm.vector_indices(mesh4.interior_edges)
     assert res["momentum"] == pytest.approx(np.linalg.norm(b[iu]),
                                             rel=1e-12)
