@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .mesh import _advecting_scatter, _cell_dofs
+from .mesh import _cell_dofs
 from .spaces import _point_values, cr_values_on_cells, cr_cell_gradients
 
 __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
@@ -66,11 +66,8 @@ class ProblemParams:
     nu1, nu2 : float
         Lower/upper viscosity bounds (nu2 is also the gradient norm weight).
     F_y : (2, 2) ndarray, optional
-        Jacobian of the affine buoyancy F(y) = F_y y + F0, the only
-        buoyancy the model has; the solver keeps it implicit.  None means
-        no buoyancy.
-    F0 : (2,) ndarray
-        Constant part of the affine buoyancy.
+        The linear buoyancy F(y) = F_y y, the only buoyancy the model has;
+        the solver keeps it implicit.  None means no buoyancy.
     """
 
     sigma: object = 1.0
@@ -80,18 +77,13 @@ class ProblemParams:
     nu1: float = 1.0
     nu2: float = 1.0
     F_y: object = None
-    F0: object = None
 
     def __post_init__(self):
         if self.diffusion is None:
             self.diffusion = np.eye(2)
         self.diffusion = np.asarray(self.diffusion, dtype=float)
-        if self.F0 is not None:
-            self.F0 = np.asarray(self.F0, dtype=float)
         if self.F_y is not None:
             self.F_y = np.asarray(self.F_y, dtype=float)
-            if self.F0 is None:
-                self.F0 = np.zeros(2)
 
     @property
     def sigma_bar(self):
@@ -108,7 +100,7 @@ class ProblemParams:
             return np.zeros_like(np.asarray(T, dtype=float))
         return np.asarray(self.nu_T(T), dtype=float)
 
-    def validate(self, T_samples=None, s_samples=None):
+    def validate(self, T_samples=None):
         """Check the standing assumptions on the coefficients.
 
         Viscosity bounds are checked at sampled temperatures and positive
@@ -125,19 +117,18 @@ class ProblemParams:
                 or np.any(nu_vals > self.nu2 * (1 + 1e-12)):
             raise ValueError("nu(T) leaves [nu1, nu2] on sampled "
                              "temperatures")
-        if s_samples is None:
-            ang = np.linspace(0, 2 * np.pi, 17)
-            s_samples = np.column_stack([np.cos(ang), np.sin(ang)])
-        quad = np.einsum("sd,de,se->s", s_samples, self.diffusion, s_samples)
+        ang = np.linspace(0, 2 * np.pi, 17)
+        s = np.column_stack([np.cos(ang), np.sin(ang)])
+        quad = np.einsum("sd,de,se->s", s, self.diffusion, s)
         if np.any(quad <= 0):
             raise ValueError("diffusion matrix is not positive definite")
         return self
 
 
-def vector_indices(edges, ncomp=2):
-    """Interleaved dof indices for a set of edges (all components)."""
+def vector_indices(edges):
+    """Interleaved dof indices for a set of edges (both components)."""
     edges = np.asarray(edges, dtype=np.int64)
-    return (ncomp * edges[:, None] + np.arange(ncomp)[None, :]).ravel()
+    return (2 * edges[:, None] + np.arange(2)[None, :]).ravel()
 
 
 def _cell_load(mesh, loc):
@@ -149,22 +140,16 @@ def _cell_load(mesh, loc):
     return b
 
 
-def assemble_mass(mesh, coeff_cells=None, ncomp=1):
-    """Scalar CR mass matrix, optionally with a cellwise weight.
+def assemble_mass(mesh):
+    """Scalar CR mass matrix.
 
     The CR cell mass matrix is diagonal (int psi_i psi_j = delta_ij |K|/3),
-    so the matrix is assembled exactly.  For ncomp > 1 the 2-component
-    interleaved version kron(M, I) is returned.
+    so the matrix is assembled exactly.
     """
-    w = mesh.area_cell / 3.0
-    if coeff_cells is not None:
-        w = w * coeff_cells
     diag = np.zeros(mesh.num_edges)
-    np.add.at(diag, mesh.cell_edges.ravel(), np.repeat(w, 3))
-    M = sp.diags(diag).tocsr()
-    if ncomp == 1:
-        return M
-    return sp.kron(M, sp.eye(ncomp), format="csr")
+    np.add.at(diag, mesh.cell_edges.ravel(),
+              np.repeat(mesh.area_cell / 3.0, 3))
+    return sp.diags(diag).tocsr()
 
 
 def _stiffness_local(mesh, coeff_cells=None):
@@ -175,9 +160,9 @@ def _stiffness_local(mesh, coeff_cells=None):
     return np.einsum("cix,cjx,c->cij", grads, grads, c)
 
 
-def assemble_stiffness(mesh, coeff_cells=None):
-    """Scalar CR stiffness matrix sum_K c_K int_K grad u . grad v."""
-    return mesh.scatter_plan.cell.csr(_stiffness_local(mesh, coeff_cells))
+def assemble_stiffness(mesh):
+    """Scalar CR stiffness matrix int grad u . grad v."""
+    return mesh.scatter_plan.cell.csr(_stiffness_local(mesh))
 
 
 def _reaction_entries(mesh, sigma):
@@ -334,17 +319,18 @@ def assemble_advecting_linearization(mesh, w_dof, carried_dof):
     ----------
     w_dof : ndarray (ne, 2)
         Base advecting field (the state velocity).
-    carried_dof : ndarray (ne, k)
+    carried_dof : ndarray (ne, 2)
         Frozen transported field (velocity or (T, S) pair).
 
     Returns
     -------
-    csr_matrix (k*ne, 2*ne)
+    csr_matrix (2*ne, 2*ne)
     """
-    k = carried_dof.shape[1]
-    scatter = mesh.scatter_plan.advecting if k == 2 \
-        else _advecting_scatter(mesh, k)
-    return scatter.csr(_advecting_local(mesh, w_dof, carried_dof))
+    if carried_dof.shape[1] != 2:
+        raise ValueError("the carried field needs two components, got "
+                         "{}".format(carried_dof.shape[1]))
+    return mesh.scatter_plan.advecting.csr(
+        _advecting_local(mesh, w_dof, carried_dof))
 
 
 def _advecting_local(mesh, w_dof, carried_dof):

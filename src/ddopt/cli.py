@@ -20,7 +20,7 @@ from .linalg import SolverError
 from .mesh import build_unit_square_mesh
 from .spaces import BoundaryTrace, P0Field
 from .state import NonlinearSettings, solve_state
-from .verification import run_convergence_study, ERROR_NAMES
+from .verification import run_convergence_study, get_regime, ERROR_NAMES
 
 __all__ = ["main", "RunConfig", "ConfigError", "derive_cavity_coefficients",
            "cavity_wall_partition", "cavity_boundary_trace", "run_cavity",
@@ -202,6 +202,14 @@ def cavity_boundary_trace(mesh):
     return BoundaryTrace(mesh, edges, values)
 
 
+def _pdas_settings(config, inner):
+    """The PDAS settings of a run configuration, with the state solves'
+    settings ``inner``."""
+    mode = "relative" if config.tol_mode == "rel" else "absolute"
+    return PdasSettings(lam=config.lam, tol=config.tol, tol_mode=mode,
+                        inner=inner)
+
+
 def run_cavity(config, log=None):
     """Optimal control of the doubly diffusive porous cavity.
 
@@ -213,9 +221,8 @@ def run_cavity(config, log=None):
     data = TrackingData()  # zero desired states
     bounds = ControlBounds([config.lbound, config.lbound],
                            [config.ubound, config.ubound])
-    mode = "relative" if config.tol_mode == "rel" else "absolute"
-    settings = PdasSettings(lam=config.lam, tol=config.tol, tol_mode=mode,
-                            inner=NonlinearSettings(tol=1e-9, max_iter=200))
+    settings = _pdas_settings(config,
+                              NonlinearSettings(tol=1e-9, max_iter=200))
     if log is not None:
         log.write("cavity: n={} Da={:g} Ra={:g} Gr_T={:g} bounds=[{:g},{:g}]"
                   "\n".format(config.n, config.da, config.ra,
@@ -367,33 +374,34 @@ def write_errors_csv(report, stream):
 
 
 def _regime_params_for_solve(config):
-    from .verification import get_regime
     regime = get_regime(config.regime)
     nu2 = regime.nu2
     return ProblemParams(sigma=regime.sigma,
                          nu=lambda T: np.full_like(np.asarray(T, float),
                                                    nu2),
-                         nu1=nu2, nu2=nu2, diffusion=np.eye(2)), regime
+                         nu1=nu2, nu2=nu2, diffusion=np.eye(2))
+
+
+def _export_state(config, outdir, name, solution, control):
+    """Export a state and its control to ``<name>.<export format>``."""
+    bundle = {"mesh": solution.u.mesh, "u": solution.u, "p": solution.p,
+              "y": solution.y, "U": control}
+    export_fields(bundle, os.path.join(outdir, name + "." + config.export),
+                  config.export)
 
 
 def _cmd_convergence(config, outdir):
     # level k uses an (8 * 2^k) x (8 * 2^k) grid, matching the accuracy test
     ns = [8 * 2 ** k for k in range(config.levels)]
-    mode = "relative" if config.tol_mode == "rel" else "absolute"
-    settings = PdasSettings(lam=config.lam, tol=config.tol, tol_mode=mode,
-                            inner=NonlinearSettings(tol=1e-10))
-    report = run_convergence_study(config.regime, ns,
-                                   pdas_settings=settings,
-                                   keep_results=True)
+    report = run_convergence_study(
+        config.regime, ns,
+        pdas_settings=_pdas_settings(config, NonlinearSettings(tol=1e-10)),
+        keep_results=True)
     with open(os.path.join(outdir, "errors.csv"), "w") as fh:
         write_errors_csv(report, fh)
-    ext = "csv" if config.export == "csv" else "vtk"
     for k, result in enumerate(report.results):
-        bundle = {"mesh": result.state.u.mesh, "u": result.state.u,
-                  "p": result.state.p, "y": result.state.y,
-                  "U": result.control}
-        export_fields(bundle, os.path.join(
-            outdir, "fields_level{}.{}".format(k, ext)), config.export)
+        _export_state(config, outdir, "fields_level{}".format(k),
+                      result.state, result.control)
     print("convergence study ({} levels) written to {}".format(
         config.levels, outdir))
     for name in ERROR_NAMES:
@@ -406,28 +414,20 @@ def _cmd_cavity(config, outdir):
     log_path = os.path.join(outdir, "iterations.log")
     with open(log_path, "w") as log:
         result = run_cavity(config, log=log)
-    ext = "csv" if config.export == "csv" else "vtk"
-    bundle = {"mesh": result.state.u.mesh, "u": result.state.u,
-              "p": result.state.p, "y": result.state.y,
-              "U": result.control}
-    export_fields(bundle, os.path.join(outdir, "cavity_fields." + ext),
-                  config.export)
+    _export_state(config, outdir, "cavity_fields", result.state,
+                  result.control)
     print("cavity run converged in {} iterations; output in {}".format(
         result.iterations, outdir))
     return EXIT_OK
 
 
 def _cmd_solve(config, outdir):
-    params, _ = _regime_params_for_solve(config)
+    params = _regime_params_for_solve(config)
     mesh = build_unit_square_mesh(config.n)
     solution = solve_state(mesh, params, y_bc=None, control=None,
                            settings=NonlinearSettings(tol=1e-10))
-    ext = "csv" if config.export == "csv" else "vtk"
-    bundle = {"mesh": mesh, "u": solution.u, "p": solution.p,
-              "y": solution.y,
-              "U": P0Field(mesh, np.zeros((mesh.num_cells, 2)))}
-    export_fields(bundle, os.path.join(outdir, "solution." + ext),
-                  config.export)
+    _export_state(config, outdir, "solution", solution,
+                  P0Field(mesh, np.zeros((mesh.num_cells, 2))))
     print("forward solve done in {} nonlinear steps (Picard and Newton); "
           "output in {}".format(solution.iterations, outdir))
     return EXIT_OK

@@ -174,17 +174,20 @@ class BorderedSolver:
         if norm == 0.0:
             return np.zeros_like(b), 0.0
         best = None
-        for _ in range(_BORDERED_REFINE + 1):
-            rx = b - (self._core_product(self.K, x, transpose) + m * side.d)
-            rm = beta - float(side.e @ x)
-            res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
-            if best is None or res < best[0]:
-                best = (res, x.copy(), m)
-            if res <= _BORDERED_RTOL * norm:
-                return x, m
-            dx, dm = side.apply(rx, rm)
-            x = x + dx
-            m = m + dm
+        # a diverging refinement may overflow; it ends in the error below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_BORDERED_REFINE + 1):
+                rx = b - (self._core_product(self.K, x, transpose)
+                          + m * side.d)
+                rm = beta - float(side.e @ x)
+                res = np.sqrt(np.linalg.norm(rx) ** 2 + rm ** 2)
+                if best is None or res < best[0]:
+                    best = (res, x.copy(), m)
+                if res <= _BORDERED_RTOL * norm:
+                    return x, m
+                dx, dm = side.apply(rx, rm)
+                x = x + dx
+                m = m + dm
         res, x, m = best
         if res > _BORDERED_ACCEPT * norm:
             raise LinearSolveError(

@@ -339,51 +339,31 @@ def _conversion_order(rows, cols, shape):
 
 class _Scatter:
     """``coo_matrix((values, (rows, cols))).tocsr()`` for one fixed COO
-    index sequence, to the last bit, without the conversion.
+    index sequence, to the last bit, without the conversion, on a
+    ``target`` pattern that holds every pair of the sequence.
 
     scipy buckets the entries by row in input order, sorts each row by
     column (an unstable sort, whose permutation depends on the indices
-    alone) and adds each run of duplicates left to right.  The order is
-    recorded once by converting the entry numbers.  With the runs ranked
-    by length, the d-th members of the runs longer than d are one slice of
-    ``perm``, so ``into`` adds them one depth at a time over a prefix of
-    the runs: the same additions in the same order.  The sums land on the
-    entries ``at`` of the ``target`` pattern (by default the result's own
-    pattern), which ``stored`` marks.
+    alone) and adds each run of duplicates left to right, starting from
+    its first value.  ``perm`` records that order once, by converting the
+    entry numbers, and ``slot`` the target entry each member of ``perm``
+    lands on; ``stored`` marks those entries.  ``into`` adds the values in
+    that order onto -0.0, which leaves every first value as it is (-0.0
+    included, which a +0.0 start would turn into +0.0): the same sums.
     """
 
-    def __init__(self, rows, cols, shape, target=None):
-        perm, rows, cols = _conversion_order(rows, cols, shape)
-        start = np.ones(perm.size, dtype=bool)
-        start[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-        first = np.flatnonzero(start)
-        length = np.diff(np.append(first, perm.size))
-        rank = np.argsort(-length, kind="stable")
-        self.counts = [int(np.count_nonzero(length > d))
-                       for d in range(length.max(initial=0))]
-        self.perm = _frozen(np.concatenate(
-            [perm[first[rank[:k]] + d] for d, k in enumerate(self.counts)]))
-        self.target = _Pattern(rows[start], cols[start], shape) \
-            if target is None else target
-        head = first[rank]
-        self.at = _frozen(self.target.positions(rows[head], cols[head]))
-
-    @property
-    def stored(self):
-        return self.target.mask(self.at)
+    def __init__(self, rows, cols, target):
+        perm, rows, cols = _conversion_order(rows, cols, target.shape)
+        self.target = target
+        self.perm = _frozen(perm)
+        self.slot = _frozen(target.positions(rows, cols))
+        self.stored = _frozen(target.mask(self.slot))
 
     def into(self, values):
         """The summed values (in the order of the index sequence, any
         shape) on the target pattern, zero where nothing is stored."""
-        values = values.reshape(-1)
-        k = self.counts
-        sums = values[self.perm[:k[0]]]
-        offset = k[0]
-        for n in k[1:]:
-            sums[:n] += values[self.perm[offset:offset + n]]
-            offset += n
-        out = np.zeros(self.target.nnz)
-        out[self.at] = sums
+        out = np.where(self.stored, -0.0, 0.0)
+        np.add.at(out, self.slot, values.reshape(-1)[self.perm])
         return out
 
     def csr(self, values):
@@ -404,7 +384,7 @@ class _ScatterPlan:
     - ``coupling``: (nc, 3, 2, 3) rows over vector dofs, columns over the
       temperature component, the viscosity coupling;
     - ``advecting``: the advecting-slot linearization with a two-component
-      carried field (``_advecting_scatter``).
+      carried field (``_advecting_pairs``).
 
     The scalar blocks sum onto ``scalar``, the union of the cell and the
     facet pairs, and the vector ones onto ``vector``, the 2 x 2 component
@@ -433,11 +413,10 @@ class _ScatterPlan:
             (2 * ne, 2 * ne))
         self._lift = [_frozen(V.positions(2 * rows + c, 2 * S.indices + c))
                       for c in range(2)]
-        self.cell = _Scatter(*cell, S.shape, S)
-        self.facet = _Scatter(*facet, S.shape, S)
-        self.coupling = _Scatter(*_cell_pairs(_cell_dofs(ce, 2), 2 * ce),
-                                 V.shape, V)
-        self.advecting = _advecting_scatter(mesh, 2, V)
+        self.cell = _Scatter(*cell, S)
+        self.facet = _Scatter(*facet, S)
+        self.coupling = _Scatter(*_cell_pairs(_cell_dofs(ce, 2), 2 * ce), V)
+        self.advecting = _Scatter(*_advecting_pairs(mesh, ce, dofs), V)
 
     def lift(self, values):
         """Scalar values as vector values, kron with the 2 x 2 identity."""
@@ -454,24 +433,20 @@ def _facet_sides(mesh):
             (interior, 1, 0), (interior, 1, 1)]
 
 
-def _advecting_scatter(mesh, k, target=None):
-    """The advecting-slot linearization with a k-component carried field:
-    the cell blocks (nc, 3, k, 3, 2), then for each facet side pair with
-    edges e and each normal component x the rows (m, 3, k) in column
-    2 e + x."""
-    ce = mesh.cell_edges.astype(np.int32)
-    dofs = mesh.edge_traces.dofs.astype(np.int32)
-    rows, cols = ([a] for a in _cell_pairs(_cell_dofs(ce, k),
+def _advecting_pairs(mesh, ce, dofs):
+    """COO (rows, cols) of the advecting-slot linearization with a
+    two-component carried field, from the int32 cell edges ``ce`` and
+    facet dofs ``dofs``: the cell blocks (nc, 3, 2, 3, 2), then for each
+    facet side pair with edges e and each normal component x the rows
+    (m, 3, 2) in column 2 e + x."""
+    rows, cols = ([a] for a in _cell_pairs(_cell_dofs(ce, 2),
                                            _cell_dofs(ce, 2)))
     for edges, sr, _ in _facet_sides(mesh):
-        r = (k * dofs[edges, sr][:, :, None]
-             + np.arange(k, dtype=np.int32)).ravel()
+        r = _cell_dofs(dofs[edges, sr], 2).ravel()
         for x in range(2):
             rows.append(r)
-            cols.append(np.repeat(2 * edges.astype(np.int32) + x, 3 * k))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return _Scatter(rows, cols, (k * mesh.num_edges, 2 * mesh.num_edges),
-                    target)
+            cols.append(np.repeat(2 * edges.astype(np.int32) + x, 6))
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def build_unit_square_mesh(n):

@@ -7,14 +7,14 @@ system with the viscosity at the current temperature, the advecting
 velocity in both upwind convection blocks, the buoyancy implicit, and the
 pressure mean fixed by a scalar Lagrange multiplier (handled as a
 bordered system to keep the factorization sparse).  The buoyancy is
-affine, F(y) = F_y y + F0, the only kind the model has: its block
-kron(M, F_y) never changes and F0 is a constant load.  Dirichlet dofs
-(velocity on the whole boundary, transported scalars on the Dirichlet
-part) are eliminated and carried by a discrete lifting.
+linear, F(y) = F_y y, the only kind the model has: its block kron(M, F_y)
+never changes.  Dirichlet dofs (velocity on the whole boundary,
+transported scalars on the Dirichlet part) are eliminated and carried by
+a discrete lifting.
 
 Blocks that do not depend on the iterate are built once per layout
 (``_Dofs``): the divergence, the cross-diffusion, the jump penalty and the
-affine buoyancy coupling.  A ``Linearization`` builds the rest once per
+buoyancy coupling.  A ``Linearization`` builds the rest once per
 iterate: the Brinkman block (nu follows T), one upwind matrix N(u) shared
 by the momentum and transport operators, and the Newton couplings.  Its
 ``residual`` forms the momentum and transport residuals of the Newton
@@ -184,7 +184,7 @@ class _Dofs:
 
         # the constant terms of A_mom, A_tr and K_uy as entries of the
         # mesh's vector pattern: the reaction, the cross-diffusion, the
-        # jump penalty and the affine buoyancy coupling
+        # jump penalty and the buoyancy coupling
         V = mesh.scatter_plan.vector
         self.B = asm.assemble_divergence(mesh)
         self.reaction = asm._reaction_entries(mesh, params.sigma)
@@ -371,16 +371,12 @@ class Linearization:
         return r_mom, self.A_tr @ self.y.reshape(-1) - b_tr
 
 
-def _loads(mesh, params, forcing_mom, forcing_tr):
-    """Momentum load (forcing, plus the buoyancy's constant F0) and
-    transport load (forcing), both independent of the iterate and the
-    control."""
+def _loads(mesh, forcing_mom, forcing_tr):
+    """Momentum and transport loads of the forcings, both independent of
+    the iterate and the control."""
     b_mom = np.zeros(2 * mesh.num_edges)
     if forcing_mom is not None:
         b_mom += asm.assemble_load(mesh, forcing_mom)
-    if params.F0 is not None and np.any(params.F0 != 0.0):
-        b_mom += asm.assemble_p0_load(
-            mesh, np.tile(params.F0, (mesh.num_cells, 1)))
     b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
         else asm.assemble_load(mesh, forcing_tr)
     return b_mom, b_tr
@@ -422,8 +418,7 @@ class StateStepper:
         g = -dofs.B[:, dofs.iu_fixed] @ dofs.u_fixed_values.reshape(-1)
         self.g = (g - dofs.area * (g.sum() / dofs.area.sum())) / dofs.area
 
-        self.b_forcing, self.b_tr = _loads(mesh, params, forcing_mom,
-                                           forcing_tr)
+        self.b_forcing, self.b_tr = _loads(mesh, forcing_mom, forcing_tr)
         self.b_control = _control_load(mesh, control)
 
         self.u = dofs.full_u(np.zeros(dofs.nu_free))
@@ -622,7 +617,7 @@ def _residual_norms(lin, p, control, forcing_mom, forcing_tr):
     momentum and transport on the free dofs, the unscaled continuity
     residual B u and the pressure mean."""
     dofs = lin.dofs
-    b_mom, b_tr = _loads(dofs.mesh, dofs.params, forcing_mom, forcing_tr)
+    b_mom, b_tr = _loads(dofs.mesh, forcing_mom, forcing_tr)
     r_mom, r_tr = lin.residual(
         p, (b_mom, _control_load(dofs.mesh, control)), b_tr)
     return {

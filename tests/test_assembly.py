@@ -50,7 +50,7 @@ def test_brinkman_equals_mass_plus_stiffness_oracle(mesh4):
     params = ProblemParams(sigma=2.5, nu1=0.7, nu2=0.7,
                            nu=lambda T: 0.7 + 0.0 * T)
     A = asm.assemble_brinkman_diffusion(mesh4, None, params)
-    M = asm.assemble_mass(mesh4, ncomp=2)
+    M = sp.kron(asm.assemble_mass(mesh4), sp.eye(2))
     K = sp.kron(asm.assemble_stiffness(mesh4), sp.eye(2))
     assert abs(A - 2.5 * M - 0.7 * K).max() < 1e-12
 

@@ -40,10 +40,14 @@ def ref_cell_dofs(mesh, k):
             + np.arange(k)).reshape(mesh.num_cells, -1)
 
 
+def ref_pairs(rdofs, cdofs):
+    return (np.repeat(rdofs, cdofs.shape[1], axis=1).ravel(),
+            np.tile(cdofs, (1, rdofs.shape[1])).ravel())
+
+
 def ref_coo(loc, rdofs, cdofs, shape):
-    rows = np.repeat(rdofs, cdofs.shape[1], axis=1).ravel()
-    cols = np.tile(cdofs, (1, rdofs.shape[1])).ravel()
-    return sp.coo_matrix((loc.reshape(-1), (rows, cols)), shape=shape).tocsr()
+    return sp.coo_matrix((loc.reshape(-1), ref_pairs(rdofs, cdofs)),
+                         shape=shape).tocsr()
 
 
 def ref_stiffness(mesh, coeff=None):
@@ -67,21 +71,25 @@ def ref_brinkman(mesh, T_dof, params):
             + sp.kron(K, sp.eye(2))).tocsr()
 
 
-def ref_facet_blocks(mesh, coef11, coef12, coef21, coef22):
-    td = mesh.edge_traces
+def ref_facet_sides(mesh):
     interior = np.flatnonzero(~mesh.boundary_edge)
+    return ((np.arange(mesh.num_edges), 0, 0), (interior, 0, 1),
+            (interior, 1, 0), (interior, 1, 1))
+
+
+def ref_facet_pairs(mesh):
+    dofs = mesh.edge_traces.dofs
+    rows, cols = zip(*(ref_pairs(dofs[edges, sr], dofs[edges, sc])
+                       for edges, sr, sc in ref_facet_sides(mesh)))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def ref_facet_blocks(mesh, *coefs):
+    td = mesh.edge_traces
+    vals = [(td.pairs[edges, sr, sc] * coef[edges, None, None]).ravel()
+            for coef, (edges, sr, sc) in zip(coefs, ref_facet_sides(mesh))]
     ne = mesh.num_edges
-    rows, cols, vals = [], [], []
-    for edges, coefs, sr, sc in ((np.arange(ne), coef11, 0, 0),
-                                 (interior, coef12[interior], 0, 1),
-                                 (interior, coef21[interior], 1, 0),
-                                 (interior, coef22[interior], 1, 1)):
-        vals.append((td.pairs[edges, sr, sc]
-                     * coefs[:, None, None]).ravel())
-        rows.append(np.repeat(td.dofs[edges, sr], 3, axis=1).ravel())
-        cols.append(np.tile(td.dofs[edges, sc], (1, 3)).ravel())
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
+    return sp.coo_matrix((np.concatenate(vals), ref_facet_pairs(mesh)),
                          shape=(ne, ne)).tocsr()
 
 
@@ -104,9 +112,21 @@ def ref_upwind(mesh, w, n_components):
     return sp.kron(N, sp.eye(n_components), format="csr")
 
 
+def ref_advecting_pairs(mesh):
+    td = mesh.edge_traces
+    rows, cols = ([a] for a in ref_pairs(ref_cell_dofs(mesh, 2),
+                                         ref_cell_dofs(mesh, 2)))
+    for edges, sr, _ in ref_facet_sides(mesh):
+        for x in range(2):
+            r = 2 * td.dofs[edges, sr][:, :, None] + np.arange(2)
+            rows.append(r.ravel())
+            cols.append(np.broadcast_to((2 * edges + x)[:, None, None],
+                                        r.shape).ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def ref_advecting(mesh, w, carried):
     ne = mesh.num_edges
-    k = carried.shape[1]
     q = mesh.cell_quadrature
     grads = ref_gradients(mesh)
     cvals = np.einsum("qi,cid->cqd", q.psi, carried[mesh.cell_edges])
@@ -115,33 +135,20 @@ def ref_advecting(mesh, w, carried):
     t1 = 0.5 * np.einsum("cij,cmx->cimjx", mloc, cgrad)
     pc = np.einsum("cq,qj,cqm->cjm", q.wts, q.psi, cvals)
     t2 = -0.5 * np.einsum("cjm,cix->cimjx", pc, grads)
-    loc = t1 + t2
-    rd, cd = ref_cell_dofs(mesh, k), ref_cell_dofs(mesh, 2)
-    rows = [np.repeat(rd, cd.shape[1], axis=1).ravel()]
-    cols = [np.tile(cd, (1, rd.shape[1])).ravel()]
-    vals = [loc.reshape(-1)]
+    vals = [(t1 + t2).reshape(-1)]
     td = mesh.edge_traces
     a = np.einsum("ed,ed->e", w, mesh.edge_normal)
     sgn = np.sign(a)
-    dcoef = {(0, 0): np.where(mesh.boundary_edge, 0.5, 0.5 * sgn),
-             (0, 1): (a < 0).astype(float),
-             (1, 0): -(a > 0).astype(float),
-             (1, 1): 0.5 * sgn}
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    for (sr, sc), coef in dcoef.items():
-        edges = np.arange(ne) if (sr, sc) == (0, 0) else interior
+    dcoef = (np.where(mesh.boundary_edge, 0.5, 0.5 * sgn),
+             (a < 0).astype(float), -(a > 0).astype(float), 0.5 * sgn)
+    for (edges, sr, sc), coef in zip(ref_facet_sides(mesh), dcoef):
         rv = np.einsum("e,eij,ejm->eim", coef[edges], td.pairs[edges, sr, sc],
                        carried[td.dofs[edges, sc]])
         for x in range(2):
-            v = rv * mesh.edge_normal[edges, x][:, None, None]
-            r = k * td.dofs[edges, sr][:, :, None] + np.arange(k)
-            c = np.broadcast_to((2 * edges + x)[:, None, None], v.shape)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(k * ne, 2 * ne)).tocsr()
+            vals.append((rv * mesh.edge_normal[edges, x][:, None, None])
+                        .ravel())
+    return sp.coo_matrix((np.concatenate(vals), ref_advecting_pairs(mesh)),
+                         shape=(2 * ne, 2 * ne)).tocsr()
 
 
 def ref_viscosity(mesh, u, T, params):
@@ -207,14 +214,14 @@ def _params(kind):
     base = dict(sigma=1.0e3, diffusion=np.array([[1.0, 0.1], [0.2, 0.8]]),
                 nu=lambda T: 1.0 + 0.25 * np.tanh(T),
                 nu_T=lambda T: 0.25 / np.cosh(T) ** 2, nu1=0.75, nu2=1.25,
-                F_y=F_y, F0=np.array([0.0, 1.0]))
+                F_y=F_y)
     if kind == "matrix_sigma":
         base["sigma"] = np.array([[2.0, 0.5], [0.5, 3.0]])
     elif kind == "diagonal_sigma":
         base["sigma"] = np.array([[2.0, 0.0], [0.0, 3.0]])
         base["diffusion"] = np.eye(2)
     elif kind == "no_buoyancy":  # an empty coupling block
-        base.update(F_y=None, F0=None)
+        base["F_y"] = None
     return asm.ProblemParams(**base)
 
 
@@ -260,13 +267,11 @@ def test_assembled_blocks_match_coo_assembly(n):
     rng = np.random.default_rng(n)
     ne = mesh.num_edges
     u, y = rng.standard_normal((ne, 2)), rng.standard_normal((ne, 2))
-    coeff = rng.uniform(1.0, 2.0, mesh.num_cells)
-    assert_same(asm.assemble_stiffness(mesh, coeff),
-                ref_stiffness(mesh, coeff))
+    assert_same(asm.assemble_stiffness(mesh), ref_stiffness(mesh))
     for k in (1, 2):
         assert_same(asm.assemble_upwind_advection(mesh, u, k),
                     ref_upwind(mesh, u, k))
-    for carried in (u, y[:, :1], rng.standard_normal((ne, 3))):
+    for carried in (u, y):
         assert_same(asm.assemble_advecting_linearization(mesh, u, carried),
                     ref_advecting(mesh, u, carried))
     for kind in ("affine", "matrix_sigma", "no_buoyancy"):
@@ -282,6 +287,35 @@ def test_assembled_blocks_match_coo_assembly(n):
                 sp.kron(ref_facet_blocks(mesh, coef, -coef, -coef, coef),
                         sp.eye(2), format="csr"))
     assert np.array_equal(mesh.cell_gradients, ref_gradients(mesh))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_scatters_sum_as_coo_conversion(n):
+    # every sum starts from its first value as scipy's does: on all-(-0.0)
+    # values a +0.0 start would store +0.0
+    mesh = build_unit_square_mesh(n)
+    ne, ce = mesh.num_edges, mesh.cell_edges
+    plan = mesh.scatter_plan
+    rng = np.random.default_rng(n)
+    for scatter, pairs, shape in (
+            (plan.cell, ref_pairs(ce, ce), (ne, ne)),
+            (plan.facet, ref_facet_pairs(mesh), (ne, ne)),
+            (plan.coupling, ref_pairs(ref_cell_dofs(mesh, 2), 2 * ce),
+             (2 * ne, 2 * ne)),
+            (plan.advecting, ref_advecting_pairs(mesh), (2 * ne, 2 * ne))):
+        m = pairs[0].size
+        for values in (rng.standard_normal(m), np.full(m, -0.0)):
+            assert_same(scatter.csr(values),
+                        sp.coo_matrix((values, pairs), shape=shape).tocsr())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_advecting_linearization_needs_two_components(k):
+    mesh = build_unit_square_mesh(2)
+    ne = mesh.num_edges
+    with pytest.raises(ValueError):
+        asm.assemble_advecting_linearization(mesh, np.ones((ne, 2)),
+                                             np.ones((ne, k)))
 
 
 def test_plan_lifetime(monkeypatch):
@@ -311,7 +345,7 @@ def test_plan_lifetime(monkeypatch):
     for pattern in (plan.scalar, plan.vector):
         arrays += [pattern.indices, pattern.indptr]
     for s in (plan.cell, plan.facet, plan.coupling, plan.advecting):
-        arrays += [s.perm, s.at]
+        arrays += [s.perm, s.slot]
     jac = _Dofs(mesh, params, y_bc, None).jacobian
     arrays += [jac.src, jac.rows, jac.indptr, jac.constant]
     assert {a.dtype.name for a in arrays} == {"int32", "float64"}

@@ -3,7 +3,12 @@ import pytest
 from scipy import sparse as sp
 
 from ddopt import assembly as asm
-from ddopt.linalg import BorderedSolver, DirectSolver, SingularMatrixError
+from ddopt.cli import RunConfig, cavity_boundary_trace, \
+    derive_cavity_coefficients
+from ddopt.linalg import BorderedSolver, DirectSolver, LinearSolveError, \
+    SingularMatrixError
+from ddopt.mesh import build_unit_square_mesh
+from ddopt.state import NonlinearSettings, solve_state
 
 
 def test_identity_solve():
@@ -218,3 +223,16 @@ def test_non_finite_bordered_solve_raises():
     solver = BorderedSolver(K.tocsc(), e0, e0, pin_row=0, pin_col=0)
     with np.errstate(all="ignore"), pytest.raises(SingularMatrixError):
         solver.solve(np.array([0.0, 0.0, 1e10, 0.0]))
+
+
+def test_diverging_refinement_raises_typed_error():
+    # a diverging cavity solve (Ra 162.5, Da 10^-3.7, Le 2 + 18 * 0.95 on
+    # 12 x 12) ends in a bordered solve whose refinement overflows; under
+    # warnings-as-errors that must still surface as the typed error
+    mesh = build_unit_square_mesh(12)
+    params, _ = derive_cavity_coefficients(RunConfig({
+        "ra": 162.5, "da": 10.0 ** (-4.0 + 2.0 * 0.15),
+        "le": 2.0 + 18.0 * 0.95}))
+    with pytest.raises(LinearSolveError, match="stalled"):
+        solve_state(mesh, params, cavity_boundary_trace(mesh),
+                    settings=NonlinearSettings(tol=1e-10))

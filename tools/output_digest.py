@@ -1,0 +1,145 @@
+"""Print one SHA-256 per group of solver outputs, to check that a change
+keeps every result to the bit.
+
+    python3 tools/output_digest.py [group ...]
+
+runs the named groups (default: all) with the ``ddopt`` of the tree the
+script sits in and prints ``<group> <digest>`` per group; run it in two
+trees and compare the lines.  The groups follow the benchmark workloads:
+
+- ``sweep_4,6,8`` and ``sweep_8,12,16``: the two param_sweep lattices,
+  every point's u, p, y, iteration count and increments, or its solver
+  error's type and message;
+- ``forward_cavity``: the 32 x 32 cavity at Ra 100, Da 1e-3, Le 10;
+- ``cavity_control``: the 24 x 24 Da = 1e-3 PDAS run: state, adjoint
+  (phi, xi, xi_raw, eta), control, cost and control-change histories and
+  the KKT residuals;
+- ``accuracy_flow`` and ``accuracy_darcy``: the manufactured studies on
+  levels 8, 12, 16: errors, rates, iterations, divergences, VI residuals
+  and every level's state, adjoint and control.
+
+All groups take about 30 s on 2 vCPU.
+"""
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from ddopt import cli, control, state, verification  # noqa: E402
+from ddopt.linalg import SolverError  # noqa: E402
+from ddopt.mesh import build_unit_square_mesh  # noqa: E402
+
+SOLVE_TOL = 1e-10
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *items):
+        for item in items:
+            if isinstance(item, str):
+                self.h.update(item.encode())
+            elif isinstance(item, dict):
+                for key in sorted(item):
+                    self.add(key, item[key])
+            elif isinstance(item, (list, tuple)):
+                self.add(*item)
+            else:
+                a = np.ascontiguousarray(item)
+                self.h.update("{}{}".format(a.dtype.str, a.shape).encode())
+                self.h.update(a.tobytes())
+        return self
+
+    def hexdigest(self):
+        return self.h.hexdigest()
+
+
+def _state(d, solution):
+    d.add(solution.u.dof, solution.p.dof, solution.y.dof,
+          solution.iterations, solution.increments)
+
+
+def _opt(d, result):
+    _state(d, result.state)
+    adj = result.adjoint
+    d.add(adj.phi.dof, adj.xi.dof, adj.xi_raw, adj.eta.dof,
+          result.control.dof, result.iterations, result.cost_history,
+          result.control_changes)
+
+
+def _forward(n, ra, da, le):
+    mesh = build_unit_square_mesh(n)
+    config = cli.RunConfig({"n": n, "ra": ra, "da": da, "le": le})
+    params, _ = cli.derive_cavity_coefficients(config)
+    return state.solve_state(mesh, params, cli.cavity_boundary_trace(mesh),
+                             settings=state.NonlinearSettings(tol=SOLVE_TOL))
+
+
+def sweep(ns):
+    """The param_sweep lattice: ((k, 3k, 7k) mod 10 + 1/2) / 10 over
+    (Ra, log Da, Le) for every n."""
+    d = Digest()
+    for n in ns:
+        for k in range(10):
+            ra, log_da, le = (((k * g) % 10 + 0.5) / 10 for g in (1, 3, 7))
+            try:
+                _state(d, _forward(n, 50.0 + 150.0 * ra,
+                                   10.0 ** (-4.0 + 2.0 * log_da),
+                                   2.0 + 18.0 * le))
+            except SolverError as exc:
+                d.add(type(exc).__name__, str(exc))
+    return d
+
+
+def forward_cavity():
+    d = Digest()
+    _state(d, _forward(32, 100.0, 1e-3, 10.0))
+    return d
+
+
+def cavity_control():
+    config = cli.RunConfig({"n": 24, "da": 1e-3, "ra": 100.0,
+                            "lbound": -0.005, "ubound": 0.005, "tol": 1e-6,
+                            "tol_mode": "rel"})
+    result = cli.run_cavity(config)
+    d = Digest()
+    _opt(d, result)
+    return d.add(control.kkt_residuals(result))
+
+
+def accuracy(regime):
+    report = verification.run_convergence_study(regime, [8, 12, 16],
+                                                keep_results=True)
+    d = Digest().add(report.errors, report.rates, report.iterations,
+                     report.div_max, report.vi_res)
+    for result in report.results:
+        _opt(d, result)
+    return d
+
+
+GROUPS = {
+    "sweep_4,6,8": lambda: sweep((4, 6, 8)),
+    "sweep_8,12,16": lambda: sweep((8, 12, 16)),
+    "forward_cavity": forward_cavity,
+    "cavity_control": cavity_control,
+    "accuracy_flow": lambda: accuracy("flow"),
+    "accuracy_darcy": lambda: accuracy("darcy"),
+}
+
+
+def main(names):
+    for name in names or GROUPS:
+        if name not in GROUPS:
+            sys.exit("unknown group {!r}; groups: {}".format(
+                name, ", ".join(GROUPS)))
+        print(name, GROUPS[name]().hexdigest(), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
