@@ -103,8 +103,8 @@ class ProblemParams:
     def validate(self, T_samples=None):
         """Check the standing assumptions on the coefficients.
 
-        Viscosity bounds are checked at sampled temperatures and positive
-        definiteness of D at sampled directions.
+        Viscosity bounds are checked at sampled temperatures, and positive
+        definiteness of D exactly, on the eigenvalues of its symmetric part.
         """
         if self.nu1 <= 0:
             raise ValueError("nu1 must be positive")
@@ -117,10 +117,7 @@ class ProblemParams:
                 or np.any(nu_vals > self.nu2 * (1 + 1e-12)):
             raise ValueError("nu(T) leaves [nu1, nu2] on sampled "
                              "temperatures")
-        ang = np.linspace(0, 2 * np.pi, 17)
-        s = np.column_stack([np.cos(ang), np.sin(ang)])
-        quad = np.einsum("sd,de,se->s", s, self.diffusion, s)
-        if np.any(quad <= 0):
+        if np.linalg.eigvalsh(self.diffusion + self.diffusion.T)[0] <= 0:
             raise ValueError("diffusion matrix is not positive definite")
         return self
 

@@ -1,15 +1,22 @@
 """Batch command-line entry point: accuracy studies, the porous-cavity
 control experiment, single forward solves, and field export.
 
-Configuration is a flat INI file (key = value under sections, all keys
-optional) overridden by command-line flags.  Exit codes: 0 success,
-2 configuration error, 3 solver nonconvergence, 4 I/O failure.
+Every run setting is one row of ``_SETTINGS``: its section in the config
+file, type, default and check.  A run takes each setting from the
+defaults, then from a flat INI file (key = value under those sections,
+all keys optional), then from the command-line flags; ``pr``, ``le``,
+``sr``, ``du``, ``rk`` and ``nbuoy`` have no flag.  Exit codes: 0
+success, 2 configuration error (any invalid setting, a cavity diffusion
+matrix that is not positive definite included), 3 solver failure, 4 I/O
+failure.
 """
 
 import argparse
 import configparser
 import os
 import sys
+from collections import namedtuple
+from itertools import groupby
 
 import numpy as np
 
@@ -36,73 +43,70 @@ class ConfigError(ValueError):
     """Malformed configuration input."""
 
 
-_DEFAULTS = {
-    "regime": "flow",
-    "levels": 4,
-    "n": 64,
-    "da": 1e-3,
-    "ra": 100.0,
-    "pr": 0.71,
-    "le": 10.0,
-    "sr": 0.0,
-    "du": 0.1,
-    "rk": 1.0,
-    "nbuoy": 1.0,
-    "lambda": 1.0,
-    "lbound": -0.005,
-    "ubound": 0.005,
-    "tol": 1e-6,
-    "tol_mode": "rel",
-    "out": "out",
-    "export": "csv",
+# One row per run setting: its config-file section, type and default, the
+# values it may take (choices) or a (rule, test) pair that it must pass,
+# and whether a command-line flag sets it.
+_Setting = namedtuple("_Setting", "section kind default choices rule flag",
+                      defaults=((), None, True))
+
+_POSITIVE = ("positive", lambda v: v > 0)
+
+_SETTINGS = {
+    "regime": _Setting("run", str, "flow",
+                       choices=("flow", "stokes", "darcy")),
+    # a convergence study fits rates to three levels at least
+    "levels": _Setting("run", int, 4, rule=("at least 3", lambda v: v >= 3)),
+    "n": _Setting("run", int, 64, rule=_POSITIVE),
+    "out": _Setting("run", str, "out"),
+    "export": _Setting("run", str, "csv", choices=("csv", "vtk")),
+    "da": _Setting("physics", float, 1e-3, rule=_POSITIVE),
+    "ra": _Setting("physics", float, 100.0),
+    "pr": _Setting("physics", float, 0.71, rule=_POSITIVE, flag=False),
+    "le": _Setting("physics", float, 10.0, rule=_POSITIVE, flag=False),
+    "sr": _Setting("physics", float, 0.0, flag=False),
+    "du": _Setting("physics", float, 0.1, flag=False),
+    "rk": _Setting("physics", float, 1.0, flag=False),
+    "nbuoy": _Setting("physics", float, 1.0, flag=False),
+    "lambda": _Setting("physics", float, 1.0),
+    "lbound": _Setting("physics", float, -0.005),
+    "ubound": _Setting("physics", float, 0.005),
+    "tol": _Setting("solver", float, 1e-6, rule=_POSITIVE),
+    "tol_mode": _Setting("solver", str, "rel", choices=("abs", "rel")),
 }
 
-_FLOAT_KEYS = {"da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy", "lambda",
-               "lbound", "ubound", "tol"}
-_INT_KEYS = {"levels", "n"}
+
+def _attribute(key):
+    """The RunConfig attribute of a setting (``lambda`` is a keyword)."""
+    return "lam" if key == "lambda" else key
 
 
 class RunConfig:
-    """Validated run configuration (defaults, file values, CLI overrides)."""
+    """Validated run configuration: every setting of ``_SETTINGS`` from
+    ``values`` or its default; other keys of ``values`` are ignored."""
 
     def __init__(self, values):
-        for key, default in _DEFAULTS.items():
-            raw = values.get(key, default)
-            if key in _FLOAT_KEYS:
-                try:
-                    raw = float(raw)
-                except (TypeError, ValueError):
-                    raise ConfigError("key {!r}: expected a number, got "
-                                      "{!r}".format(key, raw)) from None
-                if not np.isfinite(raw):
-                    raise ConfigError("key {!r} must be finite".format(key))
-            elif key in _INT_KEYS:
-                try:
-                    raw = int(raw)
-                except (TypeError, ValueError):
-                    raise ConfigError("key {!r}: expected an integer, got "
-                                      "{!r}".format(key, raw)) from None
-            setattr(self, key if key != "lambda" else "lam", raw)
+        for key, setting in _SETTINGS.items():
+            raw = values.get(key, setting.default)
+            try:
+                value = setting.kind(raw)
+            except (TypeError, ValueError):
+                raise ConfigError("key {!r}: expected {}, got {!r}".format(
+                    key, setting.kind.__name__, raw)) from None
+            if setting.kind is float and not np.isfinite(value):
+                raise ConfigError("key {!r} must be finite".format(key))
+            if setting.choices and value not in setting.choices:
+                raise ConfigError("key {!r} must be one of {}, got {!r}"
+                                  .format(key, ", ".join(setting.choices),
+                                          value))
+            if setting.rule and not setting.rule[1](value):
+                raise ConfigError("key {!r} must be {}, got {!r}".format(
+                    key, setting.rule[0], value))
+            setattr(self, _attribute(key), value)
         if self.lbound >= self.ubound:
             raise ConfigError("control bounds must satisfy lbound < ubound")
-        if self.tol_mode not in ("abs", "rel"):
-            raise ConfigError("tol-mode must be 'abs' or 'rel'")
-        if self.export not in ("csv", "vtk"):
-            raise ConfigError("export must be 'csv' or 'vtk'")
-        if self.regime not in ("flow", "stokes", "darcy"):
-            raise ConfigError("regime must be flow, stokes or darcy")
-        if self.n < 1:
-            raise ConfigError("n must be positive")
-        if self.levels < 3:
-            raise ConfigError("a convergence study needs at least 3 levels")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
 
     def to_dict(self):
-        out = {}
-        for key in _DEFAULTS:
-            out[key] = getattr(self, key if key != "lambda" else "lam")
-        return out
+        return {key: getattr(self, _attribute(key)) for key in _SETTINGS}
 
 
 def parse_config_file(path):
@@ -119,7 +123,7 @@ def parse_config_file(path):
     for section in parser.sections():
         for key, val in parser.items(section):
             key = key.replace("-", "_")
-            if key not in _DEFAULTS:
+            if key not in _SETTINGS:
                 raise ConfigError("unrecognized config key {!r} in section "
                                   "[{}]".format(key, section))
             values[key] = val
@@ -128,14 +132,9 @@ def parse_config_file(path):
 
 def write_config(config, stream):
     """Serialize a RunConfig back to the sectioned format."""
-    groups = {
-        "run": ["regime", "levels", "n", "out", "export"],
-        "physics": ["da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy",
-                    "lambda", "lbound", "ubound"],
-        "solver": ["tol", "tol_mode"],
-    }
     values = config.to_dict()
-    for section, keys in groups.items():
+    for section, keys in groupby(_SETTINGS,
+                                 key=lambda key: _SETTINGS[key].section):
         stream.write("[{}]\n".format(section))
         for key in keys:
             stream.write("{} = {}\n".format(key, values[key]))
@@ -154,19 +153,21 @@ def derive_cavity_coefficients(config):
     -------
     (ProblemParams, dict)
         The solver parameters and the derived groups (gr_t, gr_c, sc).
+        ConfigError when they fail ``ProblemParams.validate``, as a D that
+        is not positive definite does.
     """
-    da = config.da
-    pr = config.pr
-    if da <= 0 or pr <= 0:
-        raise ConfigError("Da and Pr must be positive")
-    gr_t = config.ra / (pr * da)
+    gr_t = config.ra / (config.pr * config.da)
     gr_c = config.nbuoy * gr_t
-    sc = config.le * pr
-    D = np.array([[config.rk / pr, config.du],
+    sc = config.le * config.pr
+    D = np.array([[config.rk / config.pr, config.du],
                   [config.sr, 1.0 / sc]])
     F_y = np.array([[0.0, 0.0], [-gr_t, -gr_c]])
-    params = ProblemParams(sigma=1.0 / da, diffusion=D, nu1=1.0, nu2=1.0,
-                           F_y=F_y)
+    params = ProblemParams(sigma=1.0 / config.da, diffusion=D, nu1=1.0,
+                           nu2=1.0, F_y=F_y)
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ConfigError("cavity coefficients: {}".format(exc)) from None
     return params, {"gr_t": gr_t, "gr_c": gr_c, "sc": sc}
 
 
@@ -237,32 +238,13 @@ def run_cavity(config, log=None):
     return result
 
 
-def _vertex_average_cr(mesh, dof):
-    """CR field sampled at vertices, averaged over adjacent cells.
-
-    Within a cell the value at vertex i is dof_j + dof_k - dof_i (psi_i is
-    -1 at the opposite vertex and +1 at the other two).
-    """
-    d = dof if dof.ndim == 2 else dof[:, None]
-    local = d[mesh.cell_edges]                     # (nc, 3, k)
-    vals = np.zeros((mesh.num_vertices, d.shape[1]))
-    counts = np.zeros(mesh.num_vertices)
-    total = local.sum(axis=1)                      # (nc, k)
+def _vertex_average(mesh, local):
+    """Vertex values from per-cell values ``local`` (nc, 3, k) at each
+    cell's vertices, averaged over the cells around each vertex."""
+    vals = np.zeros((mesh.num_vertices, local.shape[2]))
     for i in range(3):
-        at_vertex = total - 2.0 * local[:, i]      # dof_j + dof_k - dof_i
-        np.add.at(vals, mesh.cells[:, i], at_vertex)
-        np.add.at(counts, mesh.cells[:, i], 1.0)
-    return vals / counts[:, None]
-
-
-def _vertex_average_p0(mesh, dof):
-    d = np.asarray(dof, dtype=float)
-    d = d if d.ndim == 2 else d[:, None]
-    vals = np.zeros((mesh.num_vertices, d.shape[1]))
-    counts = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(vals, mesh.cells[:, i], d)
-        np.add.at(counts, mesh.cells[:, i], 1.0)
+        np.add.at(vals, mesh.cells[:, i], local[:, i])
+    counts = np.bincount(mesh.cells.ravel(), minlength=mesh.num_vertices)
     return vals / counts[:, None]
 
 
@@ -279,16 +261,20 @@ def export_fields(bundle, path, fmt="csv"):
     data (p, U) and vertex-averaged point data.
     """
     mesh = bundle["mesh"]
-    u = _vertex_average_cr(mesh, bundle["u"].dof)
-    y = _vertex_average_cr(mesh, bundle["y"].dof)
+    # psi_i is -1 at vertex i and +1 at the other two, so a CR field's
+    # value at vertex i of a cell is dof_j + dof_k - dof_i
+    cr = np.hstack([bundle["u"].dof, bundle["y"].dof])[mesh.cell_edges]
+    uy = _vertex_average(mesh, cr.sum(axis=1, keepdims=True) - 2.0 * cr)
+    u, y = uy[:, :2], uy[:, 2:]
     p_cells = np.asarray(bundle["p"].dof, dtype=float)
     U_cells = np.asarray(bundle["U"].dof, dtype=float)
     if U_cells.ndim == 1:
         U_cells = np.column_stack([U_cells, np.zeros_like(U_cells)])
     try:
         if fmt == "csv":
-            p_v = _vertex_average_p0(mesh, p_cells)[:, 0]
-            U_v = _vertex_average_p0(mesh, U_cells)
+            pU = np.column_stack([p_cells, U_cells])[:, None, :]
+            pU_v = _vertex_average(mesh, np.repeat(pU, 3, axis=1))
+            p_v, U_v = pU_v[:, 0], pU_v[:, 1:]
             with open(path, "w") as fh:
                 fh.write(_CSV_FIELD_HEADER + "\n")
                 for i in range(mesh.num_vertices):
@@ -433,63 +419,37 @@ def _cmd_solve(config, outdir):
     return EXIT_OK
 
 
+_COMMANDS = {"convergence": _cmd_convergence, "cavity": _cmd_cavity,
+             "solve": _cmd_solve}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ddopt",
         description="Doubly diffusive flow control: accuracy studies, "
                     "cavity control, forward solves.")
-    parser.add_argument("command",
-                        choices=["convergence", "cavity", "solve"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", metavar="PATH")
-    parser.add_argument("--regime", choices=["flow", "stokes", "darcy"])
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--da", type=float)
-    parser.add_argument("--ra", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--lbound", type=float)
-    parser.add_argument("--ubound", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--tol-mode", choices=["abs", "rel"])
-    parser.add_argument("--out", metavar="DIR")
-    parser.add_argument("--export", choices=["csv", "vtk"])
+    for key, setting in _SETTINGS.items():
+        if setting.flag:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type=setting.kind,
+                                choices=setting.choices or None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        values = {}
-        if args.config:
-            values.update(parse_config_file(args.config))
-        for key in ("regime", "levels", "n", "da", "ra", "lbound", "ubound",
-                    "tol", "out", "export"):
-            v = getattr(args, key)
-            if v is not None:
-                values[key] = v
-        if args.lam is not None:
-            values["lambda"] = args.lam
-        if args.tol_mode is not None:
-            values["tol_mode"] = args.tol_mode
+        values = parse_config_file(args.config) if args.config else {}
+        values.update((key, value) for key, value in vars(args).items()
+                      if key in _SETTINGS and value is not None)
         config = RunConfig(values)
+        os.makedirs(config.out, exist_ok=True)
+        return _COMMANDS[args.command](config, config.out)
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        os.makedirs(config.out, exist_ok=True)
-    except OSError as exc:
-        print("cannot create output directory: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        if args.command == "convergence":
-            return _cmd_convergence(config, config.out)
-        if args.command == "cavity":
-            return _cmd_cavity(config, config.out)
-        return _cmd_solve(config, config.out)
     except SolverError as exc:
         diag = os.path.join(config.out, "nonconvergence.txt")
         try:
@@ -503,7 +463,7 @@ def main(argv=None):
             pass
         print("solver failed to converge: {}".format(exc), file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print("I/O failure: {}".format(exc), file=sys.stderr)
         return EXIT_IO
 

@@ -22,6 +22,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProblemParams(diffusion=np.array([[1.0, 5.0],
                                           [5.0, 1.0]])).validate()
+    # indefinite only in a cone narrower than 2 pi / 16 around pi / 16
+    with pytest.raises(ValueError):
+        ProblemParams(diffusion=np.array([[0.038, -0.1914],
+                                          [-0.1914, 0.962]])).validate()
 
 
 def test_sigma_bar_is_max_entry():

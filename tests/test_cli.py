@@ -27,20 +27,28 @@ def test_config_defaults_and_validation():
         RunConfig({"tol_mode": "sometimes"})
     with pytest.raises(ConfigError):
         RunConfig({"export": "hdf5"})
-    for values in ({"levels": 2}, {"tol": 0.0}, {"tol": -1.0}):
+    for values in ({"levels": 2}, {"tol": 0.0}, {"tol": -1.0}, {"le": 0},
+                   {"pr": 0}, {"regime": "porous"}):
         with pytest.raises(ConfigError):
             RunConfig(values)
 
 
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig({"regime": "darcy", "da": 2.5e-4, "levels": 3,
-                     "lambda": 0.5, "tol": 1e-7})
+    values = {"regime": "darcy", "levels": 3, "n": 12, "out": "elsewhere",
+              "export": "vtk", "da": 2.5e-4, "ra": 150.0, "pr": 7.0,
+              "le": 2.5, "sr": 0.05, "du": -0.02, "rk": 2.0, "nbuoy": -0.5,
+              "lambda": 0.5, "lbound": -0.1, "ubound": 0.2, "tol": 1e-7,
+              "tol_mode": "abs"}
+    defaults = RunConfig({}).to_dict()
+    assert values.keys() == defaults.keys()
+    assert all(values[key] != defaults[key] for key in values)
+    cfg = RunConfig(values)
+    assert cfg.to_dict() == values
     path = tmp_path / "run.cfg"
     with open(path, "w") as fh:
         write_config(cfg, fh)
-    values = parse_config_file(str(path))
-    cfg2 = RunConfig(values)
-    assert cfg2.to_dict() == cfg.to_dict()
+    cfg2 = RunConfig(parse_config_file(str(path)))
+    assert cfg2.to_dict() == values
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -167,10 +175,32 @@ def test_main_config_error_exit_code(tmp_path):
     code = main(["solve", "--lbound", "2.0", "--ubound", "1.0",
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    # rejected before any solve: too few levels for a study, a zero tol
-    for argv in (["convergence", "--levels", "2"], ["cavity", "--tol", "0"]):
+    # rejected before any solve: too few levels for a study, a zero tol,
+    # a Darcy number that is not positive
+    for argv in (["convergence", "--levels", "2"], ["cavity", "--tol", "0"],
+                 ["cavity", "--da", "-1"], ["cavity", "--da", "0"]):
         code = main(argv + ["--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", [
+    "le = 0", "le = -1", "pr = 0", "du = 10",
+    "du = -0.3828\nrk = 0.02698\nle = 1.464"],
+    ids=["le=0", "le=-1", "pr=0", "du=10", "narrow-indefinite-cone"])
+def test_main_invalid_physics_exit_code(tmp_path, monkeypatch, line):
+    # a zero Lewis number divides by zero in 1/Sc; the others give a D
+    # that is not positive definite, the last one only on a narrow cone
+    from ddopt import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran on an invalid configuration")
+
+    monkeypatch.setattr(cli, "pdas_solve", no_solve)
+    path = tmp_path / "run.cfg"
+    path.write_text("[physics]\n" + line + "\n")
+    code = main(["cavity", "--n", "4", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
 
 
 def test_main_config_file(tmp_path):

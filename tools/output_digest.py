@@ -16,14 +16,21 @@ trees and compare the lines.  The groups follow the benchmark workloads:
   the KKT residuals;
 - ``accuracy_flow`` and ``accuracy_darcy``: the manufactured studies on
   levels 8, 12, 16: errors, rates, iterations, divergences, VI residuals
-  and every level's state, adjoint and control.
+  and every level's state, adjoint and control;
+- ``cli``: the exit code and every file that ``ddopt.cli.main`` writes
+  for ``solve --n 8`` with CSV and with VTK export and for
+  ``cavity --n 8 --da 1e-3 --tol-mode rel``, and ``write_config`` of a
+  configuration that sets every key away from its default.
 
 All groups take about 30 s on 2 vCPU.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -123,6 +130,29 @@ def accuracy(regime):
     return d
 
 
+def cli_outputs():
+    d = Digest()
+    runs = (["solve", "--n", "8", "--export", "csv"],
+            ["solve", "--n", "8", "--export", "vtk"],
+            ["cavity", "--n", "8", "--da", "1e-3", "--tol-mode", "rel"])
+    for argv in runs:
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", out])
+            d.add(" ".join(argv), str(code))
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    d.add(name).h.update(fh.read())
+    stream = io.StringIO()
+    cli.write_config(cli.RunConfig({
+        "regime": "darcy", "levels": 3, "n": 12, "out": "elsewhere",
+        "export": "vtk", "da": 2.5e-4, "ra": 150.0, "pr": 7.0, "le": 2.5,
+        "sr": 0.05, "du": -0.02, "rk": 2.0, "nbuoy": -0.5, "lambda": 0.5,
+        "lbound": -0.1, "ubound": 0.2, "tol": 1e-7, "tol_mode": "abs"}),
+        stream)
+    return d.add(stream.getvalue())
+
+
 GROUPS = {
     "sweep_4,6,8": lambda: sweep((4, 6, 8)),
     "sweep_8,12,16": lambda: sweep((8, 12, 16)),
@@ -130,6 +160,7 @@ GROUPS = {
     "cavity_control": cavity_control,
     "accuracy_flow": lambda: accuracy("flow"),
     "accuracy_darcy": lambda: accuracy("darcy"),
+    "cli": cli_outputs,
 }
 
 
