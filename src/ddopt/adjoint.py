@@ -17,10 +17,12 @@ The adjoint matrix is never assembled.  It is the transposed bordered
 system [[J^T, e], [d^T, 0]] of the state's ``Linearization`` (d the
 pressure-mean multiplier column, e the cell areas on the pressure rows),
 solved with the transposed LU factors.  The continuity rows of J carry
-the factor 1/|K|, so the pressure block of its solution is |K| xi.  In a
-one-shot optimization loop the linearization comes from the state
-stepper: its LU serves the next Newton step too, and may be one kept from
-an earlier iteration that preconditions GMRES instead.
+the factor 1/|K|, so the pressure block of its solution is |K| xi.  J
+reads no Dirichlet values, so it is built on the state's own layout
+(``StateSolution.layout``).  In a one-shot optimization loop the
+linearization comes from the state stepper: its LU serves the next Newton
+step too, and may be one kept from an earlier iteration that
+preconditions GMRES instead.
 """
 
 from dataclasses import dataclass
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as asm
-from .spaces import (BoundaryTrace, CRVectorField, P0Field, p0_project,
-                     cr_values_on_cells)
-from .state import Linearization, _Dofs
+from .spaces import CRVectorField, P0Field, p0_project, cr_values_on_cells
+from .state import Linearization
 
 __all__ = ["TrackingData", "AdjointSolution", "solve_adjoint",
            "gradient_of_reduced_cost"]
@@ -69,38 +70,28 @@ class AdjointSolution:
         return max_cell_div(self.phi.mesh, self.phi.dof)
 
 
-def _linearization_at(mesh, params, state):
-    """Exact state linearization at ``state``, laid out for the adjoint
-    (homogeneous data on the state's transport Dirichlet edges)."""
-    y_bc = None
-    if state.y_dirichlet_edges.size:
-        y_bc = BoundaryTrace(mesh, state.y_dirichlet_edges,
-                             np.zeros((state.y_dirichlet_edges.size, 2)))
-    return Linearization(_Dofs(mesh, params, y_bc, None, state.penalty_a0),
-                         state.u.dof, state.y.dof)
-
-
-def _adjoint_rhs(mesh, state, data, dofs):
-    """Tracking loads on the free (u, p, y) layout of ``dofs``."""
+def _adjoint_rhs(state, data):
+    """Tracking loads on the free (u, p, y) layout of ``state``."""
+    dofs = state.layout
+    mesh = dofs.mesh
     b_u = asm.tracking_load(mesh, state.u.dof, data.u_d)[dofs.iu_free]
     b_y = asm.tracking_load(mesh, state.y.dof, data.y_d)[dofs.iy_free]
     return np.concatenate([b_u, np.zeros(mesh.num_cells), b_y])
 
 
-def solve_adjoint(mesh, params, state, data, linearization=None):
+def solve_adjoint(state, data, linearization=None):
     """Solve the linear discrete adjoint system at a converged state.
 
     Parameters
     ----------
     state : StateSolution
-        Converged state; its Dirichlet edge set and penalty setting are
-        reused (the adjoint variables carry homogeneous data).
+        Converged state; the adjoint variables carry homogeneous data on
+        the Dirichlet edges of its layout, with its jump penalty.
     data : TrackingData
     linearization : Linearization, optional
-        Exact linearization at ``state`` with the same Dirichlet edge set,
-        such as ``StateStepper.linearize()`` in a one-shot loop; built
-        here, on a layout of its own, when omitted.  Its LU is reused,
-        transposed.
+        Exact linearization at ``state`` on its layout, such as
+        ``StateStepper.linearize()`` in a one-shot loop; built here on
+        ``state.layout`` when omitted.  Its LU is reused, transposed.
 
     Returns
     -------
@@ -111,10 +102,11 @@ def solve_adjoint(mesh, params, state, data, linearization=None):
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("state fields contain NaN/Inf")
 
+    dofs = state.layout
     lin = linearization if linearization is not None \
-        else _linearization_at(mesh, params, state)
-    dofs = lin.dofs
-    x, _ = lin.solve(_adjoint_rhs(mesh, state, data, dofs), transpose=True)
+        else Linearization(dofs, u, y)
+    mesh = dofs.mesh
+    x, _ = lin.solve(_adjoint_rhs(state, data), transpose=True)
     phi = np.zeros((mesh.num_edges, 2))
     phi[dofs.u_free_edges] = x[:dofs.nu_free].reshape(-1, 2)
     eta = np.zeros((mesh.num_edges, 2))

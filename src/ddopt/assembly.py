@@ -53,9 +53,9 @@ class ProblemParams:
 
     Attributes
     ----------
-    sigma : float or (2, 2) ndarray
-        Inverse permeability scale, K^{-1} = sigma * I (or a constant SPD
-        matrix).
+    sigma : float
+        Inverse permeability, K^{-1} = sigma I; also the weight of the L2
+        part of the velocity norm.
     diffusion : (2, 2) ndarray
         Constant positive-definite diffusion matrix D (off-diagonal entries
         are the Soret/Dufour couplings).
@@ -70,7 +70,7 @@ class ProblemParams:
         the solver keeps it implicit.  None means no buoyancy.
     """
 
-    sigma: object = 1.0
+    sigma: float = 1.0
     diffusion: object = None
     nu: object = None
     nu_T: object = None
@@ -79,6 +79,9 @@ class ProblemParams:
     F_y: object = None
 
     def __post_init__(self):
+        if np.ndim(self.sigma) != 0:
+            raise ValueError("sigma must be a scalar: K^{-1} = sigma I")
+        self.sigma = float(self.sigma)
         if self.diffusion is None:
             self.diffusion = np.eye(2)
         self.diffusion = np.asarray(self.diffusion, dtype=float)
@@ -163,12 +166,10 @@ def assemble_stiffness(mesh):
 
 
 def _reaction_entries(mesh, sigma):
-    """The reaction part K^{-1} u . v of the Brinkman block, as entries of
+    """The reaction part sigma u . v of the Brinkman block, as entries of
     the vector pattern."""
-    sigma = float(sigma) * np.eye(2) if np.ndim(sigma) == 0 \
-        else np.asarray(sigma, dtype=float)
     return mesh.scatter_plan.vector.entries(sp.kron(assemble_mass(mesh),
-                                                    sigma))
+                                                    sigma * np.eye(2)))
 
 
 def _brinkman_values(mesh, T_dof, params, reaction):
@@ -188,7 +189,7 @@ def _brinkman_values(mesh, T_dof, params, reaction):
 
 
 def assemble_brinkman_diffusion(mesh, T_dof, params):
-    """Velocity block: reaction K^{-1} u . v  +  nu(T_h) grad u : grad v.
+    """Velocity block: reaction sigma u . v  +  nu(T_h) grad u : grad v.
 
     Parameters
     ----------
@@ -200,17 +201,9 @@ def assemble_brinkman_diffusion(mesh, T_dof, params):
     -------
     csr_matrix (2 ne, 2 ne), symmetric.
     """
-    plan = mesh.scatter_plan
     b = _brinkman_values(mesh, T_dof, params,
                          _reaction_entries(mesh, params.sigma))
-    keep = b != 0
-    if np.ndim(params.sigma) != 0:
-        # a sum of 2 x 2 block matrices: a block with a nonzero entry
-        # keeps its zeros
-        S, V = plan.scalar, plan.vector
-        block = S.positions(V.rows // 2, V.indices // 2)
-        keep = np.bincount(block, weights=keep, minlength=S.nnz)[block] > 0
-    return plan.vector.csr(b, keep)
+    return mesh.scatter_plan.vector.csr(b, b != 0)
 
 
 def assemble_divergence(mesh):

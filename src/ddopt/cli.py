@@ -397,6 +397,7 @@ def _cmd_convergence(config, outdir):
 
 
 def _cmd_cavity(config, outdir):
+    derive_cavity_coefficients(config)  # invalid ones exit 2 with no log
     log_path = os.path.join(outdir, "iterations.log")
     with open(log_path, "w") as log:
         result = run_cavity(config, log=log)

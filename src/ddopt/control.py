@@ -13,12 +13,13 @@ ones, and stops when the active sets repeat, the control update falls
 below the tolerance and the state increment meets the inner tolerance.
 
 One layout (``_Dofs``) serves every state step and every adjoint of the
-loop.  The adjoint of iteration k, the transposed bordered system of the
-stepper's Newton linearization at the iterate, is solved with its LU
-transposed; the state step of iteration k + 1 consumes that
-linearization in Newton mode.  While the increments contract,
-later adjoints and Newton steps lag that LU, as GMRES preconditioner,
-until GMRES declines and a new Jacobian is factored (see ``state``).
+loop, and the final state carries it to ``kkt_residuals``.  The adjoint of
+iteration k, the transposed bordered system of the stepper's Newton
+linearization at the iterate, is solved with its LU transposed; the state
+step of iteration k + 1 consumes that linearization in Newton mode.  While
+the increments contract, later adjoints and Newton steps lag that LU, as
+GMRES preconditioner, until GMRES declines and a new Jacobian is factored
+(see ``state``).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .adjoint import _adjoint_rhs, solve_adjoint
 from .linalg import SolverError, _frees_on_failure
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
-from .state import Linearization, NonlinearSettings, StateStepper, _Dofs, \
+from .state import Linearization, NonlinearSettings, StateStepper, \
     _residual_norms
 
 __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
@@ -93,7 +94,8 @@ class PdasSettings:
 
 @dataclass
 class OptResult:
-    """Converged KKT triple with iteration diagnostics."""
+    """Converged KKT triple with iteration diagnostics and the tracking
+    data, bounds and settings it was solved for."""
     control: P0Field
     state: object
     adjoint: object
@@ -101,7 +103,9 @@ class OptResult:
     cost_history: list
     active_set_history: list
     control_changes: list
-    context: dict
+    data: object
+    bounds: ControlBounds
+    settings: PdasSettings
 
 
 def project_control(v_cells, lam, bounds):
@@ -191,7 +195,7 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
         state = stepper.solution()
         # passed inline: held here, its LU would outlive the next step's
         # decision to factor, and two LUs would be alive at once
-        adjoint = solve_adjoint(mesh, params, state, data,
+        adjoint = solve_adjoint(state, data,
                                 linearization=stepper.linearize())
         pphi = p0_project(adjoint.phi, mesh).dof
         labels = _classify(pphi, lam, bounds)
@@ -219,14 +223,11 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
             "active sets did not settle in {} iterations".format(
                 settings.max_iter), changes)
 
-    context = {"mesh": mesh, "params": params, "y_bc": y_bc, "data": data,
-               "bounds": bounds, "settings": settings, "u_bc": u_bc,
-               "forcing_mom": forcing_mom, "forcing_tr": forcing_tr,
-               "penalty_a0": penalty_a0}
     return OptResult(control=P0Field(mesh, U), state=state, adjoint=adjoint,
                      iterations=it, cost_history=cost_history,
                      active_set_history=set_history,
-                     control_changes=changes, context=context)
+                     control_changes=changes, data=data, bounds=bounds,
+                     settings=settings)
 
 
 def kkt_residuals(result):
@@ -234,28 +235,23 @@ def kkt_residuals(result):
 
     ``vi_res`` is the max-norm violation of the projection fixed point
     cellwise; state and adjoint residuals are Euclidean norms of the
-    assembled equation residuals.  Both come from one layout and one
-    (unfactored) linearization at the final state.
+    assembled equation residuals.  Both come from one (unfactored)
+    linearization at the final state, on the layout it was solved on.
     """
-    ctx = result.context
     state = result.state
-    dofs = _Dofs(ctx["mesh"], ctx["params"], ctx["y_bc"], ctx["u_bc"],
-                 state.penalty_a0)
-    lin = Linearization(dofs, state.u.dof, state.y.dof)
-    st = _residual_norms(lin, state.p.dof, result.control,
-                         ctx["forcing_mom"], ctx["forcing_tr"])
+    lin = Linearization(state.layout, state.u.dof, state.y.dof)
+    st = _residual_norms(lin, state.p.dof, result.control)
     state_res = float(np.sqrt(st["momentum"] ** 2 + st["continuity"] ** 2
                               + st["transport"] ** 2))
-    adjoint_res = _adjoint_residual(lin, state, result.adjoint, ctx["data"])
+    adjoint_res = _adjoint_residual(lin, state, result.adjoint, result.data)
     return {"state_res": state_res, "adjoint_res": adjoint_res,
             "vi_res": _vi_residual(result)}
 
 
 def _vi_residual(result):
     """Max-norm violation of the projection fixed point at an OptResult."""
-    ctx = result.context
-    pphi = p0_project(result.adjoint.phi, ctx["mesh"]).dof
-    fixed_point = project_control(pphi, ctx["settings"].lam, ctx["bounds"])
+    pphi = p0_project(result.adjoint.phi, result.control.mesh).dof
+    fixed_point = project_control(pphi, result.settings.lam, result.bounds)
     return float(np.abs(result.control.dof - fixed_point).max())
 
 
@@ -269,6 +265,6 @@ def _adjoint_residual(lin, state, adjoint, data):
     x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(),
                         dofs.area * xi,
                         adjoint.eta.dof[dofs.y_free_edges].ravel()])
-    r = lin.J.T @ x - _adjoint_rhs(dofs.mesh, state, data, dofs)
+    r = lin.J.T @ x - _adjoint_rhs(state, data)
     return float(np.sqrt(np.linalg.norm(r) ** 2
                          + float(dofs.area @ xi) ** 2))

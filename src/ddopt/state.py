@@ -12,9 +12,11 @@ never changes.  Dirichlet dofs (velocity on the whole boundary,
 transported scalars on the Dirichlet part) are eliminated and carried by
 a discrete lifting.
 
-Blocks that do not depend on the iterate are built once per layout
-(``_Dofs``): the divergence, the cross-diffusion, the jump penalty and the
-buoyancy coupling.  A ``Linearization`` builds the rest once per
+One layout (``_Dofs``) owns a state problem: its dofs and what does not
+depend on the iterate, built once: the divergence, the cross-diffusion,
+the jump penalty, the buoyancy coupling, the forcing loads and the
+continuity lifting.  A ``StateSolution`` carries its layout to the
+adjoint and the KKT check.  A ``Linearization`` builds the rest once per
 iterate: the Brinkman block (nu follows T), one upwind matrix N(u) shared
 by the momentum and transport operators, and the Newton couplings.  Its
 ``residual`` forms the momentum and transport residuals of the Newton
@@ -105,16 +107,16 @@ class NonlinearSettings:
 class StateSolution:
     """Converged state (u, p, y) plus solve metadata.
 
-    ``y_dirichlet_edges`` records which boundary edges carried transported
-    Dirichlet data; the adjoint solver reuses the set with zero values.
+    ``layout`` is the ``_Dofs`` of the problem it was solved on: the
+    adjoint (homogeneous data on the same Dirichlet edges) and the KKT
+    check linearize on it.
     """
     u: CRVectorField
     p: P0Field
     y: CRVectorField
     iterations: int
     increments: list
-    y_dirichlet_edges: np.ndarray
-    penalty_a0: float = 0.0
+    layout: "_Dofs"
 
     def max_divergence(self):
         return max_cell_div(self.u.mesh, self.u.dof)
@@ -143,17 +145,21 @@ def _balance_boundary_flux(mesh, values):
 
 
 class _Dofs:
-    """Free/fixed dofs, the bordered (u, p, y) free-dof layout, the
-    iterate-independent blocks and where the blocks land in J
-    (``jacobian``).  ``reaction``, ``cross``, ``penalty`` (the jump
-    penalty) and ``MF_entries`` are (entry numbers, values) on the mesh's
-    vector pattern; ``MF`` is the buoyancy coupling matrix kron(M, F_y).
-    ``penalty`` is None when absent."""
+    """One state problem: free/fixed dofs, the bordered (u, p, y)
+    free-dof layout, the iterate-independent blocks and loads, and where
+    the blocks land in J (``jacobian``).  ``reaction``, ``cross``,
+    ``penalty`` (the jump penalty, None when absent) and ``MF_entries``
+    are (entry numbers, values) on the mesh's vector pattern; ``MF`` is
+    the buoyancy coupling matrix kron(M, F_y).  ``b_forcing`` and ``b_tr``
+    are the forcing loads, ``g`` the continuity lifting of the velocity
+    Dirichlet data."""
 
-    def __init__(self, mesh, params, y_bc, u_bc, penalty_a0=0.0):
+    def __init__(self, mesh, params, y_bc, u_bc, forcing_mom=None,
+                 forcing_tr=None, penalty_a0=0.0):
         ne = mesh.num_edges
         self.mesh = mesh
         self.params = params
+        self.penalty_a0 = penalty_a0
         bdry = mesh.boundary_edges
 
         self.u_fixed_edges = bdry
@@ -208,6 +214,14 @@ class _Dofs:
         self.e_row = np.zeros(n_all)
         self.e_row[self.ip] = self.area
         self.jacobian = _JacobianPlan(self)
+
+        g = -self.B[:, self.iu_fixed] @ self.u_fixed_values.reshape(-1)
+        self.g = (g - self.area * (g.sum() / self.area.sum())) / self.area
+        self.b_forcing = np.zeros(2 * ne)
+        if forcing_mom is not None:
+            self.b_forcing += asm.assemble_load(mesh, forcing_mom)
+        self.b_tr = np.zeros(2 * ne) if forcing_tr is None \
+            else asm.assemble_load(mesh, forcing_tr)
 
     def full_u(self, u_free_flat):
         u = np.zeros((self.mesh.num_edges, 2))
@@ -360,26 +374,14 @@ class Linearization:
                                          pin_col=d.nu_free)
         return self.solver.solve(rhs, beta=beta, transpose=transpose)
 
-    def residual(self, p, b_mom, b_tr):
+    def residual(self, p, b_control):
         """Full-length momentum and transport residuals at (u, p, y); the
-        loads ``b_mom`` are subtracted in turn, then the buoyancy MF y."""
+        layout's forcing load, the control load ``b_control`` and the
+        buoyancy MF y are subtracted in turn."""
         dofs = self.dofs
-        r_mom = self.A_mom @ self.u.reshape(-1) + dofs.B.T @ p
-        for b in b_mom:
-            r_mom = r_mom - b
-        r_mom = r_mom - dofs.MF @ self.y.reshape(-1)
-        return r_mom, self.A_tr @ self.y.reshape(-1) - b_tr
-
-
-def _loads(mesh, forcing_mom, forcing_tr):
-    """Momentum and transport loads of the forcings, both independent of
-    the iterate and the control."""
-    b_mom = np.zeros(2 * mesh.num_edges)
-    if forcing_mom is not None:
-        b_mom += asm.assemble_load(mesh, forcing_mom)
-    b_tr = np.zeros(2 * mesh.num_edges) if forcing_tr is None \
-        else asm.assemble_load(mesh, forcing_tr)
-    return b_mom, b_tr
+        r_mom = self.A_mom @ self.u.reshape(-1) + dofs.B.T @ p \
+            - dofs.b_forcing - b_control - dofs.MF @ self.y.reshape(-1)
+        return r_mom, self.A_tr @ self.y.reshape(-1) - dofs.b_tr
 
 
 def _control_load(mesh, control):
@@ -387,12 +389,6 @@ def _control_load(mesh, control):
         return np.zeros(2 * mesh.num_edges)
     dof = control.dof if isinstance(control, P0Field) else np.asarray(control)
     return asm.assemble_p0_load(mesh, dof)
-
-
-def _sigma_scale(params):
-    """Scalar weight of the L2 part of the velocity norm."""
-    s = params.sigma
-    return float(s) if np.ndim(s) == 0 else float(np.abs(s).max())
 
 
 class StateStepper:
@@ -411,14 +407,9 @@ class StateStepper:
         self.mesh = mesh
         self.params = params
         self.settings = settings or NonlinearSettings()
-        self.penalty_a0 = penalty_a0
-        self.dofs = dofs = _Dofs(mesh, params, y_bc, u_bc, penalty_a0)
+        self.dofs = dofs = _Dofs(mesh, params, y_bc, u_bc, forcing_mom,
+                                 forcing_tr, penalty_a0)
         nc = mesh.num_cells
-
-        g = -dofs.B[:, dofs.iu_fixed] @ dofs.u_fixed_values.reshape(-1)
-        self.g = (g - dofs.area * (g.sum() / dofs.area.sum())) / dofs.area
-
-        self.b_forcing, self.b_tr = _loads(mesh, forcing_mom, forcing_tr)
         self.b_control = _control_load(mesh, control)
 
         self.u = dofs.full_u(np.zeros(dofs.nu_free))
@@ -436,14 +427,13 @@ class StateStepper:
         self.b_control = _control_load(self.mesh, control)
 
     def increment_norm(self, du, dy):
-        return broken_velocity_norm(self.mesh, du,
-                                    _sigma_scale(self.params),
+        return broken_velocity_norm(self.mesh, du, self.params.sigma,
                                     self.params.nu2) \
             + broken_transport_norm(self.mesh, dy, self.params.sigma_bar)
 
     def iterate_scale(self):
         return 1.0 + broken_velocity_norm(self.mesh, self.u,
-                                          _sigma_scale(self.params),
+                                          self.params.sigma,
                                           self.params.nu2) \
             + broken_transport_norm(self.mesh, self.y,
                                     self.params.sigma_bar)
@@ -480,28 +470,27 @@ class StateStepper:
             lin = self._linearization(self.newton)
 
         if not self.newton:
-            b_mom = self.b_forcing + self.b_control
+            b_mom = dofs.b_forcing + self.b_control
             if dofs.iy_fixed.size:
                 b_mom = b_mom + dofs.MF[:, dofs.iy_fixed] \
                     @ dofs.y_fixed_values.reshape(-1)
             b_mom_free = b_mom[dofs.iu_free] \
                 - _sub(lin.A_mom, dofs.iu_free, dofs.iu_fixed) \
                 @ dofs.u_fixed_values.reshape(-1)
-            b_tr_free = self.b_tr[dofs.iy_free]
+            b_tr_free = dofs.b_tr[dofs.iy_free]
             if dofs.iy_fixed.size:
                 b_tr_free = b_tr_free \
                     - _sub(lin.A_tr, dofs.iy_free, dofs.iy_fixed) \
                     @ dofs.y_fixed_values.reshape(-1)
             x, m_new = lin.solve(
-                np.concatenate([b_mom_free, self.g, b_tr_free]))
+                np.concatenate([b_mom_free, dofs.g, b_tr_free]))
             u_new = dofs.full_u(x[:nu])
             p_new = x[dofs.ip]
             y_new = dofs.full_y(x[dofs.ip.stop:])
         else:
-            r_mom, r_tr = lin.residual(p, (self.b_forcing, self.b_control),
-                                       self.b_tr)
+            r_mom, r_tr = lin.residual(p, self.b_control)
             r_div = dofs.B_scaled @ u.reshape(-1)[dofs.iu_free] \
-                + self.m - self.g
+                + self.m - dofs.g
             r_mean = float(dofs.area @ p)
             rhs = np.concatenate([-r_mom[dofs.iu_free], -r_div,
                                   -r_tr[dofs.iy_free]])
@@ -540,8 +529,7 @@ class StateStepper:
             y=CRVectorField(self.mesh, self.y.copy()),
             iterations=self.steps,
             increments=list(self.increments),
-            y_dirichlet_edges=self.dofs.y_fixed_edges.copy(),
-            penalty_a0=self.penalty_a0)
+            layout=self.dofs)
 
 
 @_frees_on_failure
@@ -599,7 +587,8 @@ def state_residual(mesh, params, solution, y_bc=None, control=None,
     """Residual norms of each equation block at a given (u, p, y).
 
     The residual is tested against all free basis functions; returns the
-    Euclidean norms per block.
+    Euclidean norms per block.  The layout is built from the arguments;
+    of ``solution.layout`` only the jump penalty is read.
     """
     u = solution.u.dof
     y = solution.y.dof
@@ -607,19 +596,18 @@ def state_residual(mesh, params, solution, y_bc=None, control=None,
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))
             and np.all(np.isfinite(p))):
         raise ValueError("solution fields contain NaN/Inf")
-    dofs = _Dofs(mesh, params, y_bc, u_bc, solution.penalty_a0)
+    dofs = _Dofs(mesh, params, y_bc, u_bc, forcing_mom, forcing_tr,
+                 solution.layout.penalty_a0)
     return _residual_norms(Linearization(dofs, u, y, newton=False), p,
-                           control, forcing_mom, forcing_tr)
+                           control)
 
 
-def _residual_norms(lin, p, control, forcing_mom, forcing_tr):
-    """Block residual norms at the iterate of ``lin`` with pressure ``p``:
-    momentum and transport on the free dofs, the unscaled continuity
-    residual B u and the pressure mean."""
+def _residual_norms(lin, p, control):
+    """Block residual norms at the iterate of ``lin`` with pressure ``p``
+    and the layout's loads: momentum and transport on the free dofs, the
+    unscaled continuity residual B u and the pressure mean."""
     dofs = lin.dofs
-    b_mom, b_tr = _loads(dofs.mesh, forcing_mom, forcing_tr)
-    r_mom, r_tr = lin.residual(
-        p, (b_mom, _control_load(dofs.mesh, control)), b_tr)
+    r_mom, r_tr = lin.residual(p, _control_load(dofs.mesh, control))
     return {
         "momentum": float(np.linalg.norm(r_mom[dofs.iu_free])),
         # residual of b(u, q) = 0, i.e. -|K| div u_h per cell

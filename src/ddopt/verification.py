@@ -21,12 +21,14 @@ from .spaces import _point_values, boundary_interpolate, cr_cell_gradients, \
     cr_values_on_cells
 from .state import NonlinearSettings
 
-__all__ = ["ManufacturedCase", "NormWeights", "Regime", "REGIMES",
+__all__ = ["ManufacturedCase", "Regime", "REGIMES",
            "get_regime", "exact_eval", "manufactured_forcing",
            "tracking_data", "make_params", "error_norms", "eoc",
            "run_convergence_study", "ConvergenceReport", "ERROR_NAMES"]
 
 PI = np.pi
+# the exponent r of the L^r norm of the control error
+_CONTROL_EXPONENT = 4.0 / 3.0
 
 
 @dataclass
@@ -315,28 +317,10 @@ def tracking_data(case):
 
 def make_params(case):
     """ProblemParams matching the manufactured coefficient choices."""
-    nu2 = case.nu2
     return ProblemParams(
-        sigma=case.sigma, diffusion=case.diffusion,
-        nu=lambda T: nu2 * np.exp(-T), nu_T=lambda T: -nu2 * np.exp(-T),
-        nu1=nu2 * np.exp(-1.5), nu2=nu2,
+        sigma=case.sigma, diffusion=case.diffusion, nu=case.nu,
+        nu_T=case.nu_T, nu1=case.nu2 * np.exp(-1.5), nu2=case.nu2,
         F_y=case.F_y)
-
-
-@dataclass
-class NormWeights:
-    """Weights of the mesh-dependent norms and the control exponent."""
-    sigma: float = 1.0
-    nu2: float = 1.0
-    sigma_bar: float = 1000.0
-    r: float = 4.0 / 3.0
-    include_jump: bool = False
-
-    @staticmethod
-    def from_case(case, include_jump=False):
-        return NormWeights(sigma=case.sigma, nu2=case.nu2,
-                           sigma_bar=float(np.abs(case.diffusion).max()),
-                           include_jump=include_jump)
 
 
 def _quadrature_error_parts(mesh, dof, value_fn, grad_fn):
@@ -383,8 +367,12 @@ ERROR_NAMES = ["e_u", "e_p", "e_T", "e_S", "e_phi", "e_zeta", "e_etaT",
                "e_etaS", "e_U1", "e_U2"]
 
 
-def error_norms(mesh, fields, case, weights):
+def error_norms(mesh, fields, case, jump=False):
     """Weighted broken-norm errors of a discrete optimality-system solution.
+
+    The velocity norms weigh the L2 part by sigma and the gradient by nu2,
+    the transport norms the gradient by max|D|, all from ``case``; the
+    control error is measured in L^r with r = 4/3.
 
     Parameters
     ----------
@@ -392,7 +380,8 @@ def error_norms(mesh, fields, case, weights):
         Keys "u", "p", "y", "phi", "zeta", "eta", "U" holding the discrete
         fields (CR fields for u/y/phi/eta, P0 for p/zeta/U).
     case : ManufacturedCase
-    weights : NormWeights
+    jump : bool
+        Add the facet jump term of the modified velocity norm.
 
     Returns
     -------
@@ -405,46 +394,37 @@ def error_norms(mesh, fields, case, weights):
             raise ValueError("field {!r} lives on a different mesh"
                              .format(key))
     out = {}
-    l2, h1 = _quadrature_error_parts(mesh, fields["u"].dof, case.u,
-                                     case.grad_u)
-    e2 = weights.sigma * l2 + weights.nu2 * h1
-    if weights.include_jump:
-        e2 += _jump_error_sq(mesh, fields["u"].dof, case.u)
-    out["e_u"] = np.sqrt(e2)
+    for key, value, grad in (("u", case.u, case.grad_u),
+                             ("phi", case.phi, case.grad_phi)):
+        dof = fields[key].dof
+        l2, h1 = _quadrature_error_parts(mesh, dof, value, grad)
+        e2 = case.sigma * l2 + case.nu2 * h1
+        if jump:
+            e2 += _jump_error_sq(mesh, dof, value)
+        out["e_" + key] = np.sqrt(e2)
 
-    l2, h1 = _quadrature_error_parts(mesh, fields["phi"].dof, case.phi,
-                                     case.grad_phi)
-    e2 = weights.sigma * l2 + weights.nu2 * h1
-    if weights.include_jump:
-        e2 += _jump_error_sq(mesh, fields["phi"].dof, case.phi)
-    out["e_phi"] = np.sqrt(e2)
-
-    for comp, name in ((0, "T"), (1, "S")):
-        dof = fields["y"].dof[:, comp:comp + 1]
-        vf = (case.T, case.S)[comp]
-        gf = (case.grad_T, case.grad_S)[comp]
+    sigma_bar = float(np.abs(case.diffusion).max())
+    for key, comp, name, value, grad in (
+            ("y", 0, "T", case.T, case.grad_T),
+            ("y", 1, "S", case.S, case.grad_S),
+            ("eta", 0, "etaT", case.eta_T, case.grad_eta_T),
+            ("eta", 1, "etaS", case.eta_S, case.grad_eta_S)):
         l2, h1 = _quadrature_error_parts(
-            mesh, dof, lambda x, y_: vf(x, y_)[None],
-            lambda x, y_: gf(x, y_)[None])
-        out["e_" + name] = np.sqrt(weights.sigma_bar * h1)
-        out["e_{}_unweighted".format(name)] = np.sqrt(h1 + l2)
-    for comp, name in ((0, "etaT"), (1, "etaS")):
-        dof = fields["eta"].dof[:, comp:comp + 1]
-        vf = (case.eta_T, case.eta_S)[comp]
-        gf = (case.grad_eta_T, case.grad_eta_S)[comp]
-        l2, h1 = _quadrature_error_parts(
-            mesh, dof, lambda x, y_: vf(x, y_)[None],
-            lambda x, y_: gf(x, y_)[None])
-        out["e_" + name] = np.sqrt(weights.sigma_bar * h1)
+            mesh, fields[key].dof[:, comp:comp + 1],
+            lambda x, y_: value(x, y_)[None],
+            lambda x, y_: grad(x, y_)[None])
+        out["e_" + name] = np.sqrt(sigma_bar * h1)
+        if key == "y":
+            out["e_{}_unweighted".format(name)] = np.sqrt(h1 + l2)
 
     q = mesh.cell_quadrature
-    for name, fn in (("e_p", case.p), ("e_zeta", case.zeta)):
-        key = "p" if name == "e_p" else "zeta"
+    for key, fn in (("p", case.p), ("zeta", case.zeta)):
         ex = fn(q.pts[:, :, 0], q.pts[:, :, 1])
         diff = fields[key].dof[:, None] - ex
-        out[name] = np.sqrt(float(np.einsum("cq,cq->", q.wts, diff ** 2)))
+        out["e_" + key] = np.sqrt(float(np.einsum("cq,cq->", q.wts, diff ** 2)))
 
-    lr, l2c = _control_error(mesh, fields["U"].dof, case.U, weights.r)
+    lr, l2c = _control_error(mesh, fields["U"].dof, case.U,
+                             _CONTROL_EXPONENT)
     out["e_U1"], out["e_U2"] = float(lr[0]), float(lr[1])
     out["e_U1_l2"], out["e_U2_l2"] = float(l2c[0]), float(l2c[1])
     return out
@@ -538,7 +518,6 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
     case = ManufacturedCase(sigma=regime.sigma, nu2=regime.nu2)
     params = make_params(case).validate(
         T_samples=np.linspace(0.0, 1.2, 25))
-    weights = NormWeights.from_case(case, include_jump=regime.a0 > 0)
     data = tracking_data(case)
     f_mom = functools.partial(_momentum_forcing, case)
     f_tr = functools.partial(_transport_forcing, case)
@@ -565,7 +544,7 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
         fields = {"u": result.state.u, "p": result.state.p,
                   "y": result.state.y, "phi": adj.phi, "zeta": adj.xi,
                   "eta": adj.eta, "U": result.control}
-        level_errors = error_norms(mesh, fields, case, weights)
+        level_errors = error_norms(mesh, fields, case, jump=regime.a0 > 0)
         for name in ERROR_NAMES:
             errors[name].append(float(level_errors[name]))
         for name, val in level_errors.items():

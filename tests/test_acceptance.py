@@ -117,7 +117,7 @@ def test_criterion_5_gradient_consistency():
     rng = np.random.default_rng(7)
     U0 = rng.uniform(-0.05, 0.2, (mesh.num_cells, 2))
     _, sol0 = reduced(U0)
-    adj = solve_adjoint(mesh, s["params"], sol0, data)
+    adj = solve_adjoint(sol0, data)
     g = gradient_of_reduced_cost(adj, P0Field(mesh, U0), 1.0).dof
     eps = 1e-4
     worst = 0.0

@@ -23,7 +23,7 @@ def _state(n, tol=1e-10):
 def test_zero_rhs_gives_zero_adjoint():
     s, sol = _state(8)
     data = TrackingData(u_d=sol.u, y_d=sol.y)
-    adj = solve_adjoint(s["mesh"], s["params"], sol, data)
+    adj = solve_adjoint(sol, data)
     assert np.abs(adj.phi.dof).max() < 1e-13
     assert np.abs(adj.eta.dof).max() < 1e-13
     assert np.abs(adj.xi.dof).max() < 1e-12
@@ -38,15 +38,15 @@ def test_adjoint_linearity_in_data():
     # u_d = -u_h doubles the residual u_h - u_d
     data1 = TrackingData()
     data2 = TrackingData(u_d=Scaled(-sol.u.dof), y_d=Scaled(-sol.y.dof))
-    a1 = solve_adjoint(s["mesh"], s["params"], sol, data1)
-    a2 = solve_adjoint(s["mesh"], s["params"], sol, data2)
+    a1 = solve_adjoint(sol, data1)
+    a2 = solve_adjoint(sol, data2)
     assert np.allclose(a2.phi.dof, 2 * a1.phi.dof, atol=1e-10)
     assert np.allclose(a2.eta.dof, 2 * a1.eta.dof, atol=1e-10)
 
 
 def test_adjoint_divergence_free():
     s, sol = _state(16)
-    adj = solve_adjoint(s["mesh"], s["params"], sol, s["data"])
+    adj = solve_adjoint(sol, s["data"])
     phimax = np.abs(adj.phi.dof).max()
     assert adj.max_divergence() <= 1e-10 * (1.0 + phimax)
     assert np.abs(adj.phi.dof[s["mesh"].boundary_edges]).max() == 0.0
@@ -57,7 +57,7 @@ def test_adjoint_energy_bound_h_uniform():
     ratios = []
     for n in (8, 16):
         s, sol = _state(n)
-        adj = solve_adjoint(s["mesh"], s["params"], sol, s["data"])
+        adj = solve_adjoint(sol, s["data"])
         num = broken_velocity_norm(s["mesh"], adj.phi.dof,
                                    s["params"].sigma, s["params"].nu2)
         bary_track = asm.tracking_cost(s["mesh"], sol.u.dof,
@@ -118,7 +118,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     U0 = rng.uniform(-0.05, 0.2, (mesh.num_cells, 2))
     J0, sol0 = reduced(U0)
-    adj = solve_adjoint(mesh, s["params"], sol0, data)
+    adj = solve_adjoint(sol0, data)
     g = gradient_of_reduced_cost(adj, P0Field(mesh, U0), 1.0).dof
     eps = 1e-4
     for _ in range(3):
@@ -133,7 +133,7 @@ def test_adjoint_rejects_nan_state():
     s, sol = _state(8)
     sol.u.dof[0, 0] = np.nan
     with pytest.raises(ValueError):
-        solve_adjoint(s["mesh"], s["params"], sol, s["data"])
+        solve_adjoint(sol, s["data"])
 
 
 def test_adjoint_manufactured_convergence():
@@ -145,7 +145,7 @@ def test_adjoint_manufactured_convergence():
         sol = solve_state(s["mesh"], s["params"], s["y_bc"], control=U,
                           u_bc=s["u_bc"], forcing_mom=s["f_mom"],
                           forcing_tr=s["f_tr"])
-        adj = solve_adjoint(s["mesh"], s["params"], sol, s["data"])
+        adj = solve_adjoint(sol, s["data"])
         exact = cr_interpolate(lambda x, y: s["case"].phi(x, y),
                                s["mesh"])
         diff = adj.phi.dof - exact.dof

@@ -64,11 +64,7 @@ def ref_brinkman(mesh, T_dof, params):
     nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
     K = ref_stiffness(mesh, nu_bar)
     M = asm.assemble_mass(mesh)
-    sigma = params.sigma
-    if np.ndim(sigma) == 0:
-        return sp.kron(float(sigma) * M + K, sp.eye(2), format="csr")
-    return (sp.kron(M, np.asarray(sigma, dtype=float))
-            + sp.kron(K, sp.eye(2))).tocsr()
+    return sp.kron(params.sigma * M + K, sp.eye(2), format="csr")
 
 
 def ref_facet_sides(mesh):
@@ -215,10 +211,8 @@ def _params(kind):
                 nu=lambda T: 1.0 + 0.25 * np.tanh(T),
                 nu_T=lambda T: 0.25 / np.cosh(T) ** 2, nu1=0.75, nu2=1.25,
                 F_y=F_y)
-    if kind == "matrix_sigma":
-        base["sigma"] = np.array([[2.0, 0.5], [0.5, 3.0]])
-    elif kind == "diagonal_sigma":
-        base["sigma"] = np.array([[2.0, 0.0], [0.0, 3.0]])
+    if kind == "diagonal_sigma":  # sigma I of order one, with D = I
+        base["sigma"] = 2.0
         base["diffusion"] = np.eye(2)
     elif kind == "no_buoyancy":  # an empty coupling block
         base["F_y"] = None
@@ -246,14 +240,14 @@ def _iterate(mesh, kind, rng):
     ("divfree", "affine", 0.0),
     ("random", "affine", 2.5),
     ("divfree", "no_buoyancy", 0.0),
-    ("random", "matrix_sigma", 0.0),
     ("random", "diagonal_sigma", 1.0)])
 def test_linearization_matches_coo_assembly(n, newton, iterate, kind, a0):
     mesh = build_unit_square_mesh(n)
     rng = np.random.default_rng(7 + n)
     params = _params(kind)
     u, y = _iterate(mesh, iterate, rng)
-    dofs = _Dofs(mesh, params, cavity_boundary_trace(mesh), None, a0)
+    dofs = _Dofs(mesh, params, cavity_boundary_trace(mesh), None,
+                 penalty_a0=a0)
     lin = Linearization(dofs, u, y, newton=newton)
     A_mom, A_tr, J = ref_linearization(dofs, u, y, a0, newton)
     assert_same(lin.A_mom, A_mom)
@@ -274,7 +268,7 @@ def test_assembled_blocks_match_coo_assembly(n):
     for carried in (u, y):
         assert_same(asm.assemble_advecting_linearization(mesh, u, carried),
                     ref_advecting(mesh, u, carried))
-    for kind in ("affine", "matrix_sigma", "no_buoyancy"):
+    for kind in ("affine", "diagonal_sigma", "no_buoyancy"):
         params = _params(kind)
         assert_same(asm.assemble_brinkman_diffusion(mesh, y[:, 0], params),
                     ref_brinkman(mesh, y[:, 0], params))

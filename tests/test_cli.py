@@ -201,6 +201,8 @@ def test_main_invalid_physics_exit_code(tmp_path, monkeypatch, line):
     code = main(["cavity", "--n", "4", "--config", str(path),
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    # rejected before the iteration log is opened
+    assert not os.path.exists(tmp_path / "o" / "iterations.log")
 
 
 def test_main_config_file(tmp_path):

@@ -41,7 +41,7 @@ def test_eval_cost_examples(mesh4):
     from ddopt.spaces import CRVectorField
     zero = StateSolution(u=CRVectorField(mesh4), p=P0Field(mesh4),
                          y=CRVectorField(mesh4), iterations=0, increments=[],
-                         y_dirichlet_edges=np.zeros(0, dtype=np.int64))
+                         layout=None)
     data = TrackingData()
     U0 = P0Field(mesh4, np.zeros((mesh4.num_cells, 2)))
     assert eval_cost(zero, U0, data, 1.0) == 0.0
@@ -117,8 +117,8 @@ def test_kkt_residual_detects_perturbation():
 
 
 def test_kkt_residuals_build_one_layout_and_linearization(monkeypatch):
-    # the state and the adjoint residual come from the same layout and the
-    # same (unfactored) linearization at the final state
+    # the state and the adjoint residual come from the same (unfactored)
+    # linearization at the final state, on the layout it was solved on
     from ddopt import linalg, state
     _, res = _small_opt()
     built = []
@@ -129,7 +129,7 @@ def test_kkt_residuals_build_one_layout_and_linearization(monkeypatch):
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     kkt_residuals(res)
-    assert sorted(built) == ["Linearization", "_Dofs"]
+    assert sorted(built) == ["Linearization"]
 
 
 def test_vi_residual_formula_all_inactive():
@@ -162,7 +162,7 @@ def test_oneshot_optimum_is_fixed_point_of_full_solves():
                         control=res.control, u_bc=s["u_bc"],
                         forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
                         settings=NonlinearSettings(tol=1e-11))
-    adjoint = solve_adjoint(s["mesh"], s["params"], state, s["data"])
+    adjoint = solve_adjoint(state, s["data"])
     pphi = p0_project(adjoint.phi, s["mesh"]).dof
     fixed = project_control(pphi, 1.0, s["case"].bounds)
     assert np.abs(fixed - res.control.dof).max() <= 1e-8
@@ -174,7 +174,8 @@ def test_oneshot_optimum_is_fixed_point_of_full_solves():
 
 def test_pdas_builds_one_layout(monkeypatch):
     # the stepper's layout serves every state step and every adjoint, in
-    # Picard and in Newton mode
+    # Picard and in Newton mode; the final state carries it, so the KKT
+    # check and a standalone adjoint at that state build none
     from ddopt import state
     built = []
     init = state._Dofs.__init__
@@ -184,8 +185,10 @@ def test_pdas_builds_one_layout(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(state._Dofs, "__init__", counted)
-    _, res = _small_opt()
+    s, res = _small_opt()
     assert res.iterations > 1
+    kkt_residuals(res)
+    solve_adjoint(res.state, s["data"])
     assert len(built) == 1
 
 
@@ -289,8 +292,7 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
     assert res.iterations == ref["iterations"]
     assert res.cost_history[-1] == pytest.approx(ref["cost"], rel=1e-6)
 
-    ctx = res.context
-    fresh = solve_adjoint(ctx["mesh"], ctx["params"], res.state, ctx["data"])
+    fresh = solve_adjoint(res.state, res.data)
     for name in ("phi", "xi", "eta"):
         a = getattr(res.adjoint, name).dof
         b = getattr(fresh, name).dof
@@ -305,16 +307,15 @@ def test_adjoint_solves_transposed_bordered_system():
     from scipy.sparse.linalg import spsolve
     from ddopt.adjoint import _adjoint_rhs
     from ddopt.cli import run_cavity
-    from ddopt.state import Linearization, _Dofs
+    from ddopt.state import Linearization
 
     res = run_cavity(_cavity_8())
-    ctx, state = res.context, res.state
-    dofs = _Dofs(ctx["mesh"], ctx["params"], ctx["y_bc"], ctx["u_bc"],
-                 state.penalty_a0)
+    state = res.state
+    dofs = state.layout
     J = Linearization(dofs, state.u.dof, state.y.dof).J
     Mt = sp.bmat([[J.T, dofs.e_row[:, None]], [dofs.d_col[None, :], None]],
                  format="csc")
-    rhs = _adjoint_rhs(ctx["mesh"], state, ctx["data"], dofs)
+    rhs = _adjoint_rhs(state, res.data)
     z = spsolve(Mt, np.append(rhs, 0.0))[:-1]
     area = dofs.area
     xi = z[dofs.ip] / area

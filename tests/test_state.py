@@ -14,7 +14,7 @@ from ddopt.norms import broken_velocity_norm
 from ddopt.spaces import CRVectorField, P0Field, boundary_interpolate, \
     p0_project
 from ddopt.state import (NonlinearSettings, NonconvergenceError,
-                         StateSolution, StateStepper, solve_state,
+                         StateSolution, StateStepper, _Dofs, solve_state,
                          state_residual)
 
 
@@ -127,7 +127,7 @@ def test_residual_zero_solution_equals_load_norm(mesh4):
     zero = StateSolution(
         u=CRVectorField(mesh4), p=P0Field(mesh4), y=CRVectorField(mesh4),
         iterations=0, increments=[],
-        y_dirichlet_edges=np.zeros(0, dtype=np.int64))
+        layout=_Dofs(mesh4, params, None, None))
     f = lambda x, y: np.stack([np.sin(x + y), np.cos(x - y)])
     res = state_residual(mesh4, params, zero, forcing_mom=f)
     b = asm.assemble_load(mesh4, f)
@@ -150,7 +150,7 @@ def test_residual_column_jump_for_linear_unknown(mesh4):
     pert[cell] += 1.0
     sol_p = StateSolution(
         u=sol.u, p=P0Field(mesh4, pert), y=sol.y, iterations=0,
-        increments=[], y_dirichlet_edges=sol.y_dirichlet_edges)
+        increments=[], layout=sol.layout)
     res1 = state_residual(mesh4, params, sol_p, y_bc=ybc)
     B = asm.assemble_divergence(mesh4)
     iu = asm.vector_indices(mesh4.interior_edges)
@@ -165,8 +165,7 @@ def test_residual_rejects_nan(mesh4):
     bad = StateSolution(
         u=CRVectorField(mesh4, np.full((mesh4.num_edges, 2), np.nan)),
         p=P0Field(mesh4), y=CRVectorField(mesh4), iterations=0,
-        increments=[],
-        y_dirichlet_edges=np.zeros(0, dtype=np.int64))
+        increments=[], layout=None)
     with pytest.raises(ValueError):
         state_residual(mesh4, params, bad)
 

@@ -17,6 +17,11 @@ trees and compare the lines.  The groups follow the benchmark workloads:
 - ``accuracy_flow`` and ``accuracy_darcy``: the manufactured studies on
   levels 8, 12, 16: errors, rates, iterations, divergences, VI residuals
   and every level's state, adjoint and control;
+- ``adjoint``: the 8 x 8 manufactured problem in the flow and Darcy
+  regimes (boundary data, both forcings, the jump penalty in Darcy)
+  solved by ``solve_state`` at the exact control, then a standalone
+  ``solve_adjoint``: the state, phi, xi, xi_raw, eta and
+  ``state_residual``;
 - ``cli``: the exit code and every file that ``ddopt.cli.main`` writes
   for ``solve --n 8`` with CSV and with VTK export and for
   ``cavity --n 8 --da 1e-3 --tol-mode rel``, and ``write_config`` of a
@@ -26,6 +31,7 @@ All groups take about 30 s on 2 vCPU.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -38,8 +44,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from ddopt import cli, control, state, verification  # noqa: E402
+from ddopt.adjoint import solve_adjoint  # noqa: E402
 from ddopt.linalg import SolverError  # noqa: E402
 from ddopt.mesh import build_unit_square_mesh  # noqa: E402
+from ddopt.spaces import boundary_interpolate, p0_project  # noqa: E402
 
 SOLVE_TOL = 1e-10
 
@@ -130,6 +138,32 @@ def accuracy(regime):
     return d
 
 
+def adjoint():
+    d = Digest()
+    for regime in ("flow", "darcy"):
+        regime = verification.get_regime(regime)
+        case = verification.ManufacturedCase(sigma=regime.sigma,
+                                             nu2=regime.nu2)
+        params = verification.make_params(case)
+        mesh = build_unit_square_mesh(8)
+        problem = dict(
+            y_bc=boundary_interpolate(case.y, mesh),
+            control=p0_project(case.U, mesh),
+            u_bc=boundary_interpolate(case.u, mesh),
+            forcing_mom=functools.partial(verification._momentum_forcing,
+                                          case),
+            forcing_tr=functools.partial(verification._transport_forcing,
+                                         case))
+        solution = state.solve_state(
+            mesh, params, settings=state.NonlinearSettings(tol=SOLVE_TOL),
+            penalty_a0=regime.a0, **problem)
+        adj = solve_adjoint(solution, verification.tracking_data(case))
+        _state(d, solution)
+        d.add(adj.phi.dof, adj.xi.dof, adj.xi_raw, adj.eta.dof,
+              state.state_residual(mesh, params, solution, **problem))
+    return d
+
+
 def cli_outputs():
     d = Digest()
     runs = (["solve", "--n", "8", "--export", "csv"],
@@ -160,6 +194,7 @@ GROUPS = {
     "cavity_control": cavity_control,
     "accuracy_flow": lambda: accuracy("flow"),
     "accuracy_darcy": lambda: accuracy("darcy"),
+    "adjoint": adjoint,
     "cli": cli_outputs,
 }
 
