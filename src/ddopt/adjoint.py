@@ -20,8 +20,9 @@ solved with the transposed LU factors.  The continuity rows of J carry
 the factor 1/|K|, so the pressure block of its solution is |K| xi.  J
 reads no Dirichlet values, so it is built on the state's own layout
 (``StateSolution.layout``).  In a one-shot optimization loop the
-linearization comes from the state stepper: its LU serves the next Newton
-step too, and may be one kept from an earlier iteration that
+linearization comes from the state stepper: its LU serves the next state
+step too (a Newton step solves with it, a Picard step preconditions
+GMRES with it), and may be one kept from an earlier step that
 preconditions GMRES instead.
 """
 

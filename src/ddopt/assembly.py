@@ -457,16 +457,26 @@ def assemble_mean_constraint(mesh):
 def _difference_values(mesh, dof, target):
     """(field_h - target) at the cell quadrature points.
 
-    ``target`` may be None, a callable of (x, y), or a CR field (anything
-    carrying a matching ``dof`` array).
+    ``target`` may be None, a callable of (x, y), a CR field (anything
+    carrying a matching ``dof`` array), or its values at the quadrature
+    points (``_sampled_target``).
     """
     q = mesh.cell_quadrature
     if target is not None and hasattr(target, "dof"):
         return cr_values_on_cells(mesh, dof - target.dof, q.bary)
     vals = cr_values_on_cells(mesh, dof, q.bary)
     if target is not None:
-        vals = vals - _point_values(target, q.pts[:, :, 0], q.pts[:, :, 1])
+        vals = vals - _sampled_target(mesh, target)
     return vals
+
+
+def _sampled_target(mesh, target):
+    """A callable target's values at the cell quadrature points; any other
+    target as it is."""
+    if not callable(target):
+        return target
+    q = mesh.cell_quadrature
+    return _point_values(target, q.pts[:, :, 0], q.pts[:, :, 1])
 
 
 def tracking_load(mesh, dof, target):

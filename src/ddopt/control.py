@@ -16,10 +16,13 @@ One layout (``_Dofs``) serves every state step and every adjoint of the
 loop, and the final state carries it to ``kkt_residuals``.  The adjoint of
 iteration k, the transposed bordered system of the stepper's Newton
 linearization at the iterate, is solved with its LU transposed; the state
-step of iteration k + 1 consumes that linearization in Newton mode.  While
-the increments contract, later adjoints and Newton steps lag that LU, as
-GMRES preconditioner, until GMRES declines and a new Jacobian is factored
-(see ``state``).
+step of iteration k + 1 consumes that linearization: a Newton step solves
+with it, a Picard step solves its own operator by GMRES preconditioned
+with its LU.  While the increments contract, later adjoints and steps lag
+the LU of the newest step, as GMRES preconditioner, until GMRES declines
+and a new operator is factored (see ``state``).  Callable tracking
+targets are sampled once, on the cell rule of the cost and the adjoint
+loads.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .adjoint import _adjoint_rhs, solve_adjoint
+from .adjoint import TrackingData, _adjoint_rhs, solve_adjoint
 from .linalg import SolverError, _frees_on_failure
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
@@ -188,6 +191,9 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
                            settings=settings.inner, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
+    # callable targets are sampled once, on the cost's cell rule
+    sampled = TrackingData(asm._sampled_target(mesh, data.u_d),
+                           asm._sampled_target(mesh, data.y_d))
 
     for it in range(1, settings.max_iter + 1):
         stepper.set_control(U)
@@ -195,13 +201,13 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
         state = stepper.solution()
         # passed inline: held here, its LU would outlive the next step's
         # decision to factor, and two LUs would be alive at once
-        adjoint = solve_adjoint(state, data,
+        adjoint = solve_adjoint(state, sampled,
                                 linearization=stepper.linearize())
         pphi = p0_project(adjoint.phi, mesh).dof
         labels = _classify(pphi, lam, bounds)
         U_new = project_control(pphi, lam, bounds)
 
-        cost_history.append(eval_cost(state, U_new, data, lam))
+        cost_history.append(eval_cost(state, U_new, sampled, lam))
         set_history.append(labels)
         change = l2_p0(mesh, U_new - U)
         if settings.tol_mode == "relative":

@@ -34,15 +34,17 @@ bit the one the sparse sums and ``bmat`` of the sliced blocks would give.
 Each step assembles one ``Linearization`` of the system at the iterate.
 A one-shot optimization loop takes the Newton one from ``linearize``, on
 the stepper's own layout, and solves its adjoint, the transposed bordered
-system, with the same LU transposed; the next Newton step consumes it, a
-Picard step drops it before assembling its own operator.
+system, with the same LU transposed.  The next step always consumes it: a
+Newton step solves with it, a Picard step assembles its own operator and
+takes over its LU as a lagged one (below), whatever the gate says.
 
-After a Newton step the stepper keeps the LU (BorderedSolver) that served
-it, new or lagged.  While the last increment is at most a fifth of the
-one before it (the gate), the next linearization takes that LU over: each
-of its solves, transposed or not, is first tried by GMRES preconditioned
-with it, to the direct solve's residual, and J is factored only when
-GMRES declines.  When the gate is shut, the kept LU is dropped before the
+After every step, Picard or Newton, the stepper keeps the LU
+(BorderedSolver) that served it, new or lagged.  While the last increment
+is at most a fifth of the one before it (the gate), the next
+linearization takes that LU over: each of its solves, transposed or not,
+is first tried by GMRES preconditioned with it, to the direct solve's
+residual, and J is factored only when GMRES declines, after the lagged LU
+is dropped.  When the gate is shut, the kept LU is dropped before the
 next Jacobian is assembled, so at most one LU is alive and none waits
 through an assembly it will not serve.
 
@@ -52,6 +54,7 @@ drives the stepper to the increment tolerance.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse as sp
@@ -61,11 +64,11 @@ from .linalg import BorderedSolver, SolverError, _frees_on_failure
 from .norms import broken_velocity_norm, broken_transport_norm
 from .spaces import CRVectorField, P0Field, cr_cell_gradients
 
-# Lagged Newton LU: once the increment contracted by at least
-# _LAG_CONTRACTION (the factor of the Picard->Newton switch), the solves of
-# the next linearization are first tried by GMRES preconditioned with the
-# kept LU of an earlier Newton step, with at most _LAG_MAXITER iterations
-# (one costs about 2% of a factorization at 32 x 32).
+# Lagged LU: once the increment contracted by at least _LAG_CONTRACTION
+# (the factor of the Picard->Newton switch), the solves of the next
+# linearization are first tried by GMRES preconditioned with the kept LU
+# of the previous step, with at most _LAG_MAXITER iterations (one costs
+# about 2% of a factorization at 32 x 32).
 _LAG_CONTRACTION = 0.2
 _LAG_MAXITER = 25
 
@@ -213,7 +216,6 @@ class _Dofs:
         self.d_col[self.ip] = 1.0
         self.e_row = np.zeros(n_all)
         self.e_row[self.ip] = self.area
-        self.jacobian = _JacobianPlan(self)
 
         g = -self.B[:, self.iu_fixed] @ self.u_fixed_values.reshape(-1)
         self.g = (g - self.area * (g.sum() / self.area.sum())) / self.area
@@ -222,6 +224,12 @@ class _Dofs:
             self.b_forcing += asm.assemble_load(mesh, forcing_mom)
         self.b_tr = np.zeros(2 * ne) if forcing_tr is None \
             else asm.assemble_load(mesh, forcing_tr)
+
+    @cached_property
+    def jacobian(self):
+        """Where the blocks land in J, built on first use: a residual
+        check never gathers J."""
+        return _JacobianPlan(self)
 
     def full_u(self, u_free_flat):
         u = np.zeros((self.mesh.num_edges, 2))
@@ -316,8 +324,9 @@ class Linearization:
     A_mom (Brinkman + N(u) + penalty) and A_tr (cross-diffusion + N(u))
     share one set of upwind values.  The bordered free-dof core ``J``
     (exact Jacobian with ``newton``, else the Picard operator) is gathered
-    here by the layout's ``jacobian`` plan and factored on the first
-    solve that needs it, so callers assemble what else they need first.
+    by the layout's ``jacobian`` plan on first use and factored on the
+    first solve that needs it, so callers assemble what else they need
+    first, and a residual check gathers no J.
     Its LU (``solver``) solves the bordered system of J and, transposed,
     the adjoint's transposed bordered system.
     Given the ``kept`` LU of an earlier linearization, each solve first
@@ -354,8 +363,14 @@ class Linearization:
             K_uy = (np.zeros(A_mom.size), plan.vector.mask(at))
             K_uy[0][at] = -MF
             blocks = ((A_mom, A_mom != 0), K_uy, None)
-        self.J = dofs.jacobian.assemble(blocks + ((A_tr, A_tr != 0),))
+        self._blocks = blocks + ((A_tr, A_tr != 0),)
         self.solver, self._lagged = kept, kept is not None
+
+    @cached_property
+    def J(self):
+        """The bordered free-dof core, gathered on first use."""
+        blocks, self._blocks = self._blocks, None
+        return self.dofs.jacobian.assemble(blocks)
 
     def solve(self, rhs, beta=0.0, transpose=False):
         """Bordered solve with J, or the transposed bordered solve if
@@ -396,8 +411,9 @@ class StateStepper:
 
     The stepper starts in Picard mode (frozen coefficients) and switches
     to Newton once the increment has dropped enough (or after a few
-    steps).  Newton steps and the linearizations of ``linearize`` reuse a
-    kept LU through GMRES while the increments contract fast (see the
+    steps).  Every step and the linearizations of ``linearize`` reuse a
+    kept LU through GMRES while the increments contract fast, and a step
+    after ``linearize`` always tries that linearization's LU (see the
     module docstring).  The arguments are those of ``solve_state``.
     """
 
@@ -420,7 +436,7 @@ class StateStepper:
         self.steps = 0
         self.increments = []
         self._lin = None
-        self._kept = None  # the LU that served the newest Newton step
+        self._kept = None  # the LU that served the newest step
 
     def set_control(self, control):
         """Swap the distributed control between steps."""
@@ -443,16 +459,15 @@ class StateStepper:
         is open; else that LU is dropped before the assembly, or the new LU
         lands in a fragmented heap."""
         incs = self.increments
-        lag = self.newton and len(incs) >= 2 \
-            and incs[-1] <= _LAG_CONTRACTION * incs[-2]
+        lag = len(incs) >= 2 and incs[-1] <= _LAG_CONTRACTION * incs[-2]
         kept, self._kept = self._kept if lag else None, None
         return Linearization(self.dofs, self.u, self.y, newton=newton,
                              kept=kept)
 
     def linearize(self):
         """Newton linearization at the iterate, in Picard and Newton mode
-        alike, on the stepper's layout.  A Newton step consumes it (and its
-        LU); a Picard step drops it before assembling its own."""
+        alike, on the stepper's layout.  The next step consumes it: a
+        Newton step solves with it, a Picard step takes over its LU."""
         if self._lin is None:
             self._lin = self._linearization(True)
         return self._lin
@@ -462,12 +477,15 @@ class StateStepper:
         dofs = self.dofs
         nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
-        # a Picard step drops a handed linearization before it assembles
-        # its own, so at most one LU is alive
-        lin = self._lin if self.newton else None
-        self._lin = None
+        lin, self._lin = self._lin, None
         if lin is None:
             lin = self._linearization(self.newton)
+        elif not self.newton:
+            # the Picard operator, lagging the handed LU; the handed
+            # linearization goes first, so at most one LU is alive
+            kept, lin = lin.solver, None
+            lin = Linearization(dofs, u, y, newton=False, kept=kept)
+            del kept
 
         if not self.newton:
             b_mom = dofs.b_forcing + self.b_control
@@ -495,14 +513,14 @@ class StateStepper:
             rhs = np.concatenate([-r_mom[dofs.iu_free], -r_div,
                                   -r_tr[dofs.iy_free]])
             x, dm = lin.solve(rhs, beta=-r_mean)
-            self._kept = lin.solver  # new or lagged, it served this step
             u_new = u.copy()
             u_new[dofs.u_free_edges] += x[:nu].reshape(-1, 2)
             p_new = p + x[dofs.ip]
             y_new = y.copy()
             y_new[dofs.y_free_edges] += x[dofs.ip.stop:].reshape(-1, 2)
             m_new = self.m + dm
-        del lin  # blocks and an unkept LU go before anything else
+        self._kept = lin.solver  # new or lagged, it served this step
+        del lin  # its blocks go before anything else
 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(y_new))
                 and np.all(np.isfinite(p_new))):

@@ -251,16 +251,19 @@ def _cavity_8():
 
 
 def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
-    # each Newton-mode adjoint solves with the transposed LU that the next
-    # state step consumes, and while the increments contract both solve by
-    # GMRES with the LU kept from an earlier iteration
+    # each adjoint solves with the transposed LU that the next state step
+    # consumes: a Newton step solves with it, a Picard step tries it by
+    # GMRES on its own operator; while the increments contract, later
+    # adjoints and Newton steps solve by GMRES with the LU kept from an
+    # earlier iteration
     from ddopt import linalg
     from ddopt.cli import run_cavity
     from ddopt.state import StateStepper
 
-    counts = {"factor": 0, "picard": 0, "transposed": 0}
+    counts = {"factor": 0, "picard": 0, "transposed": 0, "handed": 0}
     factor, step = linalg.DirectSolver.__init__, StateStepper.step
     krylov = linalg.BorderedSolver.krylov_solve
+    in_picard = []
 
     def counting_factor(self, A):
         counts["factor"] += 1
@@ -268,10 +271,14 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
 
     def counting_step(self):
         counts["picard"] += not self.newton
-        return step(self)
+        in_picard[:] = [not self.newton]
+        incr = step(self)
+        in_picard[:] = []
+        return incr
 
     def counting_krylov(self, *args, transpose=False, **kwargs):
         counts["transposed"] += transpose
+        counts["handed"] += in_picard == [True]
         return krylov(self, *args, transpose=transpose, **kwargs)
 
     monkeypatch.setattr(linalg.DirectSolver, "__init__", counting_factor)
@@ -279,9 +286,11 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
     monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
                         counting_krylov)
     res = run_cavity(_cavity_8())
-    # 11 iterations, 3 of them Picard: 3 Picard steps, 8 adjoints, of
-    # which the last 3 lag the LU of the eighth
+    # 11 iterations, 3 of them Picard: the first Picard step factors, the
+    # other two try the handed adjoint LU by GMRES, which declines, and
+    # factor; of the 8 adjoints the last 3 lag the LU of the eighth
     assert (res.iterations, counts["picard"]) == (11, 3)
+    assert counts["handed"] == 2
     assert counts["factor"] == 11
     assert counts["transposed"] >= 1
     # the benchmark's reference run of the same 8 x 8 configuration
@@ -297,6 +306,26 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
         a = getattr(res.adjoint, name).dof
         b = getattr(fresh, name).dof
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+
+def _manufactured_8(regime):
+    """The accuracy study's PDAS run on its 8 x 8 level."""
+    from ddopt.verification import get_regime
+    regime = get_regime(regime)
+    s = manufactured_setup(8, sigma=regime.sigma, nu2=regime.nu2)
+    settings = PdasSettings(lam=s["case"].lam, tol=1e-6,
+                            inner=NonlinearSettings(tol=1e-10))
+    return pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
+                      s["case"].bounds, settings=settings, u_bc=s["u_bc"],
+                      forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
+                      penalty_a0=regime.a0)
+
+
+def _run(name):
+    if name == "cavity_8":
+        from ddopt.cli import run_cavity
+        return run_cavity(_cavity_8())
+    return _manufactured_8(name[:-len("_8")])
 
 
 def test_adjoint_solves_transposed_bordered_system():
@@ -330,17 +359,17 @@ def test_adjoint_solves_transposed_bordered_system():
         assert np.abs(got[name] - b).max() <= 1e-10 * np.abs(b).max(), name
 
 
-def test_lagged_lu_leaves_optimization_unchanged(monkeypatch):
-    # the 8 x 8 cavity control with the kept LU lagged through GMRES, and
-    # with GMRES declining so that every linearization factors its own
+@pytest.mark.parametrize("run", ["cavity_8", "flow_8", "darcy_8"])
+def test_lagged_lu_leaves_optimization_unchanged(run, monkeypatch):
+    # a PDAS run with the kept LU lagged through GMRES, and with GMRES
+    # declining so that every linearization factors its own
     from ddopt import linalg
-    from ddopt.cli import run_cavity
     from ddopt.control import _vi_residual
 
-    lagged = run_cavity(_cavity_8())
+    lagged = _run(run)
     monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
                         lambda self, *a, **k: None)
-    fresh = run_cavity(_cavity_8())
+    fresh = _run(run)
     assert lagged.iterations == fresh.iterations
     assert len(lagged.active_set_history) == len(fresh.active_set_history)
     for a, b in zip(lagged.active_set_history, fresh.active_set_history):
@@ -361,10 +390,31 @@ def test_lagged_lu_leaves_optimization_unchanged(monkeypatch):
         assert res.state.max_divergence() <= 1e-10 * (1.0 + umax)
 
 
-@pytest.mark.parametrize("case", ["control_8", "forward_12"])
+@pytest.mark.parametrize("run, iterations", [("flow_8", 6), ("darcy_8", 3)])
+def test_manufactured_pdas_factors_twice(run, iterations, monkeypatch):
+    # the first Picard step and the first adjoint factor; the second
+    # Picard step solves its own operator by GMRES with the adjoint's LU,
+    # and every later adjoint and Newton step lags that LU too
+    from ddopt import linalg
+    factored = []
+    factor = linalg.DirectSolver.__init__
+
+    def counting_factor(self, A):
+        factored.append(A.shape[0])
+        factor(self, A)
+
+    monkeypatch.setattr(linalg.DirectSolver, "__init__", counting_factor)
+    res = _run(run)
+    assert res.iterations == iterations
+    assert len(factored) == 2
+
+
+@pytest.mark.parametrize("case", ["control_8", "forward_12", "flow_8",
+                                  "flow_8_declining"])
 def test_one_lu_alive_at_each_factorization(case, monkeypatch):
     # no LU (kept, lagged or handed to the adjoint) outlives the decision
-    # to factor a new one
+    # to factor a new one; with GMRES declining, every Picard step of the
+    # manufactured PDAS run drops the handed LU before it factors
     import gc
     import weakref
     from ddopt import cli, linalg
@@ -383,6 +433,11 @@ def test_one_lu_alive_at_each_factorization(case, monkeypatch):
     monkeypatch.setattr(linalg.DirectSolver, "__init__", tracking_factor)
     if case == "control_8":
         cli.run_cavity(_cavity_8())
+    elif case.startswith("flow_8"):
+        if case.endswith("declining"):
+            monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
+                                lambda self, *a, **k: None)
+        _manufactured_8("flow")
     else:
         mesh = build_unit_square_mesh(12)
         params, _ = cli.derive_cavity_coefficients(

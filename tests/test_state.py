@@ -122,6 +122,24 @@ def test_residual_of_converged_solution_small():
     assert res["pressure_mean"] < 1e-10
 
 
+def test_residual_check_gathers_no_jacobian(monkeypatch):
+    # J and its plan are built on first use; a residual check reads only
+    # A_mom and A_tr, so it builds neither
+    from ddopt import state
+    mesh, params, y_bc = _cavity(8, 100.0, 1e-3, 10.0)
+    sol = solve_state(mesh, params, y_bc)
+    built = []
+    for cls in (state._JacobianPlan, linalg.DirectSolver):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    res = state_residual(mesh, params, sol, y_bc=y_bc)
+    assert max(res.values()) < 1e-8
+    assert built == []
+
+
 def test_residual_zero_solution_equals_load_norm(mesh4):
     params = ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0)
     zero = StateSolution(

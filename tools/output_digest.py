@@ -1,11 +1,20 @@
 """Print one SHA-256 per group of solver outputs, to check that a change
-keeps every result to the bit.
+keeps every result to the bit, and say how far the outputs moved when it
+does not.
 
-    python3 tools/output_digest.py [group ...]
+    python3 tools/output_digest.py [--save DIR] [--compare DIR] [group ...]
 
 runs the named groups (default: all) with the ``ddopt`` of the tree the
 script sits in and prints ``<group> <digest>`` per group; run it in two
-trees and compare the lines.  The groups follow the benchmark workloads:
+trees and compare the lines.  ``--save DIR`` also writes each group's
+outputs, by name, to ``DIR/<group>.npz``; ``--compare DIR`` reads them
+back and prints, under each group's line, every output that differs from
+the saved one: for a float array its largest difference relative to the
+saved array's largest magnitude, for a count or an active set what
+changed, for an error type or message the old and new text.  Keep DIR
+outside the source tree.  The PDAS active-set histories are saved but
+not hashed: they follow from the hashed histories.  The groups follow the
+benchmark workloads:
 
 - ``sweep_4,6,8`` and ``sweep_8,12,16``: the two param_sweep lattices,
   every point's u, p, y, iteration count and increments, or its solver
@@ -30,6 +39,7 @@ trees and compare the lines.  The groups follow the benchmark workloads:
 All groups take about 30 s on 2 vCPU.
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -53,39 +63,70 @@ SOLVE_TOL = 1e-10
 
 
 class Digest:
+    """A SHA-256 over a group's outputs, which also keeps them by name."""
+
     def __init__(self):
         self.h = hashlib.sha256()
+        self.arrays = {}
 
-    def add(self, *items):
-        for item in items:
-            if isinstance(item, str):
-                self.h.update(item.encode())
-            elif isinstance(item, dict):
-                for key in sorted(item):
-                    self.add(key, item[key])
-            elif isinstance(item, (list, tuple)):
-                self.add(*item)
-            else:
-                a = np.ascontiguousarray(item)
-                self.h.update("{}{}".format(a.dtype.str, a.shape).encode())
-                self.h.update(a.tobytes())
+    def add(self, at="", **named):
+        """Hash the outputs in turn and keep each as ``at + name``."""
+        for name, item in named.items():
+            self._hash(item)
+            self.keep(**{at + name: item})
         return self
+
+    def add_file(self, key, name, content):
+        self._hash(name)
+        self.h.update(content)
+        self.arrays[key] = np.array(content.decode(errors="replace"))
+
+    def keep(self, **named):
+        """Keep outputs for --save and --compare without hashing them."""
+        for name, item in named.items():
+            if isinstance(item, dict):
+                self.keep(**{"{}.{}".format(name, key): value
+                             for key, value in item.items()})
+                continue
+            try:
+                self.arrays[name] = np.array(item)
+            except ValueError:  # a list of arrays of different shapes
+                self.keep(**{"{}.{}".format(name, i): value
+                             for i, value in enumerate(item)})
+
+    def _hash(self, item):
+        if isinstance(item, str):
+            self.h.update(item.encode())
+        elif isinstance(item, dict):
+            for key in sorted(item):
+                self._hash(key)
+                self._hash(item[key])
+        elif isinstance(item, (list, tuple)):
+            for each in item:
+                self._hash(each)
+        else:
+            a = np.ascontiguousarray(item)
+            self.h.update("{}{}".format(a.dtype.str, a.shape).encode())
+            self.h.update(a.tobytes())
 
     def hexdigest(self):
         return self.h.hexdigest()
 
 
-def _state(d, solution):
-    d.add(solution.u.dof, solution.p.dof, solution.y.dof,
-          solution.iterations, solution.increments)
+def _state(d, solution, at=""):
+    d.add(at, u=solution.u.dof, p=solution.p.dof, y=solution.y.dof,
+          iterations=solution.iterations, increments=solution.increments)
 
 
-def _opt(d, result):
-    _state(d, result.state)
+def _opt(d, result, at=""):
+    _state(d, result.state, at)
     adj = result.adjoint
-    d.add(adj.phi.dof, adj.xi.dof, adj.xi_raw, adj.eta.dof,
-          result.control.dof, result.iterations, result.cost_history,
-          result.control_changes)
+    d.add(at, phi=adj.phi.dof, xi=adj.xi.dof, xi_raw=adj.xi_raw,
+          eta=adj.eta.dof, control=result.control.dof,
+          pdas_iterations=result.iterations,
+          cost_history=result.cost_history,
+          control_changes=result.control_changes)
+    d.keep(**{at + "active_sets": result.active_set_history})
 
 
 def _forward(n, ra, da, le):
@@ -103,12 +144,13 @@ def sweep(ns):
     for n in ns:
         for k in range(10):
             ra, log_da, le = (((k * g) % 10 + 0.5) / 10 for g in (1, 3, 7))
+            at = "n{}.k{}.".format(n, k)
             try:
                 _state(d, _forward(n, 50.0 + 150.0 * ra,
                                    10.0 ** (-4.0 + 2.0 * log_da),
-                                   2.0 + 18.0 * le))
+                                   2.0 + 18.0 * le), at)
             except SolverError as exc:
-                d.add(type(exc).__name__, str(exc))
+                d.add(at, error=type(exc).__name__, message=str(exc))
     return d
 
 
@@ -125,16 +167,17 @@ def cavity_control():
     result = cli.run_cavity(config)
     d = Digest()
     _opt(d, result)
-    return d.add(control.kkt_residuals(result))
+    return d.add(kkt=control.kkt_residuals(result))
 
 
 def accuracy(regime):
     report = verification.run_convergence_study(regime, [8, 12, 16],
                                                 keep_results=True)
-    d = Digest().add(report.errors, report.rates, report.iterations,
-                     report.div_max, report.vi_res)
-    for result in report.results:
-        _opt(d, result)
+    d = Digest().add(errors=report.errors, rates=report.rates,
+                     iterations=report.iterations, div_max=report.div_max,
+                     vi_res=report.vi_res)
+    for n, result in zip(report.ns, report.results):
+        _opt(d, result, "n{}.".format(n))
     return d
 
 
@@ -158,9 +201,11 @@ def adjoint():
             mesh, params, settings=state.NonlinearSettings(tol=SOLVE_TOL),
             penalty_a0=regime.a0, **problem)
         adj = solve_adjoint(solution, verification.tracking_data(case))
-        _state(d, solution)
-        d.add(adj.phi.dof, adj.xi.dof, adj.xi_raw, adj.eta.dof,
-              state.state_residual(mesh, params, solution, **problem))
+        at = regime.name + "."
+        _state(d, solution, at)
+        d.add(at, phi=adj.phi.dof, xi=adj.xi.dof, xi_raw=adj.xi_raw,
+              eta=adj.eta.dof, residual=state.state_residual(
+                  mesh, params, solution, **problem))
     return d
 
 
@@ -173,10 +218,11 @@ def cli_outputs():
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv + ["--out", out])
-            d.add(" ".join(argv), str(code))
+            at = argv[0] + "." + argv[-1] + "."
+            d.add(**{at + "argv": " ".join(argv), at + "exit": str(code)})
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as fh:
-                    d.add(name).h.update(fh.read())
+                    d.add_file(at + name, name, fh.read())
     stream = io.StringIO()
     cli.write_config(cli.RunConfig({
         "regime": "darcy", "levels": 3, "n": 12, "out": "elsewhere",
@@ -184,7 +230,7 @@ def cli_outputs():
         "sr": 0.05, "du": -0.02, "rk": 2.0, "nbuoy": -0.5, "lambda": 0.5,
         "lbound": -0.1, "ubound": 0.2, "tol": 1e-7, "tol_mode": "abs"}),
         stream)
-    return d.add(stream.getvalue())
+    return d.add(config=stream.getvalue())
 
 
 GROUPS = {
@@ -199,12 +245,59 @@ GROUPS = {
 }
 
 
-def main(names):
-    for name in names or GROUPS:
+def compare(saved, arrays):
+    """Lines saying how each output of ``arrays`` moved from ``saved``."""
+    lines, same = [], 0
+    for name in list(arrays) + [k for k in saved if k not in arrays]:
+        if name not in saved or name not in arrays:
+            lines.append("  {}: {}".format(
+                name, "new" if name in arrays else "gone"))
+            continue
+        a, b = arrays[name], saved[name]
+        if a.shape == b.shape and np.array_equal(
+                a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f"):
+            same += 1
+        elif a.shape != b.shape:
+            lines.append("  {}: shape {} -> {}".format(name, b.shape, a.shape))
+        elif a.dtype.kind == b.dtype.kind == "f":
+            scale = float(np.abs(b).max())
+            diff = float(np.abs(a - b).max())
+            lines.append("  {}: max rel diff {:.1e}".format(
+                name, diff / scale if scale else diff))
+        elif a.ndim == 0:
+            lines.append("  {}: {!r:.60} -> {!r:.60}".format(
+                name, b.item(), a.item()))
+        else:
+            lines.append("  {}: {} of {} entries changed".format(
+                name, int(np.sum(a != b)), a.size))
+    lines.append("  {} of {} outputs equal to the bit".format(
+        same, len(arrays)))
+    return lines
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("groups", nargs="*", metavar="group")
+    parser.add_argument("--save", metavar="DIR",
+                        help="write every group's outputs to DIR/<group>.npz")
+    parser.add_argument("--compare", metavar="DIR",
+                        help="print how the outputs moved from those saved "
+                             "in DIR")
+    args = parser.parse_args(argv)
+    for name in args.groups or GROUPS:
         if name not in GROUPS:
-            sys.exit("unknown group {!r}; groups: {}".format(
+            parser.exit(2, "unknown group {!r}; groups: {}\n".format(
                 name, ", ".join(GROUPS)))
-        print(name, GROUPS[name]().hexdigest(), flush=True)
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
+    for name in args.groups or GROUPS:
+        d = GROUPS[name]()
+        print(name, d.hexdigest(), flush=True)
+        if args.save:
+            np.savez(os.path.join(args.save, name + ".npz"), **d.arrays)
+        if args.compare:
+            with np.load(os.path.join(args.compare, name + ".npz")) as saved:
+                print("\n".join(compare(dict(saved), d.arrays)), flush=True)
 
 
 if __name__ == "__main__":
