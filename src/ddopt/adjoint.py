@@ -17,9 +17,11 @@ The adjoint matrix is never assembled.  It is the transposed bordered
 system [[J^T, e], [d^T, 0]] of the state's ``Linearization`` (d the
 pressure-mean multiplier column, e the cell areas on the pressure rows),
 solved with the transposed LU factors.  The continuity rows of J carry
-the factor 1/|K|, so the pressure block of its solution is |K| xi.  J
-reads no Dirichlet values, so it is built on the state's own layout
-(``StateSolution.layout``).  In a one-shot optimization loop the
+the factor 1/|K|, so the pressure block of its solution is |K| xi; only
+this module knows that, and it also forms the adjoint residual of the
+KKT check.  J reads no Dirichlet values, so it is built on the state's
+own layout (``StateSolution.layout``), which packs the tracking loads
+and unpacks the solution.  In a one-shot optimization loop the
 linearization comes from the state stepper: its LU serves the next state
 step too (a Newton step solves with it, a Picard step preconditions
 GMRES with it), and may be one kept from an earlier step that
@@ -72,12 +74,24 @@ class AdjointSolution:
 
 
 def _adjoint_rhs(state, data):
-    """Tracking loads on the free (u, p, y) layout of ``state``."""
+    """Tracking loads on the bordered free-dof layout of ``state``."""
     dofs = state.layout
     mesh = dofs.mesh
-    b_u = asm.tracking_load(mesh, state.u.dof, data.u_d)[dofs.iu_free]
-    b_y = asm.tracking_load(mesh, state.y.dof, data.y_d)[dofs.iy_free]
-    return np.concatenate([b_u, np.zeros(mesh.num_cells), b_y])
+    return dofs.pack(asm.tracking_load(mesh, state.u.dof, data.u_d),
+                     np.zeros(mesh.num_cells),
+                     asm.tracking_load(mesh, state.y.dof, data.y_d))
+
+
+def _adjoint_residual(lin, state, adjoint, data):
+    """Euclidean norm of the adjoint equations' residual: the transposed
+    bordered system of the linearization ``lin`` at ``state``."""
+    dofs = lin.dofs
+    xi = adjoint.xi_raw
+    # the unknown on the pressure rows is |K| xi, as in solve_adjoint
+    x = dofs.pack(adjoint.phi.dof, dofs.area * xi, adjoint.eta.dof)
+    r = lin.J.T @ x - _adjoint_rhs(state, data)
+    return float(np.sqrt(np.linalg.norm(r) ** 2
+                         + float(dofs.area @ xi) ** 2))
 
 
 def solve_adjoint(state, data, linearization=None):
@@ -108,19 +122,14 @@ def solve_adjoint(state, data, linearization=None):
         else Linearization(dofs, u, y)
     mesh = dofs.mesh
     x, _ = lin.solve(_adjoint_rhs(state, data), transpose=True)
-    phi = np.zeros((mesh.num_edges, 2))
-    phi[dofs.u_free_edges] = x[:dofs.nu_free].reshape(-1, 2)
-    eta = np.zeros((mesh.num_edges, 2))
-    eta[dofs.y_free_edges] = x[dofs.ip.stop:].reshape(-1, 2)
-    area = dofs.area
-    xi = x[dofs.ip] / area
-    xi_raw = xi - area @ xi / area.sum()
+    # the pressure block is |K| xi: the continuity rows of J carry 1/|K|
+    phi, xi, eta = dofs.unpack(x)
+    xi_raw = dofs.zero_mean(xi / dofs.area)
     # The transposed skew convection pairs -b(v, (u.phi + y.eta)/2) into
     # the momentum row; div v_h is cellwise constant, so this is exactly a
     # pressure gauge.  Remove it to report the adjoint pressure itself.
     gauge = 0.5 * (_cell_mean_dot(mesh, u, phi) + _cell_mean_dot(mesh, y, eta))
-    xi = xi_raw - gauge
-    xi = xi - area @ xi / area.sum()
+    xi = dofs.zero_mean(xi_raw - gauge)
     return AdjointSolution(
         phi=CRVectorField(mesh, phi), xi=P0Field(mesh, xi),
         eta=CRVectorField(mesh, eta), xi_raw=xi_raw)

@@ -456,9 +456,7 @@ def main(argv=None):
         try:
             with open(diag, "w") as fh:
                 fh.write("{}: {}\n".format(type(exc).__name__, exc))
-                history = getattr(exc, "increments",
-                                  getattr(exc, "set_changes", []))
-                for k, v in enumerate(history):
+                for k, v in enumerate(exc.history):
                     fh.write("{} {:.6e}\n".format(k, v))
         except OSError:
             pass

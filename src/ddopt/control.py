@@ -13,7 +13,9 @@ ones, and stops when the active sets repeat, the control update falls
 below the tolerance and the state increment meets the inner tolerance.
 
 One layout (``_Dofs``) serves every state step and every adjoint of the
-loop, and the final state carries it to ``kkt_residuals``.  The adjoint of
+loop, and the final state carries it to ``kkt_residuals``, which takes
+the state residual from ``state`` and the adjoint residual from
+``adjoint``; this module indexes no free dofs.  The adjoint of
 iteration k, the transposed bordered system of the stepper's Newton
 linearization at the iterate, is solved with its LU transposed; the state
 step of iteration k + 1 consumes that linearization: a Newton step solves
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .adjoint import TrackingData, _adjoint_rhs, solve_adjoint
+from .adjoint import TrackingData, _adjoint_residual, solve_adjoint
 from .linalg import SolverError, _frees_on_failure
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
@@ -43,11 +45,7 @@ __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
 
 
 class PdasNonconvergence(SolverError):
-    """Active sets failed to settle; carries the set-change history."""
-
-    def __init__(self, message, set_changes):
-        super().__init__(message)
-        self.set_changes = list(set_changes)
+    """Active sets failed to settle; carries the control changes."""
 
 
 @dataclass
@@ -259,18 +257,3 @@ def _vi_residual(result):
     pphi = p0_project(result.adjoint.phi, result.control.mesh).dof
     fixed_point = project_control(pphi, result.settings.lam, result.bounds)
     return float(np.abs(result.control.dof - fixed_point).max())
-
-
-def _adjoint_residual(lin, state, adjoint, data):
-    """Euclidean norm of the adjoint equations' residual: the transposed
-    bordered system of the linearization ``lin`` at ``state``."""
-    dofs = lin.dofs
-    xi = adjoint.xi_raw
-    # the transposed bordered system's unknown on the pressure rows is
-    # |K| xi, as the continuity rows of J carry 1/|K|
-    x = np.concatenate([adjoint.phi.dof[dofs.u_free_edges].ravel(),
-                        dofs.area * xi,
-                        adjoint.eta.dof[dofs.y_free_edges].ravel()])
-    r = lin.J.T @ x - _adjoint_rhs(state, data)
-    return float(np.sqrt(np.linalg.norm(r) ** 2
-                         + float(dofs.area @ xi) ** 2))

@@ -28,7 +28,12 @@ _BORDERED_REFINE = 6
 class SolverError(RuntimeError):
     """Base of every solver failure: nonlinear nonconvergence or
     divergence, an unsettled active set, a singular factorization or a
-    stalled linear solve."""
+    stalled linear solve.  ``history`` holds the step increments or the
+    control changes that led to it, empty for a linear solve."""
+
+    def __init__(self, message, history=()):
+        super().__init__(message)
+        self.history = list(history)
 
 
 def _frees_on_failure(solve):

@@ -65,7 +65,7 @@ class P0Field:
         if dof is None:
             dof = np.zeros(mesh.num_cells)
         self.dof = np.asarray(dof, dtype=float)
-        if self.dof.shape[0] != mesh.num_cells:
+        if self.dof.ndim == 0 or self.dof.shape[0] != mesh.num_cells:
             raise ValueError("dof length must equal the cell count")
 
     def copy(self):
@@ -83,7 +83,7 @@ class BoundaryTrace:
     Attributes
     ----------
     edges : ndarray of int
-        Boundary edge indices on which the trace is prescribed.
+        Distinct boundary edge indices on which the trace is prescribed.
     values : ndarray (len(edges),) or (len(edges), 2)
     """
 
@@ -91,6 +91,10 @@ class BoundaryTrace:
         self.mesh = mesh
         self.edges = np.asarray(edges, dtype=np.int64)
         self.values = np.asarray(values, dtype=float)
+        if np.any((self.edges < 0) | (self.edges >= mesh.num_edges)):
+            raise ValueError("edge index out of range")
+        if np.unique(self.edges).size != self.edges.size:
+            raise ValueError("BoundaryTrace edges must be distinct")
         if np.any(~mesh.boundary_edge[self.edges]):
             raise ValueError("BoundaryTrace may only reference boundary "
                              "edges")

@@ -15,8 +15,11 @@ a discrete lifting.
 One layout (``_Dofs``) owns a state problem: its dofs and what does not
 depend on the iterate, built once: the divergence, the cross-diffusion,
 the jump penalty, the buoyancy coupling, the forcing loads and the
-continuity lifting.  A ``StateSolution`` carries its layout to the
-adjoint and the KKT check.  A ``Linearization`` builds the rest once per
+continuity lifting.  It is also the only code that converts between
+fields and the bordered (u, p, y) vector of free dofs: ``pack``,
+``unpack``, ``lift`` (the Dirichlet values) and ``zero_mean`` (the
+pressure gauge).  A ``StateSolution`` carries its layout to the adjoint
+and the KKT check.  A ``Linearization`` builds the rest once per
 iterate: the Brinkman block (nu follows T), one upwind matrix N(u) shared
 by the momentum and transport operators, and the Newton couplings.  Its
 ``residual`` forms the momentum and transport residuals of the Newton
@@ -80,13 +83,9 @@ __all__ = ["NonlinearSettings", "StateSolution", "NonconvergenceError",
 class NonconvergenceError(SolverError):
     """The nonlinear iteration ran out of steps; carries the increments."""
 
-    def __init__(self, message, increments):
-        super().__init__(message)
-        self.increments = list(increments)
-
 
 class DivergedError(SolverError):
-    """A NaN/Inf appeared in an iterate."""
+    """A NaN/Inf appeared in an iterate; carries the increments."""
 
 
 @dataclass
@@ -149,13 +148,14 @@ def _balance_boundary_flux(mesh, values):
 
 class _Dofs:
     """One state problem: free/fixed dofs, the bordered (u, p, y)
-    free-dof layout, the iterate-independent blocks and loads, and where
-    the blocks land in J (``jacobian``).  ``reaction``, ``cross``,
-    ``penalty`` (the jump penalty, None when absent) and ``MF_entries``
-    are (entry numbers, values) on the mesh's vector pattern; ``MF`` is
-    the buoyancy coupling matrix kron(M, F_y).  ``b_forcing`` and ``b_tr``
-    are the forcing loads, ``g`` the continuity lifting of the velocity
-    Dirichlet data."""
+    free-dof layout with the one conversion between it and the fields
+    (``pack``, ``unpack``, ``lift``), the iterate-independent blocks and
+    loads, and where the blocks land in J (``jacobian``).  ``reaction``,
+    ``cross``, ``penalty`` (the jump penalty, None when absent) and
+    ``MF_entries`` are (entry numbers, values) on the mesh's vector
+    pattern; ``MF`` is the buoyancy coupling matrix kron(M, F_y).
+    ``b_forcing`` and ``b_tr`` are the forcing loads, ``g`` the continuity
+    lifting of the velocity Dirichlet data."""
 
     def __init__(self, mesh, params, y_bc, u_bc, forcing_mom=None,
                  forcing_tr=None, penalty_a0=0.0):
@@ -169,9 +169,9 @@ class _Dofs:
         self.u_free_edges = mesh.interior_edges
         u_values = np.zeros((bdry.size, 2))
         if u_bc is not None:
-            loc = {int(e): i for i, e in enumerate(bdry)}
-            rows = np.array([loc[int(e)] for e in u_bc.edges], dtype=int)
-            u_values[rows] = np.atleast_2d(u_bc.values)
+            # a BoundaryTrace holds distinct boundary edges
+            u_values[np.searchsorted(bdry, u_bc.edges)] = \
+                _trace_values(u_bc, "velocity")
         self.u_fixed_values = _balance_boundary_flux(mesh, u_values)
         self.iu_free = asm.vector_indices(self.u_free_edges)
         self.iu_fixed = asm.vector_indices(self.u_fixed_edges)
@@ -181,10 +181,7 @@ class _Dofs:
             self.y_fixed_values = np.zeros((0, 2))
         else:
             self.y_fixed_edges = y_bc.edges
-            self.y_fixed_values = np.atleast_2d(y_bc.values)
-            if self.y_fixed_values.shape != (y_bc.edges.size, 2):
-                raise ValueError("transport Dirichlet data needs two "
-                                 "components per edge")
+            self.y_fixed_values = _trace_values(y_bc, "transport")
         mask = np.ones(ne, dtype=bool)
         mask[self.y_fixed_edges] = False
         self.y_free_edges = np.flatnonzero(mask)
@@ -231,22 +228,37 @@ class _Dofs:
         check never gathers J."""
         return _JacobianPlan(self)
 
-    def full_u(self, u_free_flat):
-        u = np.zeros((self.mesh.num_edges, 2))
-        u[self.u_free_edges] = u_free_flat.reshape(-1, 2)
+    def pack(self, u, p, y):
+        """The bordered free-dof vector of full-length momentum and
+        transport vectors ``u`` and ``y`` and a pressure block ``p``."""
+        return np.concatenate([np.reshape(u, -1)[self.iu_free], p,
+                               np.reshape(y, -1)[self.iy_free]])
+
+    def unpack(self, x):
+        """The (ne, 2) velocity and transport parts of a bordered vector,
+        zero on the fixed edges, and its pressure block."""
+        ne = self.mesh.num_edges
+        u, y = np.zeros((ne, 2)), np.zeros((ne, 2))
+        u[self.u_free_edges] = x[:self.nu_free].reshape(-1, 2)
+        y[self.y_free_edges] = x[self.ip.stop:].reshape(-1, 2)
+        return u, x[self.ip], y
+
+    def lift(self, u, y):
+        """Write the Dirichlet values into (ne, 2) fields, in place."""
         u[self.u_fixed_edges] = self.u_fixed_values
-        return u
+        y[self.y_fixed_edges] = self.y_fixed_values
 
-    def full_y(self, y_free_flat):
-        y = np.zeros((self.mesh.num_edges, 2))
-        y[self.y_free_edges] = y_free_flat.reshape(-1, 2)
-        if self.y_fixed_edges.size:
-            y[self.y_fixed_edges] = self.y_fixed_values
-        return y
+    def zero_mean(self, v):
+        """A cellwise field shifted to zero area-weighted mean."""
+        return v - self.area @ v / self.area.sum()
 
 
-def _sub(A, rows, cols):
-    return A[rows][:, cols]
+def _trace_values(trace, name):
+    values = np.atleast_2d(trace.values)
+    if values.shape != (trace.edges.size, 2):
+        raise ValueError("{} Dirichlet data needs two components per "
+                         "edge".format(name))
+    return values
 
 
 class _JacobianPlan:
@@ -425,12 +437,10 @@ class StateStepper:
         self.settings = settings or NonlinearSettings()
         self.dofs = dofs = _Dofs(mesh, params, y_bc, u_bc, forcing_mom,
                                  forcing_tr, penalty_a0)
-        nc = mesh.num_cells
         self.b_control = _control_load(mesh, control)
 
-        self.u = dofs.full_u(np.zeros(dofs.nu_free))
-        self.y = dofs.full_y(np.zeros(dofs.iy_free.size))
-        self.p = np.zeros(nc)
+        self.u, self.p, self.y = dofs.unpack(np.zeros(dofs.d_col.size))
+        dofs.lift(self.u, self.y)
         self.m = 0.0  # multiplier of the pressure-mean border
         self.newton = False
         self.steps = 0
@@ -475,7 +485,6 @@ class StateStepper:
     def step(self):
         """Advance one Picard or Newton step; returns the increment norm."""
         dofs = self.dofs
-        nu = dofs.nu_free
         u, y, p = self.u, self.y, self.p
         lin, self._lin = self._lin, None
         if lin is None:
@@ -488,44 +497,32 @@ class StateStepper:
             del kept
 
         if not self.newton:
-            b_mom = dofs.b_forcing + self.b_control
-            if dofs.iy_fixed.size:
-                b_mom = b_mom + dofs.MF[:, dofs.iy_fixed] \
-                    @ dofs.y_fixed_values.reshape(-1)
-            b_mom_free = b_mom[dofs.iu_free] \
-                - _sub(lin.A_mom, dofs.iu_free, dofs.iu_fixed) \
-                @ dofs.u_fixed_values.reshape(-1)
-            b_tr_free = dofs.b_tr[dofs.iy_free]
-            if dofs.iy_fixed.size:
-                b_tr_free = b_tr_free \
-                    - _sub(lin.A_tr, dofs.iy_free, dofs.iy_fixed) \
-                    @ dofs.y_fixed_values.reshape(-1)
-            x, m_new = lin.solve(
-                np.concatenate([b_mom_free, dofs.g, b_tr_free]))
-            u_new = dofs.full_u(x[:nu])
-            p_new = x[dofs.ip]
-            y_new = dofs.full_y(x[dofs.ip.stop:])
+            # the new iterate itself, its Dirichlet values lifted to the
+            # right-hand side
+            u_lift, y_lift = np.zeros_like(u), np.zeros_like(y)
+            dofs.lift(u_lift, y_lift)
+            x, m_new = lin.solve(dofs.pack(
+                dofs.b_forcing + self.b_control - lin.A_mom @ u_lift.ravel(),
+                dofs.g, dofs.b_tr - lin.A_tr @ y_lift.ravel()))
+            u_new, p_new, y_new = dofs.unpack(x)
         else:
             r_mom, r_tr = lin.residual(p, self.b_control)
             r_div = dofs.B_scaled @ u.reshape(-1)[dofs.iu_free] \
                 + self.m - dofs.g
-            r_mean = float(dofs.area @ p)
-            rhs = np.concatenate([-r_mom[dofs.iu_free], -r_div,
-                                  -r_tr[dofs.iy_free]])
-            x, dm = lin.solve(rhs, beta=-r_mean)
-            u_new = u.copy()
-            u_new[dofs.u_free_edges] += x[:nu].reshape(-1, 2)
-            p_new = p + x[dofs.ip]
-            y_new = y.copy()
-            y_new[dofs.y_free_edges] += x[dofs.ip.stop:].reshape(-1, 2)
+            x, dm = lin.solve(-dofs.pack(r_mom, r_div, r_tr),
+                              beta=-float(dofs.area @ p))
+            du, dp, dy = dofs.unpack(x)
+            u_new, p_new, y_new = u + du, p + dp, y + dy
             m_new = self.m + dm
+        dofs.lift(u_new, y_new)
         self._kept = lin.solver  # new or lagged, it served this step
         del lin  # its blocks go before anything else
 
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(y_new))
                 and np.all(np.isfinite(p_new))):
             raise DivergedError(
-                "NaN/Inf in iterate {}".format(self.steps + 1))
+                "NaN/Inf in iterate {}".format(self.steps + 1),
+                self.increments)
         incr = self.increment_norm(u_new - u, y_new - y)
         self.u, self.y, self.p, self.m = u_new, y_new, p_new, m_new
         self.steps += 1
@@ -539,11 +536,9 @@ class StateStepper:
         return incr <= self.settings.tol * self.iterate_scale()
 
     def solution(self):
-        area = self.dofs.area
-        p = self.p - area @ self.p / area.sum()
         return StateSolution(
             u=CRVectorField(self.mesh, self.u.copy()),
-            p=P0Field(self.mesh, p),
+            p=P0Field(self.mesh, self.dofs.zero_mean(self.p)),
             y=CRVectorField(self.mesh, self.y.copy()),
             iterations=self.steps,
             increments=list(self.increments),

@@ -9,7 +9,7 @@ derivatives before any convergence run is trusted.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +39,17 @@ class ManufacturedCase:
     exponential, the adjoint pair vanishes on the boundary, and the control
     is the projection of the adjoint velocity onto the box.  Fixed model
     choices: nu(T) = nu2 * exp(-T), F(y) = (T + N_r S) g with g = (0, 1),
-    K^{-1} = sigma I, D = 1000 I, lambda = 1, bounds [-0.1, 0.25].
+    K^{-1} = sigma I, D = 1000 I, lambda = 1, bounds [-0.1, 0.25]; only
+    sigma and nu2 are set per case.
     """
     sigma: float = 1.0
     nu2: float = 1.0
-    n_r: float = 1.0
-    lam: float = 1.0
-    lower: float = -0.1
-    upper: float = 0.25
-    diffusion: np.ndarray = field(
-        default_factory=lambda: 1000.0 * np.eye(2))
+    n_r = 1.0
+    lam = 1.0
+    lower = -0.1
+    upper = 0.25
+    diffusion = 1000.0 * np.eye(2)
+    diffusion.flags.writeable = False
 
     # --- state fields ---------------------------------------------------
     def u(self, x, y):

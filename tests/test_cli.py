@@ -263,7 +263,7 @@ def test_main_linear_solver_error_exit_code(tmp_path, monkeypatch, error):
     ("linalg", "LinearSolveError")])
 def test_solver_errors_share_one_base(tmp_path, monkeypatch, module, error):
     # main catches SolverError alone, so every solver failure exits 3;
-    # each error still takes a (message, history) pair
+    # each error takes a (message, history) pair and main writes both
     import importlib
     from ddopt import cli
     from ddopt.linalg import SolverError
@@ -274,5 +274,8 @@ def test_solver_errors_share_one_base(tmp_path, monkeypatch, module, error):
         raise exc_type("injected", [0.5])
 
     monkeypatch.setattr(cli, "solve_state", failing_solve)
-    code = main(["solve", "--n", "2", "--out", str(tmp_path / "failed")])
+    out = tmp_path / "failed"
+    code = main(["solve", "--n", "2", "--out", str(out)])
     assert code == cli.EXIT_NONCONVERGENCE
+    assert (out / "nonconvergence.txt").read_text() == \
+        "{}: injected\n0 5.000000e-01\n".format(error)

@@ -54,6 +54,22 @@ def test_boundary_trace_rejects_interior_edges(mesh4):
         BoundaryTrace(mesh4, interior, np.zeros(1))
 
 
+@pytest.mark.parametrize("edges", ["negative", "past_end", "repeated"])
+def test_boundary_trace_rejects_bad_indices(mesh4, edges):
+    # -1 named the last edge (a boundary edge), past the end raised a bare
+    # IndexError, and a repeated edge entered the layout twice
+    bdry = mesh4.boundary_edges
+    edges = {"negative": [-1], "past_end": [mesh4.num_edges],
+             "repeated": [bdry[0], bdry[0]]}[edges]
+    with pytest.raises(ValueError):
+        BoundaryTrace(mesh4, edges, np.zeros((len(edges), 2)))
+
+
+def test_p0_field_rejects_scalar(mesh4):
+    with pytest.raises(ValueError):
+        P0Field(mesh4, 1.0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("stacked", [
     lambda x, y: np.stack([x + 2.0 * y, 1.0 - x]),

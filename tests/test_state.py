@@ -11,8 +11,8 @@ from ddopt.assembly import ProblemParams
 from ddopt.linalg import LinearSolveError, SingularMatrixError
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.norms import broken_velocity_norm
-from ddopt.spaces import CRVectorField, P0Field, boundary_interpolate, \
-    p0_project
+from ddopt.spaces import BoundaryTrace, CRVectorField, P0Field, \
+    boundary_interpolate, p0_project
 from ddopt.state import (NonlinearSettings, NonconvergenceError,
                          StateSolution, StateStepper, _Dofs, solve_state,
                          state_residual)
@@ -105,7 +105,7 @@ def test_max_iter_exhaustion_raises():
         solve_state(s["mesh"], s["params"], s["y_bc"], u_bc=s["u_bc"],
                     forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
                     settings=NonlinearSettings(tol=1e-10, max_iter=2))
-    assert len(err.value.increments) == 2
+    assert len(err.value.history) == 2
 
 
 def test_residual_of_converged_solution_small():
@@ -329,3 +329,65 @@ def test_divergent_cavity_raises_linear_solver_error(point, error,
     assert not lagged
     gc.collect()
     assert failed.value.__traceback__ is not None and not list(alive)
+
+
+def _layout(kind):
+    if kind == "cavity":
+        mesh = build_unit_square_mesh(6)
+        params, _ = cli.derive_cavity_coefficients(cli.RunConfig(
+            {"experiment": "cavity", "n": 6, "da": 1e-3}))
+        return _Dofs(mesh, params, cli.cavity_boundary_trace(mesh), None)
+    s = manufactured_setup(6, sigma=1e6, nu2=1e-6)
+    return _Dofs(s["mesh"], s["params"], s["y_bc"], s["u_bc"], s["f_mom"],
+                 s["f_tr"], penalty_a0=1e4)
+
+
+@pytest.mark.parametrize("kind", ["cavity", "darcy"])
+def test_layout_round_trip(kind):
+    # unpack(pack(u, p, y)) drops the fixed edges and keeps the pressure;
+    # lift restores the Dirichlet values
+    dofs = _layout(kind)
+    mesh = dofs.mesh
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((mesh.num_edges, 2))
+    y = rng.standard_normal((mesh.num_edges, 2))
+    p = rng.standard_normal(mesh.num_cells)
+    x = dofs.pack(u, p, y)
+    assert x.size == dofs.jacobian.n
+    u2, p2, y2 = dofs.unpack(x)
+    assert np.array_equal(p2, p)
+    for got, full, fixed in ((u2, u, dofs.u_fixed_edges),
+                             (y2, y, dofs.y_fixed_edges)):
+        free = np.ones(mesh.num_edges, dtype=bool)
+        free[fixed] = False
+        assert np.array_equal(got[free], full[free])
+        assert not got[fixed].any()
+    assert dofs.y_fixed_edges.size > 0
+    dofs.lift(u2, y2)
+    assert np.array_equal(u2[dofs.u_fixed_edges], dofs.u_fixed_values)
+    assert np.array_equal(y2[dofs.y_fixed_edges], dofs.y_fixed_values)
+    assert abs(dofs.area @ dofs.zero_mean(p)) < 1e-14
+
+
+@pytest.mark.parametrize("trace", ["cavity", "full"])
+def test_buoyancy_lifting_lands_on_fixed_rows(mesh4, trace):
+    # kron(M, F_y) couples each edge to itself only (the CR mass matrix is
+    # diagonal), and every transport Dirichlet edge is a fixed velocity
+    # edge, so Dirichlet transport values never load a free momentum row
+    params = ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0,
+                           F_y=np.array([[0.0, 0.0], [1.0, 1.0]]))
+    y_bc = cli.cavity_boundary_trace(mesh4) if trace == "cavity" else \
+        boundary_interpolate(lambda x, y: np.stack([x, y]), mesh4)
+    dofs = _Dofs(mesh4, params, y_bc, None)
+    assert dofs.iy_fixed.size > 0 and dofs.MF.nnz > 0
+    assert dofs.MF[dofs.iu_free][:, dofs.iy_fixed].nnz == 0
+
+
+def test_velocity_trace_needs_two_components(mesh4):
+    # as the transport trace does; a 1-D pair on two edges was broadcast
+    # onto both
+    edges = mesh4.boundary_edges[:2]
+    trace = BoundaryTrace(mesh4, edges, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="two components"):
+        _Dofs(mesh4, ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0), None,
+              trace)
