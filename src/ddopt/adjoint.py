@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as asm
+from .linalg import _frees_on_failure
 from .spaces import CRVectorField, P0Field, p0_project, cr_values_on_cells
 from .state import Linearization
 
@@ -94,6 +95,7 @@ def _adjoint_residual(lin, state, adjoint, data):
                          + float(dofs.area @ xi) ** 2))
 
 
+@_frees_on_failure
 def solve_adjoint(state, data, linearization=None):
     """Solve the linear discrete adjoint system at a converged state.
 

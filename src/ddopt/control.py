@@ -50,7 +50,8 @@ class PdasNonconvergence(SolverError):
 
 @dataclass
 class ControlBounds:
-    """Componentwise box constraints, Ua_j < Ub_j."""
+    """Componentwise box constraints, Ua_j < Ub_j; an infinite bound
+    leaves its component unbounded on that side, a NaN is rejected."""
     lower: object
     upper: object
 
@@ -59,9 +60,9 @@ class ControlBounds:
             np.asarray(self.lower, dtype=float), (2,)).copy()
         self.upper = np.broadcast_to(
             np.asarray(self.upper, dtype=float), (2,)).copy()
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):
             raise ValueError("bounds must satisfy Ua_j < Ub_j "
-                             "componentwise")
+                             "componentwise, without NaN")
 
     @staticmethod
     def symmetric(radius):
@@ -85,10 +86,10 @@ class PdasSettings:
     def __post_init__(self):
         if self.tol_mode not in ("absolute", "relative"):
             raise ValueError("tol_mode must be 'absolute' or 'relative'")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -32,6 +32,14 @@ def test_bounds_validation():
         ControlBounds([0.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         ControlBounds(0.1, -0.1)
+    with pytest.raises(ValueError):
+        ControlBounds(np.nan, 1.0)
+    with pytest.raises(ValueError):
+        ControlBounds([0.0, -1.0], [1.0, np.nan])
+    # an infinite bound leaves its component unbounded
+    free = ControlBounds(-np.inf, [np.inf, 1.0])
+    assert np.array_equal(project_control(np.array([[-5.0, -5.0]]), 1.0,
+                                          free), [[5.0, 1.0]])
     b = ControlBounds.symmetric(0.005)
     assert np.allclose(b.lower, -0.005) and np.allclose(b.upper, 0.005)
 
@@ -210,21 +218,28 @@ def test_pdas_nonconvergence_error():
                    forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
 
 
-def test_failed_pdas_frees_its_solver_state(monkeypatch):
-    # the kept error keeps its history and traceback, but not the solver
-    # state of the failed loop: stepper, layout and LUs go with the frames
-    import gc
+def _track_instances(monkeypatch, *classes):
+    """A weak set that every new instance of ``classes`` joins."""
     import weakref
-    from ddopt import cli, linalg
-    from ddopt.mesh import build_unit_square_mesh
-    from ddopt.state import StateStepper
 
     alive = weakref.WeakSet()
-    for cls in (StateStepper, linalg.DirectSolver):
+    for cls in classes:
         def tracked(self, *args, _init=cls.__init__, **kwargs):
             alive.add(self)
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", tracked)
+    return alive
+
+
+def test_failed_pdas_frees_its_solver_state(monkeypatch):
+    # the kept error keeps its history and traceback, but not the solver
+    # state of the failed loop: stepper, layout and LUs go with the frames
+    import gc
+    from ddopt import cli, linalg
+    from ddopt.mesh import build_unit_square_mesh
+    from ddopt.state import StateStepper
+
+    alive = _track_instances(monkeypatch, StateStepper, linalg.DirectSolver)
     params, _ = cli.derive_cavity_coefficients(_cavity_8())
     mesh = build_unit_square_mesh(8)
     with pytest.raises(PdasNonconvergence) as failed:
@@ -236,9 +251,30 @@ def test_failed_pdas_frees_its_solver_state(monkeypatch):
     assert failed.value.__traceback__ is not None and not list(alive)
 
 
+def test_failed_adjoint_frees_its_solver_state(monkeypatch):
+    # a standalone adjoint whose bordered solve stalls after factoring
+    # keeps neither its linearization nor its LU in the kept error
+    import gc
+    from ddopt import cli, linalg
+    from ddopt.linalg import LinearSolveError
+    from ddopt.mesh import build_unit_square_mesh
+
+    alive = _track_instances(monkeypatch, linalg.DirectSolver)
+    params, _ = cli.derive_cavity_coefficients(_cavity_8())
+    mesh = build_unit_square_mesh(8)
+    state = solve_state(mesh, params, cli.cavity_boundary_trace(mesh))
+    monkeypatch.setattr(linalg, "_BORDERED_RTOL", 0.0)
+    monkeypatch.setattr(linalg, "_BORDERED_ACCEPT", 0.0)
+    with pytest.raises(LinearSolveError) as failed:
+        solve_adjoint(state, TrackingData())
+    gc.collect()
+    assert failed.value.__traceback__ is not None and not list(alive)
+
+
 def test_settings_validation():
-    for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"tol": 0.0},
-                   {"tol": -1.0}, {"max_iter": 0}):
+    for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"lam": np.nan},
+                   {"lam": np.inf}, {"tol": 0.0}, {"tol": -1.0},
+                   {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0}):
         with pytest.raises(ValueError):
             PdasSettings(**kwargs)
 

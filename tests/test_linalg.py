@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse as sp
 
 from ddopt import assembly as asm
+from ddopt import linalg
 from ddopt.cli import RunConfig, cavity_boundary_trace, \
     derive_cavity_coefficients
 from ddopt.linalg import BorderedSolver, DirectSolver, LinearSolveError, \
@@ -236,3 +237,26 @@ def test_diverging_refinement_raises_typed_error():
     with pytest.raises(LinearSolveError, match="stalled"):
         solve_state(mesh, params, cavity_boundary_trace(mesh),
                     settings=NonlinearSettings(tol=1e-10))
+
+
+def _tridiagonal(n):
+    return sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1], format="csc")
+
+
+@pytest.mark.parametrize("rows, trims", [(linalg._TRIM_ROWS, 1),
+                                         (linalg._TRIM_ROWS - 1, 0)])
+def test_large_factorization_trims_heap_first(monkeypatch, rows, trims):
+    calls = []
+    monkeypatch.setattr(linalg, "_malloc_trim", calls.append)
+    DirectSolver(_tridiagonal(rows))
+    assert calls == [0] * trims
+
+
+def test_factorization_without_malloc_trim(monkeypatch):
+    # a C library without the symbol factors and solves as before
+    monkeypatch.setattr(linalg, "_malloc_trim", None)
+    A = _tridiagonal(linalg._TRIM_ROWS)
+    b = np.ones(A.shape[0])
+    x = DirectSolver(A).lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)

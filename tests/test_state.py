@@ -19,7 +19,8 @@ from ddopt.state import (NonlinearSettings, NonconvergenceError,
 
 
 def test_settings_validation():
-    for kwargs in ({"tol": 0.0}, {"max_iter": 0}):
+    for kwargs in ({"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf},
+                   {"max_iter": 0}):
         with pytest.raises(ValueError):
             NonlinearSettings(**kwargs)
 
