@@ -19,7 +19,7 @@ from .adjoint import AdjointSolution, TrackingData, solve_adjoint, \
     gradient_of_reduced_cost
 from .control import ControlBounds, PdasSettings, OptResult, project_control, \
     eval_cost, pdas_solve, kkt_residuals
-from .verification import ManufacturedCase, Regime, exact_eval, \
+from .verification import ManufacturedCase, exact_eval, \
     manufactured_forcing, error_norms, eoc, run_convergence_study
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "gradient_of_reduced_cost",
     "ControlBounds", "PdasSettings", "OptResult", "project_control",
     "eval_cost", "pdas_solve", "kkt_residuals",
-    "ManufacturedCase", "Regime", "exact_eval", "manufactured_forcing",
+    "ManufacturedCase", "exact_eval", "manufactured_forcing",
     "error_norms", "eoc", "run_convergence_study",
 ]

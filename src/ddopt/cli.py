@@ -5,10 +5,15 @@ Every run setting is one row of ``_SETTINGS``: its section in the config
 file, type, default and check.  A run takes each setting from the
 defaults, then from a flat INI file (key = value under those sections,
 all keys optional), then from the command-line flags; ``pr``, ``le``,
-``sr``, ``du``, ``rk`` and ``nbuoy`` have no flag.  Exit codes: 0
-success, 2 configuration error (any invalid setting, a cavity diffusion
-matrix that is not positive definite included), 3 solver failure, 4 I/O
-failure.
+``sr``, ``du``, ``rk`` and ``nbuoy`` have no flag.  Every setting is
+validated, but each command reads only its own: ``convergence`` reads
+``regime``, ``levels``, ``tol``, ``tol_mode``, ``out`` and ``export`` (the
+regime's manufactured case fixes lambda, the bounds and the rest);
+``cavity`` reads ``n``, the ``physics`` keys, ``tol``, ``tol_mode``,
+``out`` and ``export``; ``solve`` reads ``regime``, ``n``, ``out`` and
+``export``.  Exit codes: 0 success, 2 configuration error (any invalid
+setting, a cavity diffusion matrix that is not positive definite
+included), 3 solver failure, 4 I/O failure.
 """
 
 import argparse
@@ -50,6 +55,8 @@ _Setting = namedtuple("_Setting", "section kind default choices rule flag",
                       defaults=((), None, True))
 
 _POSITIVE = ("positive", lambda v: v > 0)
+# the PdasSettings name of each configured tol_mode
+_TOL_MODES = {"abs": "absolute", "rel": "relative"}
 
 _SETTINGS = {
     "regime": _Setting("run", str, "flow",
@@ -203,14 +210,6 @@ def cavity_boundary_trace(mesh):
     return BoundaryTrace(mesh, edges, values)
 
 
-def _pdas_settings(config, inner):
-    """The PDAS settings of a run configuration, with the state solves'
-    settings ``inner``."""
-    mode = "relative" if config.tol_mode == "rel" else "absolute"
-    return PdasSettings(lam=config.lam, tol=config.tol, tol_mode=mode,
-                        inner=inner)
-
-
 def run_cavity(config, log=None):
     """Optimal control of the doubly diffusive porous cavity.
 
@@ -222,8 +221,9 @@ def run_cavity(config, log=None):
     data = TrackingData()  # zero desired states
     bounds = ControlBounds([config.lbound, config.lbound],
                            [config.ubound, config.ubound])
-    settings = _pdas_settings(config,
-                              NonlinearSettings(tol=1e-9, max_iter=200))
+    settings = PdasSettings(lam=config.lam, tol=config.tol,
+                            tol_mode=_TOL_MODES[config.tol_mode],
+                            state_tol=1e-9)
     if log is not None:
         log.write("cavity: n={} Da={:g} Ra={:g} Gr_T={:g} bounds=[{:g},{:g}]"
                   "\n".format(config.n, config.da, config.ra,
@@ -360,9 +360,9 @@ def write_errors_csv(report, stream):
 
 
 def _regime_params_for_solve(config):
-    regime = get_regime(config.regime)
-    nu2 = regime.nu2
-    return ProblemParams(sigma=regime.sigma,
+    case = get_regime(config.regime)
+    nu2 = case.nu2
+    return ProblemParams(sigma=case.sigma,
                          nu=lambda T: np.full_like(np.asarray(T, float),
                                                    nu2),
                          nu1=nu2, nu2=nu2, diffusion=np.eye(2))
@@ -379,10 +379,9 @@ def _export_state(config, outdir, name, solution, control):
 def _cmd_convergence(config, outdir):
     # level k uses an (8 * 2^k) x (8 * 2^k) grid, matching the accuracy test
     ns = [8 * 2 ** k for k in range(config.levels)]
-    report = run_convergence_study(
-        config.regime, ns,
-        pdas_settings=_pdas_settings(config, NonlinearSettings(tol=1e-10)),
-        keep_results=True)
+    report = run_convergence_study(config.regime, ns, tol=config.tol,
+                                   tol_mode=_TOL_MODES[config.tol_mode],
+                                   keep_results=True)
     with open(os.path.join(outdir, "errors.csv"), "w") as fh:
         write_errors_csv(report, fh)
     for k, result in enumerate(report.results):

@@ -10,7 +10,7 @@ projection formula
 
 assigns the bound on active cells and the projection value on inactive
 ones, and stops when the active sets repeat, the control update falls
-below the tolerance and the state increment meets the inner tolerance.
+below the tolerance and the state increment meets the state tolerance.
 
 One layout (``_Dofs``) serves every state step and every adjoint of the
 loop, and the final state carries it to ``kkt_residuals``, which takes
@@ -27,7 +27,7 @@ targets are sampled once, on the cell rule of the cost and the adjoint
 loads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .adjoint import TrackingData, _adjoint_residual, solve_adjoint
 from .linalg import SolverError, _frees_on_failure
 from .norms import l2_p0
 from .spaces import P0Field, p0_project
-from .state import Linearization, NonlinearSettings, StateStepper, \
-    _residual_norms
+from .state import Linearization, StateStepper, _residual_norms
 
 __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
            "eval_cost", "pdas_solve", "kkt_residuals",
@@ -74,14 +73,15 @@ class PdasSettings:
     """Outer-loop controls.
 
     ``tol_mode`` selects the absolute or relative reading of ``tol`` for
-    the control-change criterion; ``inner`` holds the state increment
-    tolerance that each outer iteration's state step must also meet.
+    the control-change criterion; ``state_tol`` is the state increment
+    tolerance (as ``NonlinearSettings.tol``) that each outer iteration's
+    state step must also meet.
     """
     lam: float = 1.0
     tol: float = 1e-6
     tol_mode: str = "absolute"
     max_iter: int = 50
-    inner: NonlinearSettings = field(default_factory=NonlinearSettings)
+    state_tol: float = 1e-10
 
     def __post_init__(self):
         if self.tol_mode not in ("absolute", "relative"):
@@ -90,6 +90,8 @@ class PdasSettings:
             raise ValueError("lambda must be positive and finite")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        if not 0 < self.state_tol < np.inf:
+            raise ValueError("state_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -157,7 +159,7 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     resolution of the whole optimality system.  The state stepper's layout
     and LUs serve every adjoint.  Termination requires the active sets to
     repeat, the control change to drop below the tolerance, and the state
-    increment to meet the inner tolerance.
+    increment to meet ``settings.state_tol``.
 
     Parameters
     ----------
@@ -186,8 +188,7 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     cost_history = []
     set_history = []
     changes = []
-    stepper = StateStepper(mesh, params, y_bc, control=U,
-                           settings=settings.inner, u_bc=u_bc,
+    stepper = StateStepper(mesh, params, y_bc, control=U, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
     # callable targets are sampled once, on the cost's cell rule
@@ -218,7 +219,7 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
         converged = labels_prev is not None \
             and np.array_equal(labels, labels_prev) \
             and change_measure <= settings.tol \
-            and stepper.converged(state_incr)
+            and stepper.converged(state_incr, settings.state_tol)
         U = U_new
         labels_prev = labels
         if converged:

@@ -119,23 +119,24 @@ class _Elimination:
 
     The side is the bordered system [[core, d], [e^T, 0]] with the core
     solved by the LU (``trans`` "N") or by its transposed factors ("T");
-    the transposed side of [[K, d], [e^T, 0]] has the border (e, d) and
-    the pin swapped.  Block elimination of the border solves
-    Mtilde = [[core, d], [e^T, 0]]; Sherman-Morrison removes the pin.
+    the transposed side of [[K, d], [e^T, 0]] has the border (e, d), and
+    the diagonal pin is its own transpose.  Block elimination of the
+    border solves Mtilde = [[core, d], [e^T, 0]]; Sherman-Morrison removes
+    the pin.
     """
 
-    def __init__(self, lu, d, e, pin_row, pin_col, trans="N"):
+    def __init__(self, lu, d, e, pin, trans="N"):
         self.lu, self.trans, self.d, self.e = lu, trans, d, e
         w = np.zeros(d.size)
-        w[pin_row] = 1.0
+        w[pin] = 1.0
         self.s = self.core_solve(d)
         self.es = float(e @ self.s)
         if self.es == 0.0 or not np.isfinite(self.es):
             raise SingularMatrixError("constraint row is orthogonal to the "
                                       "multiplier column image")
-        self.read = pin_col
+        self.pin = pin
         self.qx, self.qm = self.mtilde_solve(w, 0.0)
-        self.denom = 1.0 - self.qx[pin_col]
+        self.denom = 1.0 - self.qx[pin]
         if self.denom == 0.0 or not np.isfinite(self.denom):
             raise SingularMatrixError("pin elimination degenerate")
 
@@ -149,7 +150,7 @@ class _Elimination:
 
     def apply(self, b, beta):
         x, m = self.mtilde_solve(b, beta)
-        alpha = x[self.read] / self.denom
+        alpha = x[self.pin] / self.denom
         return x + alpha * self.qx, m + alpha * self.qm
 
 
@@ -160,8 +161,8 @@ class BorderedSolver:
     A scalar Lagrange multiplier (the zero-mean pressure constraint) adds a
     dense row and column to an otherwise sparse system; factoring them
     directly causes catastrophic fill in the LU.  Instead only the core K
-    is factorized, made nonsingular by adding a rank-one pin at
-    (pin_row, pin_col); the border and the pin are then eliminated exactly
+    is factorized, made nonsingular by adding a rank-one pin on the
+    diagonal at ``pin``; the border and the pin are then eliminated exactly
     by block elimination and the Sherman-Morrison formula, followed by
     iterative refinement on the full bordered system.  The same LU solves
     the transposed bordered system with the transposed factors; that
@@ -178,19 +179,18 @@ class BorderedSolver:
         Multiplier column.
     e : ndarray (n,)
         Constraint row.
-    pin_row, pin_col : int
-        Pin entry; K + e_{pin_row} e_{pin_col}^T must be nonsingular.
+    pin : int
+        Pin index; K + e_pin e_pin^T must be nonsingular.
     """
 
-    def __init__(self, K, d, e, pin_row, pin_col):
+    def __init__(self, K, d, e, pin):
         n = K.shape[0]
-        self.pin_row, self.pin_col = pin_row, pin_col
         self.K = sp.csc_matrix(K)
-        pin = sp.coo_matrix(([1.0], ([pin_row], [pin_col])), shape=(n, n))
-        self.core = DirectSolver(self.K + pin)
+        self.core = DirectSolver(self.K + sp.coo_matrix(
+            ([1.0], ([pin], [pin])), shape=(n, n)))
         self._sides = {False: _Elimination(
             self.core.lu, np.asarray(d, dtype=float),
-            np.asarray(e, dtype=float), pin_row, pin_col)}
+            np.asarray(e, dtype=float), pin)}
 
     def solve(self, b, beta=0.0, transpose=False):
         """Solve the bordered system (or its transpose) for (x, m).
@@ -232,12 +232,11 @@ class BorderedSolver:
 
     def _side(self, transpose):
         """Elimination of the core, or of its transpose (lazily): border
-        (e, d), pin swapped, transposed factors."""
+        (e, d), the same pin, transposed factors."""
         if transpose not in self._sides:
             fwd = self._sides[False]
             self._sides[True] = _Elimination(self.core.lu, fwd.e, fwd.d,
-                                             self.pin_col, self.pin_row,
-                                             trans="T")
+                                             fwd.pin, trans="T")
         return self._sides[transpose]
 
     @staticmethod

@@ -36,9 +36,6 @@ class Mesh:
         Vertex pairs, lower index first, sorted lexicographically.
     cell_edges : ndarray (nc, 3) of int
         Edge index opposite each local vertex.
-    cell_edge_signs : ndarray (nc, 3) of int
-        +1 if the local edge direction (v_{i+1} -> v_{i+2}) agrees with the
-        canonical direction of the global edge, else -1.
     edge_cells : ndarray (ne, 2) of int
         Adjacent cells (cell_plus, cell_minus); cell_minus is -1 on the
         boundary.  cell_plus is the lower cell index.
@@ -93,8 +90,6 @@ class Mesh:
         canon = np.sort(raw.reshape(-1, 2), axis=1)
         self.edges, inv = np.unique(canon, axis=0, return_inverse=True)
         self.cell_edges = inv.reshape(-1, 3)
-        local_lo = np.minimum(raw[:, :, 0], raw[:, :, 1])
-        self.cell_edge_signs = np.where(raw[:, :, 0] == local_lo, 1, -1)
 
         ne = self.edges.shape[0]
         nc = c.shape[0]
@@ -184,16 +179,15 @@ class Mesh:
 class _EdgeTraceData:
     """The two-point Gauss rule on every edge and the CR basis traces there.
 
-    ``t`` and ``w`` (nq,) are the nodes on [0, 1] (from the lower vertex)
-    and the weights, ``pts`` (ne, nq, 2) the physical nodes.  For every edge
-    and each adjacent side, stores the scalar dof (edge) indices of the
-    side's three basis functions and their trace values at the nodes.
+    ``w`` (nq,) are the weights and ``pts`` (ne, nq, 2) the physical
+    nodes.  For every edge and each adjacent side, stores the scalar dof
+    (edge) indices of the side's three basis functions and their trace
+    values at the nodes.
     """
 
     def __init__(self, mesh):
         t, w = edge_quadrature()
         nq = t.size
-        self.t = t
         self.w = w
         a = mesh.vertices[mesh.edges[:, 0]]
         b = mesh.vertices[mesh.edges[:, 1]]

@@ -397,8 +397,7 @@ class Linearization:
         if self.solver is None:
             d = self.dofs
             self.solver = BorderedSolver(self.J, d.d_col, d.e_row,
-                                         pin_row=d.nu_free,
-                                         pin_col=d.nu_free)
+                                         pin=d.nu_free)
         return self.solver.solve(rhs, beta=beta, transpose=transpose)
 
     def residual(self, p, b_control):
@@ -426,15 +425,14 @@ class StateStepper:
     steps).  Every step and the linearizations of ``linearize`` reuse a
     kept LU through GMRES while the increments contract fast, and a step
     after ``linearize`` always tries that linearization's LU (see the
-    module docstring).  The arguments are those of ``solve_state``.
+    module docstring).  The arguments are those of ``solve_state`` but
+    ``settings``: the caller decides when to stop (``converged``).
     """
 
-    def __init__(self, mesh, params, y_bc, control=None, settings=None,
-                 u_bc=None, forcing_mom=None, forcing_tr=None,
-                 penalty_a0=0.0):
+    def __init__(self, mesh, params, y_bc, control=None, u_bc=None,
+                 forcing_mom=None, forcing_tr=None, penalty_a0=0.0):
         self.mesh = mesh
         self.params = params
-        self.settings = settings or NonlinearSettings()
         self.dofs = dofs = _Dofs(mesh, params, y_bc, u_bc, forcing_mom,
                                  forcing_tr, penalty_a0)
         self.b_control = _control_load(mesh, control)
@@ -501,19 +499,27 @@ class StateStepper:
             # right-hand side
             u_lift, y_lift = np.zeros_like(u), np.zeros_like(y)
             dofs.lift(u_lift, y_lift)
-            x, m_new = lin.solve(dofs.pack(
+            rhs = dofs.pack(
                 dofs.b_forcing + self.b_control - lin.A_mom @ u_lift.ravel(),
-                dofs.g, dofs.b_tr - lin.A_tr @ y_lift.ravel()))
-            u_new, p_new, y_new = dofs.unpack(x)
+                dofs.g, dofs.b_tr - lin.A_tr @ y_lift.ravel())
+            beta = 0.0
         else:
             r_mom, r_tr = lin.residual(p, self.b_control)
             r_div = dofs.B_scaled @ u.reshape(-1)[dofs.iu_free] \
                 + self.m - dofs.g
-            x, dm = lin.solve(-dofs.pack(r_mom, r_div, r_tr),
-                              beta=-float(dofs.area @ p))
-            du, dp, dy = dofs.unpack(x)
-            u_new, p_new, y_new = u + du, p + dp, y + dy
-            m_new = self.m + dm
+            rhs = -dofs.pack(r_mom, r_div, r_tr)
+            beta = -float(dofs.area @ p)
+        try:
+            x, m_new = lin.solve(rhs, beta=beta)
+        except SolverError as exc:
+            # a linear failure keeps the increments of the steps before it
+            if not exc.history:
+                exc.history = list(self.increments)
+            raise
+        u_new, p_new, y_new = dofs.unpack(x)
+        if self.newton:  # a Newton step solves for the increment
+            u_new, p_new, y_new = u + u_new, p + p_new, y + y_new
+            m_new = self.m + m_new
         dofs.lift(u_new, y_new)
         self._kept = lin.solver  # new or lagged, it served this step
         del lin  # its blocks go before anything else
@@ -532,8 +538,9 @@ class StateStepper:
             self.newton = True
         return incr
 
-    def converged(self, incr):
-        return incr <= self.settings.tol * self.iterate_scale()
+    def converged(self, incr, tol):
+        """Whether ``incr`` meets the tolerance of ``NonlinearSettings``."""
+        return incr <= tol * self.iterate_scale()
 
     def solution(self):
         return StateSolution(
@@ -581,17 +588,17 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
     DivergedError
         If an iterate contains NaN or Inf.
     """
-    stepper = StateStepper(mesh, params, y_bc, control=control,
-                           settings=settings, u_bc=u_bc,
+    settings = settings or NonlinearSettings()
+    stepper = StateStepper(mesh, params, y_bc, control=control, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
-    for _ in range(stepper.settings.max_iter):
+    for _ in range(settings.max_iter):
         incr = stepper.step()
-        if stepper.converged(incr):
+        if stepper.converged(incr, settings.tol):
             return stepper.solution()
     raise NonconvergenceError(
         "state iteration did not reach tol={} in {} steps".format(
-            stepper.settings.tol, stepper.settings.max_iter),
+            settings.tol, settings.max_iter),
         stepper.increments)
 
 

@@ -6,6 +6,11 @@ control); forcing terms and tracking targets are the strong residuals of
 the governing and adjoint PDEs evaluated with hand-coded analytic
 derivatives.  A central finite-difference oracle cross-checks those
 derivatives before any convergence run is trusted.
+
+Each regime of the accuracy test (flow, Stokes, Darcy) is one
+``ManufacturedCase`` in ``REGIMES``: its coefficients and jump penalty
+fix the solve and the error norms alike, so a study takes only the
+regime's name, the levels and the PDAS stopping rule.
 """
 
 import functools
@@ -19,9 +24,8 @@ from .control import ControlBounds, PdasSettings, _vi_residual, pdas_solve
 from .mesh import build_unit_square_mesh
 from .spaces import _point_values, boundary_interpolate, cr_cell_gradients, \
     cr_values_on_cells
-from .state import NonlinearSettings
 
-__all__ = ["ManufacturedCase", "Regime", "REGIMES",
+__all__ = ["ManufacturedCase", "REGIMES",
            "get_regime", "exact_eval", "manufactured_forcing",
            "tracking_data", "make_params", "error_norms", "eoc",
            "run_convergence_study", "ConvergenceReport", "ERROR_NAMES"]
@@ -31,7 +35,7 @@ PI = np.pi
 _CONTROL_EXPONENT = 4.0 / 3.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedCase:
     """Closed-form optimality-system solution on the unit square.
 
@@ -40,10 +44,12 @@ class ManufacturedCase:
     is the projection of the adjoint velocity onto the box.  Fixed model
     choices: nu(T) = nu2 * exp(-T), F(y) = (T + N_r S) g with g = (0, 1),
     K^{-1} = sigma I, D = 1000 I, lambda = 1, bounds [-0.1, 0.25]; only
-    sigma and nu2 are set per case.
+    sigma, nu2 and the facet jump-penalty coefficient a0 are set per case
+    (a0 > 0 also measures the velocity errors in the modified norm).
     """
     sigma: float = 1.0
     nu2: float = 1.0
+    a0: float = 0.0
     n_r = 1.0
     lam = 1.0
     lower = -0.1
@@ -368,12 +374,14 @@ ERROR_NAMES = ["e_u", "e_p", "e_T", "e_S", "e_phi", "e_zeta", "e_etaT",
                "e_etaS", "e_U1", "e_U2"]
 
 
-def error_norms(mesh, fields, case, jump=False):
+def error_norms(mesh, fields, case):
     """Weighted broken-norm errors of a discrete optimality-system solution.
 
-    The velocity norms weigh the L2 part by sigma and the gradient by nu2,
-    the transport norms the gradient by max|D|, all from ``case``; the
-    control error is measured in L^r with r = 4/3.
+    The velocity norms weigh the L2 part by sigma and the gradient by nu2
+    and, when the case penalizes jumps (a0 > 0), add the facet jump term
+    of the modified norm; the transport norms weigh the gradient by
+    max|D|, all from ``case``.  The control error is measured in L^r with
+    r = 4/3.
 
     Parameters
     ----------
@@ -381,8 +389,6 @@ def error_norms(mesh, fields, case, jump=False):
         Keys "u", "p", "y", "phi", "zeta", "eta", "U" holding the discrete
         fields (CR fields for u/y/phi/eta, P0 for p/zeta/U).
     case : ManufacturedCase
-    jump : bool
-        Add the facet jump term of the modified velocity norm.
 
     Returns
     -------
@@ -400,7 +406,7 @@ def error_norms(mesh, fields, case, jump=False):
         dof = fields[key].dof
         l2, h1 = _quadrature_error_parts(mesh, dof, value, grad)
         e2 = case.sigma * l2 + case.nu2 * h1
-        if jump:
+        if case.a0 > 0:
             e2 += _jump_error_sq(mesh, dof, value)
         out["e_" + key] = np.sqrt(e2)
 
@@ -446,32 +452,20 @@ def eoc(errors, hs):
     return [float(r) for r in rates]
 
 
-@dataclass
-class Regime:
-    """Coefficient scaling of the accuracy test; a0 > 0 switches on the
-    facet jump penalty and the modified velocity norm."""
-    name: str
-    sigma: float
-    nu2: float
-    a0: float = 0.0
-
-
 REGIMES = {
-    "flow": Regime("flow", sigma=1.0, nu2=1.0),
-    "stokes": Regime("stokes", sigma=1e-6, nu2=1.0),
-    "darcy": Regime("darcy", sigma=1e6, nu2=1e-6,
-                    a0=10.0 * np.sqrt(1e6)),
+    "flow": ManufacturedCase(sigma=1.0, nu2=1.0),
+    "stokes": ManufacturedCase(sigma=1e-6, nu2=1.0),
+    "darcy": ManufacturedCase(sigma=1e6, nu2=1e-6, a0=10.0 * np.sqrt(1e6)),
 }
 
 
-def get_regime(regime):
-    if isinstance(regime, Regime):
-        return regime
+def get_regime(name):
+    """The manufactured case of the regime ``name``."""
     try:
-        return REGIMES[regime]
+        return REGIMES[name]
     except KeyError:
         raise ValueError("unknown regime {!r}; expected one of {}"
-                         .format(regime, sorted(REGIMES))) from None
+                         .format(name, sorted(REGIMES))) from None
 
 
 @dataclass
@@ -489,19 +483,23 @@ class ConvergenceReport:
     results: list
 
 
-def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
+def run_convergence_study(regime, ns, tol=1e-6, tol_mode="absolute",
+                          keep_results=False):
     """Run the manufactured accuracy test over a mesh sequence.
+
+    The regime's case fixes all but the stopping rule: the coefficients,
+    jump penalty, lambda and bounds; each state step meets 1e-10.
 
     Parameters
     ----------
-    regime : str or Regime
+    regime : str
         "flow", "stokes", or "darcy" (the Darcy regime switches on the
         facet jump penalty with a0 = 10 sqrt(sigma) and measures the
         velocity errors in the modified norm).
     ns : sequence of int
         Subdivision counts, at least 3 strictly increasing levels.
-    pdas_settings : PdasSettings, optional
-        Defaults to the absolute 1e-6 stopping rule on the control change.
+    tol, tol_mode : float, str
+        The PDAS stopping rule on the control change (``PdasSettings``).
     keep_results : bool
         Retain the per-level OptResult objects in the report.
 
@@ -509,22 +507,20 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
     -------
     ConvergenceReport
     """
-    regime = get_regime(regime)
+    case = get_regime(regime)
     ns = [int(n) for n in ns]
     if len(ns) < 3:
         raise ValueError("a convergence study needs at least 3 levels")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("levels must be strictly increasing")
 
-    case = ManufacturedCase(sigma=regime.sigma, nu2=regime.nu2)
     params = make_params(case).validate(
         T_samples=np.linspace(0.0, 1.2, 25))
     data = tracking_data(case)
     f_mom = functools.partial(_momentum_forcing, case)
     f_tr = functools.partial(_transport_forcing, case)
-    settings = pdas_settings or PdasSettings(
-        lam=case.lam, tol=1e-6, tol_mode="absolute",
-        inner=NonlinearSettings(tol=1e-10, max_iter=100))
+    settings = PdasSettings(lam=case.lam, tol=tol, tol_mode=tol_mode,
+                            state_tol=1e-10)
 
     errors = {name: [] for name in ERROR_NAMES}
     extra = {}
@@ -540,12 +536,12 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
         result = pdas_solve(mesh, params, y_bc, data, case.bounds,
                             settings=settings, u_bc=u_bc,
                             forcing_mom=f_mom, forcing_tr=f_tr,
-                            penalty_a0=regime.a0)
+                            penalty_a0=case.a0)
         adj = result.adjoint
         fields = {"u": result.state.u, "p": result.state.p,
                   "y": result.state.y, "phi": adj.phi, "zeta": adj.xi,
                   "eta": adj.eta, "U": result.control}
-        level_errors = error_norms(mesh, fields, case, jump=regime.a0 > 0)
+        level_errors = error_norms(mesh, fields, case)
         for name in ERROR_NAMES:
             errors[name].append(float(level_errors[name]))
         for name, val in level_errors.items():
@@ -565,7 +561,7 @@ def run_convergence_study(regime, ns, pdas_settings=None, keep_results=False):
 
     rates = {name: eoc(errors[name], hs) for name in ERROR_NAMES}
     errors.update(extra)
-    return ConvergenceReport(regime=regime.name, ns=ns, hs=hs,
+    return ConvergenceReport(regime=regime, ns=ns, hs=hs,
                              errors=errors, rates=rates,
                              iterations=iterations, dofs=dofs,
                              div_max=div_max, vi_res=vi_res,

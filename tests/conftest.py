@@ -6,8 +6,8 @@ from scipy.sparse.linalg import spsolve
 from ddopt import assembly as asm
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.spaces import boundary_interpolate
-from ddopt.verification import (ManufacturedCase, make_params,
-                                manufactured_forcing, tracking_data)
+from ddopt.verification import (REGIMES, make_params, manufactured_forcing,
+                                tracking_data)
 
 
 @pytest.fixture(scope="session")
@@ -43,9 +43,9 @@ def make_divfree_field(mesh, rng):
     return w
 
 
-def manufactured_setup(n, sigma=1.0, nu2=1.0):
-    """Mesh, parameters, boundary data and forcing of the accuracy test."""
-    case = ManufacturedCase(sigma=sigma, nu2=nu2)
+def manufactured_setup(n, case=REGIMES["flow"]):
+    """Mesh, parameters, boundary data and forcing of the accuracy test
+    for the manufactured ``case``."""
     params = make_params(case)
     mesh = build_unit_square_mesh(n)
     y_bc = boundary_interpolate(lambda x, y: case.y(x, y), mesh)

@@ -215,6 +215,19 @@ def test_main_config_file(tmp_path):
     assert os.path.exists(os.path.join(out, "solution.csv"))
 
 
+def test_convergence_ignores_lambda(tmp_path):
+    # the closed-form solution assumes lambda = 1: a study reads its
+    # stopping rule from the configuration and the rest from the regime
+    tables = []
+    for extra in ([], ["--lambda", "2"]):
+        out = tmp_path / "lambda{}".format(len(extra))
+        code = main(["convergence", "--levels", "3", "--out", str(out)]
+                    + extra)
+        assert code == EXIT_OK
+        tables.append((out / "errors.csv").read_text())
+    assert tables[0] == tables[1]
+
+
 def test_main_solve_darcy_regime(tmp_path):
     out = str(tmp_path / "darcy")
     code = main(["solve", "--n", "4", "--regime", "darcy", "--out", out])

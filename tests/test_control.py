@@ -71,8 +71,7 @@ def test_attained_targets_drive_control_to_zero():
     data = TrackingData(u_d=uncontrolled.u, y_d=uncontrolled.y)
     # the targets are attained by the uncontrolled state, so the optimal
     # control is zero
-    settings = PdasSettings(lam=1.0, tol=1e-8,
-                            inner=NonlinearSettings(tol=1e-11))
+    settings = PdasSettings(lam=1.0, tol=1e-8, state_tol=1e-11)
     res = pdas_solve(s["mesh"], s["params"], s["y_bc"], data,
                      ControlBounds(-10.0, 10.0), settings=settings,
                      u_bc=s["u_bc"])
@@ -81,8 +80,7 @@ def test_attained_targets_drive_control_to_zero():
 
 def _small_opt(tol=1e-8):
     s = manufactured_setup(8)
-    settings = PdasSettings(lam=1.0, tol=tol,
-                            inner=NonlinearSettings(tol=1e-10))
+    settings = PdasSettings(lam=1.0, tol=tol, state_tol=1e-10)
     res = pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
                      s["case"].bounds, settings=settings, u_bc=s["u_bc"],
                      forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
@@ -143,8 +141,7 @@ def test_kkt_residuals_build_one_layout_and_linearization(monkeypatch):
 def test_vi_residual_formula_all_inactive():
     s = manufactured_setup(8)
     wide = ControlBounds(-100.0, 100.0)
-    settings = PdasSettings(lam=1.0, tol=1e-8,
-                            inner=NonlinearSettings(tol=1e-10))
+    settings = PdasSettings(lam=1.0, tol=1e-8, state_tol=1e-10)
     res = pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"], wide,
                      settings=settings, u_bc=s["u_bc"],
                      forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
@@ -161,8 +158,7 @@ def test_oneshot_optimum_is_fixed_point_of_full_solves():
     # adjoint at that state, must reproduce the control through the
     # projection
     s = manufactured_setup(8)
-    settings = PdasSettings(lam=1.0, tol=1e-9,
-                            inner=NonlinearSettings(tol=1e-11))
+    settings = PdasSettings(lam=1.0, tol=1e-9, state_tol=1e-11)
     res = pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
                      s["case"].bounds, settings=settings, u_bc=s["u_bc"],
                      forcing_mom=s["f_mom"], forcing_tr=s["f_tr"])
@@ -210,8 +206,7 @@ def test_pdas_determinism():
 
 def test_pdas_nonconvergence_error():
     s = manufactured_setup(8)
-    settings = PdasSettings(lam=1.0, tol=1e-14, max_iter=1,
-                            inner=NonlinearSettings(tol=1e-10))
+    settings = PdasSettings(lam=1.0, tol=1e-14, max_iter=1, state_tol=1e-10)
     with pytest.raises(PdasNonconvergence):
         pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
                    s["case"].bounds, settings=settings, u_bc=s["u_bc"],
@@ -274,7 +269,9 @@ def test_failed_adjoint_frees_its_solver_state(monkeypatch):
 def test_settings_validation():
     for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"lam": np.nan},
                    {"lam": np.inf}, {"tol": 0.0}, {"tol": -1.0},
-                   {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0}):
+                   {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0},
+                   {"state_tol": 0.0}, {"state_tol": np.nan},
+                   {"state_tol": np.inf}):
         with pytest.raises(ValueError):
             PdasSettings(**kwargs)
 
@@ -347,14 +344,13 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
 def _manufactured_8(regime):
     """The accuracy study's PDAS run on its 8 x 8 level."""
     from ddopt.verification import get_regime
-    regime = get_regime(regime)
-    s = manufactured_setup(8, sigma=regime.sigma, nu2=regime.nu2)
-    settings = PdasSettings(lam=s["case"].lam, tol=1e-6,
-                            inner=NonlinearSettings(tol=1e-10))
+    s = manufactured_setup(8, get_regime(regime))
+    case = s["case"]
+    settings = PdasSettings(lam=case.lam, tol=1e-6, state_tol=1e-10)
     return pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
-                      s["case"].bounds, settings=settings, u_bc=s["u_bc"],
+                      case.bounds, settings=settings, u_bc=s["u_bc"],
                       forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
-                      penalty_a0=regime.a0)
+                      penalty_a0=case.a0)
 
 
 def _run(name):

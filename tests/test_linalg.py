@@ -96,7 +96,7 @@ def test_bordered_solver_matches_monolithic():
     b = rng.standard_normal(n)
     M = np.block([[K.toarray(), d[:, None]], [e[None, :], np.zeros((1, 1))]])
     ref = np.linalg.solve(M, np.concatenate([b, [0.25]]))
-    solver = BorderedSolver(K, d, e, pin_row=0, pin_col=0)
+    solver = BorderedSolver(K, d, e, pin=0)
     x, m = solver.solve(b, beta=0.25)
     assert np.allclose(x, ref[:-1], atol=1e-10)
     assert m == pytest.approx(ref[-1], abs=1e-10)
@@ -107,29 +107,27 @@ def test_bordered_solver_zero_rhs():
     K[2, 2] = 0.0
     d = np.array([0.0, 0.0, 1.0])
     e = np.array([0.0, 0.0, 1.0])
-    solver = BorderedSolver(K.tocsc(), d, e, pin_row=2, pin_col=2)
+    solver = BorderedSolver(K.tocsc(), d, e, pin=2)
     x, m = solver.solve(np.zeros(3))
     assert np.all(x == 0.0) and m == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25])
-@pytest.mark.parametrize("pin", [(0, 0), (0, 3)])
+@pytest.mark.parametrize("pin", [0, 3], ids=["pin0", "pin1"])
 def test_bordered_solver_transposed_matches_dense(pin, beta):
     # the transpose [[K^T, e], [d^T, 0]] of M = [[K, d], [e^T, 0]] through
-    # the LU of K + pin, against a dense solve; K lacks row pin[0] and
-    # column pin[1]
+    # the LU of K + pin, against a dense solve; K lacks row and column pin
     rng = np.random.default_rng(7)
     n = 12
     K = rng.standard_normal((n, n)) + 4 * np.eye(n)
-    K[pin[0], :] = 0.0
-    K[:, pin[1]] = 0.0
+    K[pin, :] = 0.0
+    K[:, pin] = 0.0
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
     b = rng.standard_normal(n)
     M = np.block([[K, d[:, None]], [e[None, :], np.zeros((1, 1))]])
     ref = np.linalg.solve(M.T, np.concatenate([b, [beta]]))
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
-                            pin_col=pin[1])
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin)
     x, m = solver.solve(b, beta=beta, transpose=True)
     assert np.allclose(x, ref[:-1], rtol=0, atol=1e-10 * np.abs(ref).max())
     assert m == pytest.approx(ref[-1], rel=1e-10)
@@ -140,10 +138,10 @@ def test_bordered_solver_transposed_matches_dense(pin, beta):
 
 
 def _pinned_core(rng, n, pin):
-    # nonsymmetric core lacking row pin[0] and column pin[1]
+    # nonsymmetric core lacking row and column pin
     K = rng.standard_normal((n, n)) + 4 * np.eye(n)
-    K[pin[0], :] = 0.0
-    K[:, pin[1]] = 0.0
+    K[pin, :] = 0.0
+    K[:, pin] = 0.0
     return K
 
 
@@ -156,17 +154,16 @@ def test_krylov_solve_nearby_core_matches_dense(beta, transpose):
     # [[(K + eps E)^T, e], [d^T, 0]], preconditioned with the LU of
     # K + pin, against a dense solve of the bordered system
     rng = np.random.default_rng(11)
-    n, pin = 30, (2, 5)
+    n, pin = 30, 2
     K = _pinned_core(rng, n, pin)
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
     E = rng.standard_normal((n, n))
-    E[pin[0], :] = 0.0
-    E[:, pin[1]] = 0.0
+    E[pin, :] = 0.0
+    E[:, pin] = 0.0
     near = K + 1e-2 * E
     b = rng.standard_normal(n)
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=pin[0],
-                            pin_col=pin[1])
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin)
     # the side's core and border: (near, d, e), or (near^T, e, d)
     core, col, row = (near.T, e, d) if transpose else (near, d, e)
     ref = np.linalg.solve(np.block([[core, col[:, None]],
@@ -185,11 +182,11 @@ def test_krylov_solve_nearby_core_matches_dense(beta, transpose):
 
 def test_krylov_solve_declines_far_core():
     rng = np.random.default_rng(12)
-    n, pin = 60, (0, 0)
+    n, pin = 60, 0
     K = _pinned_core(rng, n, pin)
     d = rng.standard_normal(n)
     e = rng.standard_normal(n)
-    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin_row=0, pin_col=0)
+    solver = BorderedSolver(sp.csc_matrix(K), d, e, pin)
     rng.uniform(0.01, 2.0, n)  # keeps the draws below as they were
     far = sp.csc_matrix(_pinned_core(rng, n, pin))
     for transpose in (False, True):
@@ -221,7 +218,7 @@ def test_non_finite_bordered_solve_raises():
         K[i, i] = v
     K[1, 3] = 0.5
     e0 = np.eye(4)[0]
-    solver = BorderedSolver(K.tocsc(), e0, e0, pin_row=0, pin_col=0)
+    solver = BorderedSolver(K.tocsc(), e0, e0, pin=0)
     with np.errstate(all="ignore"), pytest.raises(SingularMatrixError):
         solver.solve(np.array([0.0, 0.0, 1e10, 0.0]))
 

@@ -16,6 +16,7 @@ from ddopt.spaces import BoundaryTrace, CRVectorField, P0Field, \
 from ddopt.state import (NonlinearSettings, NonconvergenceError,
                          StateSolution, StateStepper, _Dofs, solve_state,
                          state_residual)
+from ddopt.verification import REGIMES
 
 
 def test_settings_validation():
@@ -308,14 +309,18 @@ def test_divergent_cavity_raises_linear_solver_error(point, error,
     # the sweep does: which error a diverging iteration ends in changes
     # with the last bit of Le.  The contraction gate keeps them off the
     # lagged path, so they fail as they do when factoring at every step.
+    # The linear error keeps the increments of the steps before it.
     ra, log_da, le = point
     mesh, params, y_bc = _cavity(8, 50.0 + 150.0 * ra,
                                  10.0 ** (-4.0 + 2.0 * log_da),
                                  2.0 + 18.0 * le)
-    lagged = []
+    lagged, steps = [], []
     krylov = linalg.BorderedSolver.krylov_solve
     monkeypatch.setattr(linalg.BorderedSolver, "krylov_solve",
                         lambda *a, **k: lagged.append(1) or krylov(*a, **k))
+    step = StateStepper.step
+    monkeypatch.setattr(StateStepper, "step",
+                        lambda self: steps.append(1) or step(self))
     # the kept error keeps its traceback, but not the solver state of the
     # failed step: stepper, layout and LUs are freed with the frames
     alive = weakref.WeakSet()
@@ -328,6 +333,10 @@ def test_divergent_cavity_raises_linear_solver_error(point, error,
         solve_state(mesh, params, y_bc,
                     settings=NonlinearSettings(tol=1e-10))
     assert not lagged
+    # every step but the failed last one completed and left its increment
+    history = failed.value.history
+    assert len(history) == len(steps) - 1 > 0
+    assert np.all(np.isfinite(history)) and history[-1] > 1e30
     gc.collect()
     assert failed.value.__traceback__ is not None and not list(alive)
 
@@ -338,9 +347,9 @@ def _layout(kind):
         params, _ = cli.derive_cavity_coefficients(cli.RunConfig(
             {"experiment": "cavity", "n": 6, "da": 1e-3}))
         return _Dofs(mesh, params, cli.cavity_boundary_trace(mesh), None)
-    s = manufactured_setup(6, sigma=1e6, nu2=1e-6)
+    s = manufactured_setup(6, REGIMES["darcy"])
     return _Dofs(s["mesh"], s["params"], s["y_bc"], s["u_bc"], s["f_mom"],
-                 s["f_tr"], penalty_a0=1e4)
+                 s["f_tr"], penalty_a0=s["case"].a0)
 
 
 @pytest.mark.parametrize("kind", ["cavity", "darcy"])

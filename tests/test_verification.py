@@ -288,8 +288,10 @@ def test_eoc_examples():
 
 def test_regimes_table():
     assert REGIMES["darcy"].a0 == pytest.approx(1e4)
-    # only the Darcy regime penalizes jumps and so measures the modified norm
-    assert [r.name for r in REGIMES.values() if r.a0 > 0] == ["darcy"]
+    # only the Darcy case penalizes jumps and so measures the modified norm
+    assert [name for name, case in REGIMES.items() if case.a0 > 0] \
+        == ["darcy"]
+    assert get_regime("flow") is REGIMES["flow"]
     assert get_regime("flow").sigma == 1.0
     with pytest.raises(ValueError):
         get_regime("viscoelastic")

@@ -184,9 +184,7 @@ def accuracy(regime):
 def adjoint():
     d = Digest()
     for regime in ("flow", "darcy"):
-        regime = verification.get_regime(regime)
-        case = verification.ManufacturedCase(sigma=regime.sigma,
-                                             nu2=regime.nu2)
+        case = verification.get_regime(regime)
         params = verification.make_params(case)
         mesh = build_unit_square_mesh(8)
         problem = dict(
@@ -199,9 +197,9 @@ def adjoint():
                                          case))
         solution = state.solve_state(
             mesh, params, settings=state.NonlinearSettings(tol=SOLVE_TOL),
-            penalty_a0=regime.a0, **problem)
+            penalty_a0=case.a0, **problem)
         adj = solve_adjoint(solution, verification.tracking_data(case))
-        at = regime.name + "."
+        at = regime + "."
         _state(d, solution, at)
         d.add(at, phi=adj.phi.dof, xi=adj.xi.dof, xi_raw=adj.xi_raw,
               eta=adj.eta.dof, residual=state.state_residual(
