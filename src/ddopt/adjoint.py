@@ -151,7 +151,7 @@ def gradient_of_reduced_cost(adjoint, control, lam):
     Parameters
     ----------
     adjoint : AdjointSolution
-    control : P0Field with (nc, 2) dofs, or ndarray
+    control : P0Field with (nc, 2) dofs
     lam : float
 
     Returns
@@ -160,9 +160,5 @@ def gradient_of_reduced_cost(adjoint, control, lam):
         Per-cell 2-vector g with dJ/dU[dU] = sum_K |K| g_K . dU_K.
     """
     mesh = adjoint.phi.mesh
-    U = control.dof if isinstance(control, P0Field) else \
-        np.asarray(control, dtype=float)
-    if U.ndim == 1:
-        U = np.zeros((mesh.num_cells, 2)) + U
     pphi = p0_project(adjoint.phi, mesh).dof
-    return P0Field(mesh, lam * U + pphi)
+    return P0Field(mesh, lam * control.dof + pphi)

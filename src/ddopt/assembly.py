@@ -176,10 +176,7 @@ def _brinkman_values(mesh, T_dof, params, reaction):
     """The Brinkman block as values on the vector pattern: the viscous
     stiffness at nu(T_h) plus ``reaction`` (``_reaction_entries``)."""
     q = mesh.cell_quadrature
-    if T_dof is None:
-        Tq = np.zeros((mesh.num_cells, q.w.size))
-    else:
-        Tq = cr_values_on_cells(mesh, T_dof, q.bary)
+    Tq = cr_values_on_cells(mesh, T_dof, q.bary)
     nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
     plan = mesh.scatter_plan
     out = plan.lift(plan.cell.into(_stiffness_local(mesh, nu_bar)))
@@ -193,9 +190,9 @@ def assemble_brinkman_diffusion(mesh, T_dof, params):
 
     Parameters
     ----------
-    T_dof : ndarray (ne,) or None
+    T_dof : ndarray (ne,)
         CR temperature dofs at which the viscosity is evaluated (at the
-        volume quadrature points); None evaluates nu at T == 0.
+        volume quadrature points).
 
     Returns
     -------
@@ -268,8 +265,8 @@ def _upwind_values(mesh, w_dof):
     return 0.5 * (C - C[plan.transpose]) + F
 
 
-def assemble_upwind_advection(mesh, w_dof, n_components=1):
-    """Upwind-stabilized convection matrix N(w).
+def assemble_upwind_advection(mesh, w_dof):
+    """Upwind-stabilized scalar convection matrix N(w).
 
     Realizes the convective trilinear form with the advecting field w
     frozen: volume transport plus the upwind inflow flux, with w . n taken
@@ -281,19 +278,14 @@ def assemble_upwind_advection(mesh, w_dof, n_components=1):
     ----------
     w_dof : ndarray (ne, 2)
         Advecting CR velocity dofs.
-    n_components : int
-        1 returns the scalar-space matrix; 2 the interleaved block version
-        acting on vector / (T, S) fields.
 
     Returns
     -------
-    csr_matrix
+    csr_matrix (ne, ne)
+        Each component of a vector or (T, S) field is convected by it.
     """
     n = _upwind_values(mesh, w_dof)
-    N = mesh.scatter_plan.scalar.csr(n, n != 0)
-    if n_components == 1:
-        return N
-    return sp.kron(N, sp.eye(n_components), format="csr")
+    return mesh.scatter_plan.scalar.csr(n, n != 0)
 
 
 def assemble_advecting_linearization(mesh, w_dof, carried_dof):

@@ -1,19 +1,18 @@
 """Batch command-line entry point: accuracy studies, the porous-cavity
-control experiment, single forward solves, and field export.
+control experiment, uncontrolled cavity solves, and field export.
 
 Every run setting is one row of ``_SETTINGS``: its section in the config
 file, type, default and check.  A run takes each setting from the
 defaults, then from a flat INI file (key = value under those sections,
 all keys optional), then from the command-line flags; ``pr``, ``le``,
 ``sr``, ``du``, ``rk`` and ``nbuoy`` have no flag.  Every setting is
-validated, but each command reads only its own: ``convergence`` reads
-``regime``, ``levels``, ``tol``, ``tol_mode``, ``out`` and ``export`` (the
-regime's manufactured case fixes lambda, the bounds and the rest);
-``cavity`` reads ``n``, the ``physics`` keys, ``tol``, ``tol_mode``,
-``out`` and ``export``; ``solve`` reads ``regime``, ``n``, ``out`` and
-``export``.  Exit codes: 0 success, 2 configuration error (any invalid
-setting, a cavity diffusion matrix that is not positive definite
-included), 3 solver failure, 4 I/O failure.
+validated.  ``_COMMANDS`` lists the settings each command reads, and a
+flag of any other is a configuration error; a config file may set every
+key, so that one file serves all three commands.  ``solve`` is the
+problem of ``cavity`` at zero control.  Exit codes: 0 success,
+2 configuration error (any invalid setting or unread flag, a cavity
+diffusion matrix that is not positive definite included), 3 solver
+failure, 4 I/O failure.
 """
 
 import argparse
@@ -32,7 +31,7 @@ from .linalg import SolverError
 from .mesh import build_unit_square_mesh
 from .spaces import BoundaryTrace, P0Field
 from .state import NonlinearSettings, solve_state
-from .verification import run_convergence_study, get_regime, ERROR_NAMES
+from .verification import run_convergence_study, ERROR_NAMES
 
 __all__ = ["main", "RunConfig", "ConfigError", "derive_cavity_coefficients",
            "cavity_wall_partition", "cavity_boundary_trace", "run_cavity",
@@ -85,6 +84,11 @@ _SETTINGS = {
 def _attribute(key):
     """The RunConfig attribute of a setting (``lambda`` is a keyword)."""
     return "lam" if key == "lambda" else key
+
+
+def _flag(key):
+    """The command-line flag of a setting."""
+    return "--" + key.replace("_", "-")
 
 
 class RunConfig:
@@ -268,8 +272,6 @@ def export_fields(bundle, path, fmt="csv"):
     u, y = uy[:, :2], uy[:, 2:]
     p_cells = np.asarray(bundle["p"].dof, dtype=float)
     U_cells = np.asarray(bundle["U"].dof, dtype=float)
-    if U_cells.ndim == 1:
-        U_cells = np.column_stack([U_cells, np.zeros_like(U_cells)])
     try:
         if fmt == "csv":
             pU = np.column_stack([p_cells, U_cells])[:, None, :]
@@ -359,15 +361,6 @@ def write_errors_csv(report, stream):
         stream.write(",".join(row) + "\n")
 
 
-def _regime_params_for_solve(config):
-    case = get_regime(config.regime)
-    nu2 = case.nu2
-    return ProblemParams(sigma=case.sigma,
-                         nu=lambda T: np.full_like(np.asarray(T, float),
-                                                   nu2),
-                         nu1=nu2, nu2=nu2, diffusion=np.eye(2))
-
-
 def _export_state(config, outdir, name, solution, control):
     """Export a state and its control to ``<name>.<export format>``."""
     bundle = {"mesh": solution.u.mesh, "u": solution.u, "p": solution.p,
@@ -408,19 +401,29 @@ def _cmd_cavity(config, outdir):
 
 
 def _cmd_solve(config, outdir):
-    params = _regime_params_for_solve(config)
+    params, _ = derive_cavity_coefficients(config)
     mesh = build_unit_square_mesh(config.n)
-    solution = solve_state(mesh, params, y_bc=None, control=None,
+    solution = solve_state(mesh, params, cavity_boundary_trace(mesh),
                            settings=NonlinearSettings(tol=1e-10))
     _export_state(config, outdir, "solution", solution,
                   P0Field(mesh, np.zeros((mesh.num_cells, 2))))
-    print("forward solve done in {} nonlinear steps (Picard and Newton); "
-          "output in {}".format(solution.iterations, outdir))
+    print("uncontrolled cavity solved in {} nonlinear steps (Picard and "
+          "Newton); output in {}".format(solution.iterations, outdir))
     return EXIT_OK
 
 
-_COMMANDS = {"convergence": _cmd_convergence, "cavity": _cmd_cavity,
-             "solve": _cmd_solve}
+# each command's function and the settings it reads; a flag of any other
+# setting is rejected
+_Command = namedtuple("_Command", "run reads")
+_CAVITY_GROUPS = ("da", "ra", "pr", "le", "sr", "du", "rk", "nbuoy")
+_COMMANDS = {
+    "convergence": _Command(_cmd_convergence, (
+        "regime", "levels", "tol", "tol_mode", "out", "export")),
+    "cavity": _Command(_cmd_cavity, ("n",) + _CAVITY_GROUPS + (
+        "lambda", "lbound", "ubound", "tol", "tol_mode", "out", "export")),
+    "solve": _Command(_cmd_solve, ("n",) + _CAVITY_GROUPS + (
+        "out", "export")),
+}
 
 
 def build_parser():
@@ -432,7 +435,7 @@ def build_parser():
     parser.add_argument("--config", metavar="PATH")
     for key, setting in _SETTINGS.items():
         if setting.flag:
-            parser.add_argument("--" + key.replace("_", "-"), dest=key,
+            parser.add_argument(_flag(key), dest=key,
                                 type=setting.kind,
                                 choices=setting.choices or None)
     return parser
@@ -440,13 +443,19 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SETTINGS and value is not None}
     try:
+        for key in flags:
+            if key not in command.reads:
+                raise ConfigError("{} does not read {}".format(
+                    args.command, _flag(key)))
         values = parse_config_file(args.config) if args.config else {}
-        values.update((key, value) for key, value in vars(args).items()
-                      if key in _SETTINGS and value is not None)
+        values.update(flags)
         config = RunConfig(values)
         os.makedirs(config.out, exist_ok=True)
-        return _COMMANDS[args.command](config, config.out)
+        return command.run(config, config.out)
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG

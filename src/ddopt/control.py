@@ -42,6 +42,9 @@ __all__ = ["ControlBounds", "PdasSettings", "OptResult", "project_control",
            "eval_cost", "pdas_solve", "kkt_residuals",
            "PdasNonconvergence"]
 
+# the outer iterations pdas_solve takes before it raises PdasNonconvergence
+_MAX_ITERATIONS = 50
+
 
 class PdasNonconvergence(SolverError):
     """Active sets failed to settle; carries the control changes."""
@@ -63,10 +66,6 @@ class ControlBounds:
             raise ValueError("bounds must satisfy Ua_j < Ub_j "
                              "componentwise, without NaN")
 
-    @staticmethod
-    def symmetric(radius):
-        return ControlBounds(-abs(radius), abs(radius))
-
 
 @dataclass
 class PdasSettings:
@@ -80,7 +79,6 @@ class PdasSettings:
     lam: float = 1.0
     tol: float = 1e-6
     tol_mode: str = "absolute"
-    max_iter: int = 50
     state_tol: float = 1e-10
 
     def __post_init__(self):
@@ -92,8 +90,6 @@ class PdasSettings:
             raise ValueError("tol must be positive and finite")
         if not 0 < self.state_tol < np.inf:
             raise ValueError("state_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -177,7 +173,11 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     Raises
     ------
     PdasNonconvergence
-        When ``max_iter`` outer iterations do not settle the active sets.
+        When ``_MAX_ITERATIONS`` outer iterations do not settle the
+        active sets.
+    SingularMatrixError, LinearSolveError
+        When a state step or an adjoint fails to solve; the error carries
+        the state increments of the steps before it.
     """
     settings = settings or PdasSettings()
     lam = settings.lam
@@ -195,14 +195,15 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     sampled = TrackingData(asm._sampled_target(mesh, data.u_d),
                            asm._sampled_target(mesh, data.y_d))
 
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         stepper.set_control(U)
         state_incr = stepper.step()
         state = stepper.solution()
         # passed inline: held here, its LU would outlive the next step's
         # decision to factor, and two LUs would be alive at once
-        adjoint = solve_adjoint(state, sampled,
-                                linearization=stepper.linearize())
+        with stepper.keeping_increments():
+            adjoint = solve_adjoint(state, sampled,
+                                    linearization=stepper.linearize())
         pphi = p0_project(adjoint.phi, mesh).dof
         labels = _classify(pphi, lam, bounds)
         U_new = project_control(pphi, lam, bounds)
@@ -227,7 +228,7 @@ def pdas_solve(mesh, params, y_bc, data, bounds, settings=None, u_bc=None,
     else:
         raise PdasNonconvergence(
             "active sets did not settle in {} iterations".format(
-                settings.max_iter), changes)
+                _MAX_ITERATIONS), changes)
 
     return OptResult(control=P0Field(mesh, U), state=state, adjoint=adjoint,
                      iterations=it, cost_history=cost_history,

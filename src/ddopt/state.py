@@ -56,6 +56,7 @@ interleave state linearizations with active-set updates; ``solve_state``
 drives the stepper to the increment tolerance.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,6 +75,8 @@ from .spaces import CRVectorField, P0Field, cr_cell_gradients
 # about 2% of a factorization at 32 x 32).
 _LAG_CONTRACTION = 0.2
 _LAG_MAXITER = 25
+# the steps solve_state takes before it raises NonconvergenceError
+_MAX_STEPS = 100
 
 __all__ = ["NonlinearSettings", "StateSolution", "NonconvergenceError",
            "DivergedError", "Linearization", "StateStepper", "solve_state",
@@ -93,16 +96,14 @@ class NonlinearSettings:
     """Nonlinear-iteration controls.
 
     ``tol`` is a dimensionless increment tolerance (measured relative to
-    1 + the broken norms of the iterate).
+    1 + the broken norms of the iterate); ``solve_state`` takes at most
+    ``_MAX_STEPS`` steps to meet it.
     """
     tol: float = 1e-10
-    max_iter: int = 100
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -509,13 +510,8 @@ class StateStepper:
                 + self.m - dofs.g
             rhs = -dofs.pack(r_mom, r_div, r_tr)
             beta = -float(dofs.area @ p)
-        try:
+        with self.keeping_increments():
             x, m_new = lin.solve(rhs, beta=beta)
-        except SolverError as exc:
-            # a linear failure keeps the increments of the steps before it
-            if not exc.history:
-                exc.history = list(self.increments)
-            raise
         u_new, p_new, y_new = dofs.unpack(x)
         if self.newton:  # a Newton step solves for the increment
             u_new, p_new, y_new = u + u_new, p + p_new, y + y_new
@@ -537,6 +533,17 @@ class StateStepper:
                                 or self.steps >= 3):
             self.newton = True
         return incr
+
+    @contextmanager
+    def keeping_increments(self):
+        """A SolverError without a history (a linear failure) leaves with
+        the increments so far; state steps and PDAS adjoints solve in it."""
+        try:
+            yield
+        except SolverError as exc:
+            if not exc.history:
+                exc.history = list(self.increments)
+            raise
 
     def converged(self, incr, tol):
         """Whether ``incr`` meets the tolerance of ``NonlinearSettings``."""
@@ -583,7 +590,7 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
     Raises
     ------
     NonconvergenceError
-        If ``max_iter`` is exhausted before the increment drops below
+        If ``_MAX_STEPS`` steps do not bring the increment below
         ``tol * (1 + ||u|| + ||y||)``.
     DivergedError
         If an iterate contains NaN or Inf.
@@ -592,13 +599,13 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
     stepper = StateStepper(mesh, params, y_bc, control=control, u_bc=u_bc,
                            forcing_mom=forcing_mom, forcing_tr=forcing_tr,
                            penalty_a0=penalty_a0)
-    for _ in range(settings.max_iter):
+    for _ in range(_MAX_STEPS):
         incr = stepper.step()
         if stepper.converged(incr, settings.tol):
             return stepper.solution()
     raise NonconvergenceError(
         "state iteration did not reach tol={} in {} steps".format(
-            settings.tol, settings.max_iter),
+            settings.tol, _MAX_STEPS),
         stepper.increments)
 
 

@@ -362,12 +362,11 @@ def _jump_error_sq(mesh, dof, value_fn):
 
 
 def _control_error(mesh, U_cells, exact_fn, r):
+    """The componentwise L^r errors of a cellwise control."""
     q = mesh.cell_quadrature
     ex = _point_values(exact_fn, q.pts[:, :, 0], q.pts[:, :, 1])
     diff = np.abs(U_cells[:, None, :] - ex)
-    lr = np.einsum("cq,cqk->k", q.wts, diff ** r) ** (1.0 / r)
-    l2 = np.sqrt(np.einsum("cq,cqk->k", q.wts, diff ** 2))
-    return lr, l2
+    return np.einsum("cq,cqk->k", q.wts, diff ** r) ** (1.0 / r)
 
 
 ERROR_NAMES = ["e_u", "e_p", "e_T", "e_S", "e_phi", "e_zeta", "e_etaT",
@@ -393,7 +392,7 @@ def error_norms(mesh, fields, case):
     Returns
     -------
     dict
-        The errors named in ``ERROR_NAMES`` plus unweighted diagnostics.
+        The errors named in ``ERROR_NAMES``.
     """
     for key in ("u", "p", "y", "phi", "zeta", "eta", "U"):
         if key in fields and fields[key] is not None \
@@ -416,13 +415,11 @@ def error_norms(mesh, fields, case):
             ("y", 1, "S", case.S, case.grad_S),
             ("eta", 0, "etaT", case.eta_T, case.grad_eta_T),
             ("eta", 1, "etaS", case.eta_S, case.grad_eta_S)):
-        l2, h1 = _quadrature_error_parts(
+        _, h1 = _quadrature_error_parts(
             mesh, fields[key].dof[:, comp:comp + 1],
             lambda x, y_: value(x, y_)[None],
             lambda x, y_: grad(x, y_)[None])
         out["e_" + name] = np.sqrt(sigma_bar * h1)
-        if key == "y":
-            out["e_{}_unweighted".format(name)] = np.sqrt(h1 + l2)
 
     q = mesh.cell_quadrature
     for key, fn in (("p", case.p), ("zeta", case.zeta)):
@@ -430,10 +427,8 @@ def error_norms(mesh, fields, case):
         diff = fields[key].dof[:, None] - ex
         out["e_" + key] = np.sqrt(float(np.einsum("cq,cq->", q.wts, diff ** 2)))
 
-    lr, l2c = _control_error(mesh, fields["U"].dof, case.U,
-                             _CONTROL_EXPONENT)
+    lr = _control_error(mesh, fields["U"].dof, case.U, _CONTROL_EXPONENT)
     out["e_U1"], out["e_U2"] = float(lr[0]), float(lr[1])
-    out["e_U1_l2"], out["e_U2_l2"] = float(l2c[0]), float(l2c[1])
     return out
 
 
@@ -523,7 +518,6 @@ def run_convergence_study(regime, ns, tol=1e-6, tol_mode="absolute",
                             state_tol=1e-10)
 
     errors = {name: [] for name in ERROR_NAMES}
-    extra = {}
     hs, iterations, div_max, vi_res = [], [], [], []
     dofs = {"u": [], "p": [], "y": [], "U": []}
     results = []
@@ -544,9 +538,6 @@ def run_convergence_study(regime, ns, tol=1e-6, tol_mode="absolute",
         level_errors = error_norms(mesh, fields, case)
         for name in ERROR_NAMES:
             errors[name].append(float(level_errors[name]))
-        for name, val in level_errors.items():
-            if name not in ERROR_NAMES:
-                extra.setdefault(name, []).append(float(val))
 
         hs.append(np.sqrt(2.0) / n)
         iterations.append(result.iterations)
@@ -560,7 +551,6 @@ def run_convergence_study(regime, ns, tol=1e-6, tol_mode="absolute",
             results.append(result)
 
     rates = {name: eoc(errors[name], hs) for name in ERROR_NAMES}
-    errors.update(extra)
     return ConvergenceReport(regime=regime, ns=ns, hs=hs,
                              errors=errors, rates=rates,
                              iterations=iterations, dofs=dofs,

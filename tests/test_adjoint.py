@@ -107,7 +107,7 @@ def test_gradient_matches_finite_differences():
     s = manufactured_setup(8)
     mesh = s["mesh"]
     data = TrackingData()
-    settings = NonlinearSettings(tol=1e-12, max_iter=200)
+    settings = NonlinearSettings(tol=1e-12)
     area = mesh.area_cell
 
     def reduced(U):

@@ -4,13 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from ddopt import cli
 from ddopt.cli import (ConfigError, RunConfig, parse_config_file,
                        write_config, derive_cavity_coefficients,
                        cavity_wall_partition, cavity_boundary_trace,
                        export_fields, read_points_csv, write_errors_csv,
-                       main, EXIT_OK, EXIT_CONFIG)
+                       main, EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE)
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.spaces import CRVectorField, P0Field
+from ddopt.state import NonlinearSettings, StateStepper, solve_state
 from ddopt.verification import ConvergenceReport, ERROR_NAMES
 
 
@@ -162,17 +164,63 @@ def test_errors_csv_schema():
     assert second[7] == "1.0000"
 
 
-def test_main_solve_zero_data(tmp_path):
-    out = str(tmp_path / "out")
-    code = main(["solve", "--n", "4", "--out", out])
-    assert code == EXIT_OK
-    cols = read_points_csv(os.path.join(out, "solution.csv"))
-    for name in ("u1", "u2", "p", "T", "S", "U1", "U2"):
-        assert np.abs(cols[name]).max() == 0.0
+def test_main_solve_is_uncontrolled_cavity(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--n", "4", "--out", str(out)]) == EXIT_OK
+    # the library's solve of the cavity at the default groups, exported
+    # with the zero control
+    mesh = build_unit_square_mesh(4)
+    params, _ = derive_cavity_coefficients(RunConfig({}))
+    sol = solve_state(mesh, params, cavity_boundary_trace(mesh),
+                      settings=NonlinearSettings(tol=1e-10))
+    expected = tmp_path / "expected.csv"
+    export_fields({"mesh": mesh, "u": sol.u, "p": sol.p, "y": sol.y,
+                   "U": P0Field(mesh, np.zeros((mesh.num_cells, 2)))},
+                  str(expected), "csv")
+    assert (out / "solution.csv").read_bytes() == expected.read_bytes()
+    cols = read_points_csv(str(expected))
+    for name in ("u1", "u2", "p", "T", "S"):
+        assert np.abs(cols[name]).max() > 0
+    assert not np.any(cols["U1"]) and not np.any(cols["U2"])
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran on a rejected configuration")
+
+
+_UNREAD_FLAGS = [(command, key) for command in cli._COMMANDS
+                 for key, setting in cli._SETTINGS.items()
+                 if setting.flag and key not in cli._COMMANDS[command].reads]
+
+
+@pytest.mark.parametrize("command, key", _UNREAD_FLAGS,
+                         ids=["{}-{}".format(*pair) for pair in _UNREAD_FLAGS])
+def test_main_rejects_unread_flag(tmp_path, monkeypatch, capsys, command,
+                                  key):
+    # a flag the command would ignore exits 2 before any solve, even at
+    # the setting's default value
+    for name in ("solve_state", "pdas_solve", "run_convergence_study"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "o"
+    code = main([command, flag, str(cli._SETTINGS[key].default),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "{} does not read {}".format(command, flag) \
+        in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_command_table():
+    # 36 command-flag pairs before the table, 21 read; these four used to
+    # run as if the flag were absent
+    assert len(_UNREAD_FLAGS) == 15
+    assert {("convergence", "lambda"), ("convergence", "n"),
+            ("solve", "regime"), ("cavity", "levels")} <= set(_UNREAD_FLAGS)
 
 
 def test_main_config_error_exit_code(tmp_path):
-    code = main(["solve", "--lbound", "2.0", "--ubound", "1.0",
+    code = main(["cavity", "--lbound", "2.0", "--ubound", "1.0",
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     # rejected before any solve: too few levels for a study, a zero tol,
@@ -189,18 +237,16 @@ def test_main_config_error_exit_code(tmp_path):
     ids=["le=0", "le=-1", "pr=0", "du=10", "narrow-indefinite-cone"])
 def test_main_invalid_physics_exit_code(tmp_path, monkeypatch, line):
     # a zero Lewis number divides by zero in 1/Sc; the others give a D
-    # that is not positive definite, the last one only on a narrow cone
-    from ddopt import cli
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve ran on an invalid configuration")
-
-    monkeypatch.setattr(cli, "pdas_solve", no_solve)
+    # that is not positive definite, the last one only on a narrow cone;
+    # both commands that read the cavity groups reject them
+    monkeypatch.setattr(cli, "pdas_solve", _no_solve)
+    monkeypatch.setattr(cli, "solve_state", _no_solve)
     path = tmp_path / "run.cfg"
     path.write_text("[physics]\n" + line + "\n")
-    code = main(["cavity", "--n", "4", "--config", str(path),
-                 "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+    for command in ("cavity", "solve"):
+        code = main([command, "--n", "4", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
     # rejected before the iteration log is opened
     assert not os.path.exists(tmp_path / "o" / "iterations.log")
 
@@ -215,27 +261,7 @@ def test_main_config_file(tmp_path):
     assert os.path.exists(os.path.join(out, "solution.csv"))
 
 
-def test_convergence_ignores_lambda(tmp_path):
-    # the closed-form solution assumes lambda = 1: a study reads its
-    # stopping rule from the configuration and the rest from the regime
-    tables = []
-    for extra in ([], ["--lambda", "2"]):
-        out = tmp_path / "lambda{}".format(len(extra))
-        code = main(["convergence", "--levels", "3", "--out", str(out)]
-                    + extra)
-        assert code == EXIT_OK
-        tables.append((out / "errors.csv").read_text())
-    assert tables[0] == tables[1]
-
-
-def test_main_solve_darcy_regime(tmp_path):
-    out = str(tmp_path / "darcy")
-    code = main(["solve", "--n", "4", "--regime", "darcy", "--out", out])
-    assert code == EXIT_OK
-
-
 def test_main_nonconvergence_exit_code(tmp_path):
-    from ddopt.cli import EXIT_NONCONVERGENCE
     out = str(tmp_path / "stuck")
     # an unattainable control tolerance exhausts the outer loop
     code = main(["cavity", "--n", "4", "--da", "1e-3", "--tol", "1e-30",
@@ -255,9 +281,28 @@ def test_main_cavity_small(tmp_path):
     assert os.path.exists(os.path.join(out, "cavity_fields.csv"))
 
 
+def test_main_cavity_linear_failure_keeps_increments(tmp_path, monkeypatch):
+    # at 6 x 6 the default cavity's state diverges inside the PDAS loop
+    # until a bordered solve stalls; the error, raised by a state step or
+    # an adjoint, keeps the increment of every completed state step
+    completed = []
+    step = StateStepper.step
+    monkeypatch.setattr(StateStepper, "step",
+                        lambda self: completed.append(step(self))
+                        or completed[-1])
+    out = tmp_path / "n6"
+    code = main(["cavity", "--n", "6", "--out", str(out)])
+    assert code == EXIT_NONCONVERGENCE
+    lines = (out / "nonconvergence.txt").read_text().splitlines()
+    assert lines[0].startswith(("LinearSolveError", "SingularMatrixError"))
+    assert len(completed) > 3
+    assert lines[1:] == ["{} {:.6e}".format(k, v)
+                         for k, v in enumerate(completed)]
+
+
 @pytest.mark.parametrize("error", ["SingularMatrixError", "LinearSolveError"])
 def test_main_linear_solver_error_exit_code(tmp_path, monkeypatch, error):
-    from ddopt import cli, linalg
+    from ddopt import linalg
 
     def failing_solve(*args, **kwargs):
         raise getattr(linalg, error)("injected")
@@ -278,7 +323,6 @@ def test_solver_errors_share_one_base(tmp_path, monkeypatch, module, error):
     # main catches SolverError alone, so every solver failure exits 3;
     # each error takes a (message, history) pair and main writes both
     import importlib
-    from ddopt import cli
     from ddopt.linalg import SolverError
     exc_type = getattr(importlib.import_module("ddopt." + module), error)
     assert issubclass(exc_type, SolverError)

@@ -40,8 +40,6 @@ def test_bounds_validation():
     free = ControlBounds(-np.inf, [np.inf, 1.0])
     assert np.array_equal(project_control(np.array([[-5.0, -5.0]]), 1.0,
                                           free), [[5.0, 1.0]])
-    b = ControlBounds.symmetric(0.005)
-    assert np.allclose(b.lower, -0.005) and np.allclose(b.upper, 0.005)
 
 
 def test_eval_cost_examples(mesh4):
@@ -204,9 +202,11 @@ def test_pdas_determinism():
     assert res1.cost_history == res2.cost_history
 
 
-def test_pdas_nonconvergence_error():
+def test_pdas_nonconvergence_error(monkeypatch):
+    from ddopt import control
+    monkeypatch.setattr(control, "_MAX_ITERATIONS", 1)
     s = manufactured_setup(8)
-    settings = PdasSettings(lam=1.0, tol=1e-14, max_iter=1, state_tol=1e-10)
+    settings = PdasSettings(lam=1.0, tol=1e-14, state_tol=1e-10)
     with pytest.raises(PdasNonconvergence):
         pdas_solve(s["mesh"], s["params"], s["y_bc"], s["data"],
                    s["case"].bounds, settings=settings, u_bc=s["u_bc"],
@@ -230,17 +230,17 @@ def test_failed_pdas_frees_its_solver_state(monkeypatch):
     # the kept error keeps its history and traceback, but not the solver
     # state of the failed loop: stepper, layout and LUs go with the frames
     import gc
-    from ddopt import cli, linalg
+    from ddopt import cli, control, linalg
     from ddopt.mesh import build_unit_square_mesh
     from ddopt.state import StateStepper
 
     alive = _track_instances(monkeypatch, StateStepper, linalg.DirectSolver)
+    monkeypatch.setattr(control, "_MAX_ITERATIONS", 1)
     params, _ = cli.derive_cavity_coefficients(_cavity_8())
     mesh = build_unit_square_mesh(8)
     with pytest.raises(PdasNonconvergence) as failed:
         pdas_solve(mesh, params, cli.cavity_boundary_trace(mesh),
-                   TrackingData(), ControlBounds.symmetric(0.005),
-                   settings=PdasSettings(max_iter=1))
+                   TrackingData(), ControlBounds(-0.005, 0.005))
     assert len(failed.value.history) == 1
     gc.collect()
     assert failed.value.__traceback__ is not None and not list(alive)
@@ -269,7 +269,7 @@ def test_failed_adjoint_frees_its_solver_state(monkeypatch):
 def test_settings_validation():
     for kwargs in ({"tol_mode": "exact"}, {"lam": 0.0}, {"lam": np.nan},
                    {"lam": np.inf}, {"tol": 0.0}, {"tol": -1.0},
-                   {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0},
+                   {"tol": np.nan}, {"tol": np.inf},
                    {"state_tol": 0.0}, {"state_tol": np.nan},
                    {"state_tol": np.inf}):
         with pytest.raises(ValueError):

@@ -20,8 +20,7 @@ from ddopt.verification import REGIMES
 
 
 def test_settings_validation():
-    for kwargs in ({"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf},
-                   {"max_iter": 0}):
+    for kwargs in ({"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf}):
         with pytest.raises(ValueError):
             NonlinearSettings(**kwargs)
 
@@ -101,12 +100,14 @@ def test_pressure_mean_zero():
     assert abs(np.sum(s["mesh"].area_cell * sol.p.dof)) < 1e-10
 
 
-def test_max_iter_exhaustion_raises():
+def test_max_iter_exhaustion_raises(monkeypatch):
+    from ddopt import state
+    monkeypatch.setattr(state, "_MAX_STEPS", 2)
     s = manufactured_setup(8)
     with pytest.raises(NonconvergenceError) as err:
         solve_state(s["mesh"], s["params"], s["y_bc"], u_bc=s["u_bc"],
                     forcing_mom=s["f_mom"], forcing_tr=s["f_tr"],
-                    settings=NonlinearSettings(tol=1e-10, max_iter=2))
+                    settings=NonlinearSettings(tol=1e-10))
     assert len(err.value.history) == 2
 
 

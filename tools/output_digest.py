@@ -32,11 +32,12 @@ benchmark workloads:
   ``solve_adjoint``: the state, phi, xi, xi_raw, eta and
   ``state_residual``;
 - ``cli``: the exit code and every file that ``ddopt.cli.main`` writes
-  for ``solve --n 8`` with CSV and with VTK export and for
-  ``cavity --n 8 --da 1e-3 --tol-mode rel``, and ``write_config`` of a
+  for ``solve --n 8`` with CSV and with VTK export, for
+  ``cavity --n 8 --da 1e-3 --tol-mode rel`` and for
+  ``convergence --levels 3 --export csv``, and ``write_config`` of a
   configuration that sets every key away from its default.
 
-All groups take about 30 s on 2 vCPU.
+All groups take about 35 s on 2 vCPU.
 """
 
 import argparse
@@ -211,7 +212,8 @@ def cli_outputs():
     d = Digest()
     runs = (["solve", "--n", "8", "--export", "csv"],
             ["solve", "--n", "8", "--export", "vtk"],
-            ["cavity", "--n", "8", "--da", "1e-3", "--tol-mode", "rel"])
+            ["cavity", "--n", "8", "--da", "1e-3", "--tol-mode", "rel"],
+            ["convergence", "--levels", "3", "--export", "csv"])
     for argv in runs:
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
