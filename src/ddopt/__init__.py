@@ -10,7 +10,7 @@ problem.
 from .mesh import Mesh, build_unit_square_mesh, refine_uniform, mesh_stats
 from .spaces import (CRScalarField, CRVectorField, P0Field, BoundaryTrace,
                      cr_interpolate, boundary_interpolate, p0_project,
-                     evaluate_cr, gradient_cr)
+                     evaluate_cr)
 from .assembly import ProblemParams
 from .linalg import SolverError
 from .state import NonlinearSettings, StateSolution, solve_state, \
@@ -19,20 +19,19 @@ from .adjoint import AdjointSolution, TrackingData, solve_adjoint, \
     gradient_of_reduced_cost
 from .control import ControlBounds, PdasSettings, OptResult, project_control, \
     eval_cost, pdas_solve, kkt_residuals
-from .verification import ManufacturedCase, exact_eval, \
-    manufactured_forcing, error_norms, eoc, run_convergence_study
+from .verification import ManufacturedCase, manufactured_forcing, \
+    error_norms, eoc, run_convergence_study
 
 __all__ = [
     "Mesh", "build_unit_square_mesh", "refine_uniform", "mesh_stats",
     "CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
     "cr_interpolate", "boundary_interpolate", "p0_project", "evaluate_cr",
-    "gradient_cr",
     "ProblemParams", "SolverError",
     "NonlinearSettings", "StateSolution", "solve_state", "state_residual",
     "AdjointSolution", "TrackingData", "solve_adjoint",
     "gradient_of_reduced_cost",
     "ControlBounds", "PdasSettings", "OptResult", "project_control",
     "eval_cost", "pdas_solve", "kkt_residuals",
-    "ManufacturedCase", "exact_eval", "manufactured_forcing",
+    "ManufacturedCase", "manufactured_forcing",
     "error_norms", "eoc", "run_convergence_study",
 ]

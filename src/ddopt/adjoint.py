@@ -140,8 +140,8 @@ def solve_adjoint(state, data, linearization=None):
 def _cell_mean_dot(mesh, a_dof, b_dof):
     """Cell averages of the dot product of two CR fields (exact for P2)."""
     q = mesh.cell_quadrature
-    av = cr_values_on_cells(mesh, a_dof, q.bary)
-    bv = cr_values_on_cells(mesh, b_dof, q.bary)
+    av = cr_values_on_cells(mesh, a_dof)
+    bv = cr_values_on_cells(mesh, b_dof)
     return np.einsum("q,cqd,cqd->c", q.w, av, bv)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .mesh import _cell_dofs
+from .mesh import _cell_dofs, _facet_sides
 from .spaces import _point_values, cr_values_on_cells, cr_cell_gradients
 
 __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
@@ -43,8 +43,8 @@ __all__ = ["ProblemParams", "assemble_mass", "assemble_stiffness",
            "assemble_cross_diffusion", "assemble_upwind_advection",
            "assemble_advecting_linearization", "assemble_viscosity_coupling",
            "assemble_buoyancy_coupling", "assemble_jump_penalty",
-           "assemble_load", "assemble_p0_load", "assemble_mean_constraint",
-           "tracking_load", "tracking_cost", "vector_indices"]
+           "assemble_load", "assemble_p0_load", "tracking_load",
+           "tracking_cost", "vector_indices"]
 
 
 @dataclass
@@ -54,11 +54,11 @@ class ProblemParams:
     Attributes
     ----------
     sigma : float
-        Inverse permeability, K^{-1} = sigma I; also the weight of the L2
-        part of the velocity norm.
+        Inverse permeability, K^{-1} = sigma I, positive and finite; also
+        the weight of the L2 part of the velocity norm.
     diffusion : (2, 2) ndarray
         Constant positive-definite diffusion matrix D (off-diagonal entries
-        are the Soret/Dufour couplings).
+        are the Soret/Dufour couplings), finite as F_y is.
     nu : callable, optional
         Temperature-dependent viscosity T -> nu(T); None means nu == 1.
     nu_T : callable, optional
@@ -82,11 +82,17 @@ class ProblemParams:
         if np.ndim(self.sigma) != 0:
             raise ValueError("sigma must be a scalar: K^{-1} = sigma I")
         self.sigma = float(self.sigma)
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite, got "
+                             "{!r}".format(self.sigma))
         if self.diffusion is None:
             self.diffusion = np.eye(2)
         self.diffusion = np.asarray(self.diffusion, dtype=float)
         if self.F_y is not None:
             self.F_y = np.asarray(self.F_y, dtype=float)
+        for name, value in (("diffusion", self.diffusion), ("F_y", self.F_y)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError("{} must be finite".format(name))
 
     @property
     def sigma_bar(self):
@@ -176,7 +182,7 @@ def _brinkman_values(mesh, T_dof, params, reaction):
     """The Brinkman block as values on the vector pattern: the viscous
     stiffness at nu(T_h) plus ``reaction`` (``_reaction_entries``)."""
     q = mesh.cell_quadrature
-    Tq = cr_values_on_cells(mesh, T_dof, q.bary)
+    Tq = cr_values_on_cells(mesh, T_dof)
     nu_bar = np.einsum("q,cq->c", q.w, params.nu_at(Tq))
     plan = mesh.scatter_plan
     out = plan.lift(plan.cell.into(_stiffness_local(mesh, nu_bar)))
@@ -229,22 +235,19 @@ def _convection_local(mesh, w_dof):
     """Cell blocks (nc, 3, 3) of the raw volume convection
     int (w . grad psi_j) psi_i."""
     q = mesh.cell_quadrature
-    wq = cr_values_on_cells(mesh, w_dof, q.bary)    # (nc, nq, 2)
+    wq = cr_values_on_cells(mesh, w_dof)               # (nc, nq, 2)
     adv = np.einsum("cqd,cjd->cqj", wq, mesh.cell_gradients)
     return np.einsum("cq,qi,cqj->cij", q.wts, q.psi, adv)
 
 
-def _facet_local(mesh, coef11, coef12, coef21, coef22):
-    """The four side-pair trace blocks with per-edge coefficients, in the
-    order of the scatter plan's ``facet`` (boundary edges use only
-    coef11)."""
-    td = mesh.edge_traces
-    interior = mesh.interior_edges
+def _facet_local(mesh, *coefs):
+    """The facet trace blocks with per-edge coefficients: one (ne,) array
+    per side pair of ``_facet_sides``, in its order, which is that of the
+    scatter plan's ``facet``."""
+    pairs = mesh.edge_traces.pairs
     return np.concatenate([
-        (td.pairs[:, 0, 0] * coef11[:, None, None]).ravel(),
-        (td.pairs[interior, 0, 1] * coef12[interior, None, None]).ravel(),
-        (td.pairs[interior, 1, 0] * coef21[interior, None, None]).ravel(),
-        (td.pairs[interior, 1, 1] * coef22[interior, None, None]).ravel()])
+        (pairs[edges, sr, sc] * coef[edges, None, None]).ravel()
+        for coef, (edges, sr, sc) in zip(coefs, _facet_sides(mesh))])
 
 
 def _midpoint_flux(mesh, w_dof):
@@ -321,7 +324,7 @@ def _advecting_local(mesh, w_dof, carried_dof):
     k = carried_dof.shape[1]
     q = mesh.cell_quadrature
     grads = mesh.cell_gradients
-    cvals = cr_values_on_cells(mesh, carried_dof, q.bary)  # (nc, nq, k)
+    cvals = cr_values_on_cells(mesh, carried_dof)         # (nc, nq, k)
     cgrad = cr_cell_gradients(mesh, carried_dof)          # (nc, k, 2)
 
     # volume skew part: 1/2 [ (dw . grad c) . v - (dw . grad v) . c ]
@@ -337,16 +340,9 @@ def _advecting_local(mesh, w_dof, carried_dof):
     td = mesh.edge_traces
     a = _midpoint_flux(mesh, w_dof)
     sgn = np.sign(a)
-    dcoef = {
-        (0, 0): np.where(mesh.boundary_edge, 0.5, 0.5 * sgn),
-        (0, 1): (a < 0).astype(float),
-        (1, 0): -(a > 0).astype(float),
-        (1, 1): 0.5 * sgn,
-    }
-    interior = mesh.interior_edges
-    for (sr, sc), coef in dcoef.items():
-        edges = np.arange(mesh.num_edges) if (sr, sc) == (0, 0) \
-            else interior
+    dcoef = (np.where(mesh.boundary_edge, 0.5, 0.5 * sgn),
+             (a < 0).astype(float), -(a > 0).astype(float), 0.5 * sgn)
+    for coef, (edges, sr, sc) in zip(dcoef, _facet_sides(mesh)):
         cf = coef[edges][:, None, None]
         pare = td.pairs[edges, sr, sc]                      # (m, 3, 3)
         cloc = carried_dof[td.dofs[edges, sc]]              # (m, 3, k)
@@ -378,7 +374,7 @@ def assemble_viscosity_coupling(mesh, u_dof, T_dof, params):
 def _viscosity_local(mesh, u_dof, T_dof, params):
     """Cell blocks (nc, 3, 2, 3) of ``assemble_viscosity_coupling``."""
     q = mesh.cell_quadrature
-    Tq = cr_values_on_cells(mesh, T_dof, q.bary)
+    Tq = cr_values_on_cells(mesh, T_dof)
     grads = mesh.cell_gradients
     ugrad = cr_cell_gradients(mesh, u_dof)                 # (nc, 2, 2)
     nuT = params.nu_T_at(Tq)                               # (nc, nq)
@@ -441,11 +437,6 @@ def assemble_p0_load(mesh, U_cells):
     return _cell_load(mesh, np.repeat(wU[:, None], 3, axis=1))
 
 
-def assemble_mean_constraint(mesh):
-    """Row vector of cell areas enforcing the zero-mean pressure."""
-    return mesh.area_cell.copy()
-
-
 def _difference_values(mesh, dof, target):
     """(field_h - target) at the cell quadrature points.
 
@@ -453,10 +444,9 @@ def _difference_values(mesh, dof, target):
     carrying a matching ``dof`` array), or its values at the quadrature
     points (``_sampled_target``).
     """
-    q = mesh.cell_quadrature
     if target is not None and hasattr(target, "dof"):
-        return cr_values_on_cells(mesh, dof - target.dof, q.bary)
-    vals = cr_values_on_cells(mesh, dof, q.bary)
+        return cr_values_on_cells(mesh, dof - target.dof)
+    vals = cr_values_on_cells(mesh, dof)
     if target is not None:
         vals = vals - _sampled_target(mesh, target)
     return vals

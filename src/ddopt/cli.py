@@ -35,7 +35,7 @@ from .verification import run_convergence_study, ERROR_NAMES
 
 __all__ = ["main", "RunConfig", "ConfigError", "derive_cavity_coefficients",
            "cavity_wall_partition", "cavity_boundary_trace", "run_cavity",
-           "export_fields", "read_points_csv", "write_errors_csv"]
+           "export_fields", "write_errors_csv"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,8 +164,9 @@ def derive_cavity_coefficients(config):
     -------
     (ProblemParams, dict)
         The solver parameters and the derived groups (gr_t, gr_c, sc).
-        ConfigError when they fail ``ProblemParams.validate``, as a D that
-        is not positive definite does.
+        ConfigError when ``ProblemParams`` or its ``validate`` rejects
+        them, as a D that is not positive definite or a Darcy number whose
+        reciprocal overflows.
     """
     gr_t = config.ra / (config.pr * config.da)
     gr_c = config.nbuoy * gr_t
@@ -173,10 +174,9 @@ def derive_cavity_coefficients(config):
     D = np.array([[config.rk / config.pr, config.du],
                   [config.sr, 1.0 / sc]])
     F_y = np.array([[0.0, 0.0], [-gr_t, -gr_c]])
-    params = ProblemParams(sigma=1.0 / config.da, diffusion=D, nu1=1.0,
-                           nu2=1.0, F_y=F_y)
     try:
-        params.validate()
+        params = ProblemParams(sigma=1.0 / config.da, diffusion=D, nu1=1.0,
+                               nu2=1.0, F_y=F_y).validate()
     except ValueError as exc:
         raise ConfigError("cavity coefficients: {}".format(exc)) from None
     return params, {"gr_t": gr_t, "gr_c": gr_c, "sc": sc}
@@ -323,16 +323,6 @@ def _write_vtk(fh, mesh, u_v, y_v, p_cells, U_cells):
     fh.write("SCALARS S double 1\nLOOKUP_TABLE default\n")
     for v in y_v[:, 1]:
         fh.write("{:.17g}\n".format(v))
-
-
-def read_points_csv(path):
-    """Read a csv-points export back; returns a dict of column arrays."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(",")))
-                for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float)
-    return {name: data[:, k] for k, name in enumerate(header)}
 
 
 def write_errors_csv(report, stream):

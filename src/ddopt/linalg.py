@@ -41,6 +41,9 @@ __all__ = ["SolverError", "SingularMatrixError", "LinearSolveError",
 _BORDERED_RTOL = 1e-12
 _BORDERED_ACCEPT = 1e-8
 _BORDERED_REFINE = 6
+# The GMRES iterations krylov_solve spends before it declines a core (one
+# costs about 2% of a factorization at 32 x 32).
+_KRYLOV_MAXITER = 25
 
 # Matrices with at least _TRIM_ROWS rows are factored after malloc_trim(0)
 # (see the module docstring); _malloc_trim is None without the symbol.
@@ -129,7 +132,7 @@ class _Elimination:
         self.lu, self.trans, self.d, self.e = lu, trans, d, e
         w = np.zeros(d.size)
         w[pin] = 1.0
-        self.s = self.core_solve(d)
+        self.s = lu.solve(d, trans=trans)
         self.es = float(e @ self.s)
         if self.es == 0.0 or not np.isfinite(self.es):
             raise SingularMatrixError("constraint row is orthogonal to the "
@@ -140,11 +143,8 @@ class _Elimination:
         if self.denom == 0.0 or not np.isfinite(self.denom):
             raise SingularMatrixError("pin elimination degenerate")
 
-    def core_solve(self, r):
-        return self.lu.solve(r, trans=self.trans)
-
     def mtilde_solve(self, r, rho):
-        y = self.core_solve(r)
+        y = self.lu.solve(r, trans=self.trans)
         m = (float(self.e @ y) - rho) / self.es
         return y - m * self.s, m
 
@@ -244,7 +244,7 @@ class BorderedSolver:
         """K x, or K^T x if ``transpose``."""
         return K.T @ x if transpose else K @ x
 
-    def krylov_solve(self, K, b, maxiter, beta=0.0, transpose=False):
+    def krylov_solve(self, K, b, beta=0.0, transpose=False):
         """Solve [[K, d], [e^T, 0]] (x, m) = (b, beta), or the transposed
         system [[K^T, e], [d^T, 0]] if ``transpose``, for a core K near the
         factored one, by restarted GMRES right-preconditioned with this
@@ -253,9 +253,9 @@ class BorderedSolver:
         Right preconditioning leaves the minimized residual that of the
         bordered system itself; each cycle ends on the true residual,
         which must reach ``_BORDERED_RTOL`` as in ``solve`` (there is no
-        looser acceptance).  Returns (x, m), or None when ``maxiter``
-        iterations in all do not get there; it never raises for a far-off
-        K.
+        looser acceptance).  Returns (x, m), or None when
+        ``_KRYLOV_MAXITER`` iterations in all do not get there; it never
+        raises for a far-off K.
         """
         side = self._side(transpose)
         b = np.asarray(b, dtype=float)
@@ -275,9 +275,9 @@ class BorderedSolver:
                 rho = np.linalg.norm(r)
                 if rho <= target:
                     return x, m
-                if used >= maxiter or not np.isfinite(rho):
+                if used >= _KRYLOV_MAXITER or not np.isfinite(rho):
                     return None
-                k = maxiter - used
+                k = _KRYLOV_MAXITER - used
                 V = np.zeros((k + 1, n + 1))
                 H = np.zeros((k + 1, k))
                 V[0] = r / rho

@@ -19,8 +19,7 @@ from scipy import sparse as sp
 from .quadrature import cell_quad_points, edge_quadrature, tri_quadrature
 from .spaces import cr_basis_values
 
-__all__ = ["Mesh", "build_unit_square_mesh", "refine_uniform", "mesh_stats",
-           "dump_ascii"]
+__all__ = ["Mesh", "build_unit_square_mesh", "refine_uniform", "mesh_stats"]
 
 
 class Mesh:
@@ -167,10 +166,6 @@ class Mesh:
     def boundary_edges(self):
         return _frozen(np.flatnonzero(self.boundary_edge))
 
-    @property
-    def cell_centroid(self):
-        return self.vertices[self.cells].mean(axis=1)
-
     def __repr__(self):
         return "Mesh({} vertices, {} edges, {} cells)".format(
             self.num_vertices, self.num_edges, self.num_cells)
@@ -222,18 +217,17 @@ class _EdgeTraceData:
 class _CellQuadrature:
     """The six-point degree-4 rule on every cell, all arrays read-only.
 
-    ``bary`` (nq, 3) and ``w`` (nq,) are the reference nodes and weights,
-    ``psi`` (nq, 3) the CR basis values at the nodes, ``pts`` (nc, nq, 2)
-    the physical nodes and ``wts`` (nc, nq) the weights scaled by the cell
-    areas.
+    ``w`` (nq,) are the reference weights, ``psi`` (nq, 3) the CR basis
+    values at the nodes, ``pts`` (nc, nq, 2) the physical nodes and
+    ``wts`` (nc, nq) the weights scaled by the cell areas.
     """
 
     def __init__(self, mesh):
-        self.bary, self.w = tri_quadrature()
-        self.psi = cr_basis_values(self.bary)
-        self.pts = cell_quad_points(mesh, self.bary)
+        bary, self.w = tri_quadrature()
+        self.psi = cr_basis_values(bary)
+        self.pts = cell_quad_points(mesh, bary)
         self.wts = self.w[None, :] * mesh.area_cell[:, None]
-        for a in (self.bary, self.w, self.psi, self.pts, self.wts):
+        for a in (self.w, self.psi, self.pts, self.wts):
             _frozen(a)
 
 
@@ -372,9 +366,8 @@ class _ScatterPlan:
 
     - ``cell``: scalar cell blocks (nc, 3, 3), the stiffness and the
       volume convection;
-    - ``facet``: scalar facet blocks (m, 3, 3), side pair (0, 0) on every
-      edge, then (0, 1), (1, 0) and (1, 1) on the interior edges, the
-      upwind flux and the jump penalty;
+    - ``facet``: scalar facet blocks (m, 3, 3), one run per side pair of
+      ``_facet_sides``, the upwind flux and the jump penalty;
     - ``coupling``: (nc, 3, 2, 3) rows over vector dofs, columns over the
       temperature component, the viscosity coupling;
     - ``advecting``: the advecting-slot linearization with a two-component
@@ -421,7 +414,10 @@ class _ScatterPlan:
 
 
 def _facet_sides(mesh):
-    """(edges, row side, column side) of the facet blocks, in order."""
+    """(edges, row side, column side) of the facet blocks, in the one
+    order that every facet pattern and facet value array follows: side
+    pair (0, 0) on every edge, then (0, 1), (1, 0) and (1, 1) on the
+    interior edges."""
     interior = mesh.interior_edges
     return [(np.arange(mesh.num_edges), 0, 0), (interior, 0, 1),
             (interior, 1, 0), (interior, 1, 1)]
@@ -532,11 +528,3 @@ def mesh_stats(mesh):
         "cell_count": mesh.num_cells,
         "edge_count": mesh.num_edges,
     }
-
-
-def dump_ascii(mesh, stream):
-    """Write a plain-text mesh listing ('v x y' and 'c i j k' lines)."""
-    for x, y in mesh.vertices:
-        stream.write("v {:.17g} {:.17g}\n".format(x, y))
-    for i, j, k in mesh.cells:
-        stream.write("c {} {} {}\n".format(i, j, k))

@@ -8,15 +8,23 @@ cell the basis function attached to local edge i is
 
 with lambda_i the barycentric coordinate of the vertex opposite edge i, so
 psi_i is 1 at the midpoint of edge i and 0 at the other two midpoints.
-Vector fields store d = 2 values per edge; in flattened dof vectors the
-components are interleaved (global index 2*edge + component).
+Vector fields store d = 2 values per edge; in flattened dof vectors
+(``dof.reshape(-1)``) the components are interleaved (global index
+2*edge + component).
+
+A field is evaluated on every cell at once, at the nodes of the mesh's
+degree-4 cell rule (``cr_values_on_cells``) or as its cellwise constant
+gradient (``cr_cell_gradients``), and at a single point by
+``evaluate_cr``.  ``boundary_interpolate`` averages data over every
+boundary edge; a trace on part of the boundary is a ``BoundaryTrace``
+built from its edges and finite values.
 """
 
 import numpy as np
 
 __all__ = ["CRScalarField", "CRVectorField", "P0Field", "BoundaryTrace",
            "cr_interpolate", "boundary_interpolate", "p0_project",
-           "evaluate_cr", "gradient_cr", "cr_basis_values",
+           "evaluate_cr", "cr_basis_values",
            "cr_values_on_cells", "cr_cell_gradients"]
 
 
@@ -52,10 +60,6 @@ class CRVectorField:
     def copy(self):
         return CRVectorField(self.mesh, self.dof.copy())
 
-    def flat(self):
-        """Interleaved dof vector of length 2*num_edges."""
-        return self.dof.reshape(-1)
-
 
 class P0Field:
     """Piecewise-constant field: one value (or a 2-vector) per cell."""
@@ -71,11 +75,6 @@ class P0Field:
     def copy(self):
         return P0Field(self.mesh, self.dof.copy())
 
-    def weighted_mean(self):
-        """Area-weighted mean, zero for admissible pressures."""
-        area = self.mesh.area_cell
-        return float(np.sum(area * self.dof) / np.sum(area))
-
 
 class BoundaryTrace:
     """Edge averages of Dirichlet data, defined on boundary edges only.
@@ -85,6 +84,7 @@ class BoundaryTrace:
     edges : ndarray of int
         Distinct boundary edge indices on which the trace is prescribed.
     values : ndarray (len(edges),) or (len(edges), 2)
+        Finite values, one row per edge.
     """
 
     def __init__(self, mesh, edges, values):
@@ -98,8 +98,11 @@ class BoundaryTrace:
         if np.any(~mesh.boundary_edge[self.edges]):
             raise ValueError("BoundaryTrace may only reference boundary "
                              "edges")
-        if self.values.shape[0] != self.edges.shape[0]:
+        if self.values.ndim == 0 \
+                or self.values.shape[0] != self.edges.shape[0]:
             raise ValueError("one value (row) per referenced edge required")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("BoundaryTrace values must be finite")
 
 
 def cr_basis_values(bary):
@@ -116,19 +119,19 @@ def cr_basis_values(bary):
     return 1.0 - 2.0 * np.asarray(bary)
 
 
-def cr_values_on_cells(mesh, dof, bary):
-    """Values of a CR field at barycentric quadrature nodes of every cell.
+def cr_values_on_cells(mesh, dof):
+    """Values of a CR field at the nodes of the mesh's degree-4 cell rule
+    (``mesh.cell_quadrature``) on every cell.
 
     Parameters
     ----------
     dof : ndarray (ne,) or (ne, d)
-    bary : ndarray (nq, 3)
 
     Returns
     -------
     ndarray (nc, nq) or (nc, nq, d)
     """
-    psi = cr_basis_values(bary)  # (nq, 3)
+    psi = mesh.cell_quadrature.psi  # (nq, 3)
     local = dof[mesh.cell_edges]  # (nc, 3) or (nc, 3, d)
     if local.ndim == 2:
         return np.einsum("qi,ci->cq", psi, local)
@@ -199,23 +202,19 @@ def cr_interpolate(f, mesh):
     return CRVectorField(mesh, acc)
 
 
-def boundary_interpolate(g, mesh, edges=None):
-    """Edge averages of boundary data on (a subset of) boundary edges.
+def boundary_interpolate(g, mesh):
+    """Edge averages of boundary data on every boundary edge.
 
     Parameters
     ----------
     g : callable
         g(x, y), scalar or 2-component as in ``cr_interpolate``.
-    edges : ndarray of int, optional
-        Boundary edges to use; defaults to all of them.
 
     Returns
     -------
     BoundaryTrace
     """
-    if edges is None:
-        edges = mesh.boundary_edges
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = mesh.boundary_edges
     return BoundaryTrace(mesh, edges, _edge_averages(g, mesh, edges))
 
 
@@ -261,19 +260,6 @@ def evaluate_cr(field, cell, point):
     lam = _barycentric(field.mesh, cell, point)
     if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
         raise ValueError("point {} is outside cell {}".format(point, cell))
-    psi = 1.0 - 2.0 * lam
+    psi = cr_basis_values(lam)
     local = field.dof[field.mesh.cell_edges[cell]]
     return psi @ local
-
-
-def gradient_cr(field, cell):
-    """Constant gradient of a CR field on one cell.
-
-    Returns a 2-vector for scalar fields and a (2, 2) array (rows are
-    component gradients) for vector fields.
-    """
-    grads = field.mesh.cell_gradients[cell]  # (3, 2)
-    local = field.dof[field.mesh.cell_edges[cell]]
-    if local.ndim == 1:
-        return local @ grads
-    return np.einsum("id,ix->dx", local, grads)

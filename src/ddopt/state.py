@@ -28,11 +28,12 @@ step, of ``state_residual`` and of the KKT check alike.
 Who owns what of the assembly: the mesh owns the index patterns
 (``Mesh.scatter_plan``: where each cell and facet value lands and in which
 order duplicates add), the layout owns the composition of J
-(``_Dofs.jacobian``: where each block lands in the CSC arrays of J).  A
-step only computes local values, sums them onto the mesh's vector
-pattern, adds the blocks there and gathers A_mom, A_tr and J; no COO
-conversion, sort or ``bmat`` runs per step, and every matrix is bit for
-bit the one the sparse sums and ``bmat`` of the sliced blocks would give.
+(``_Dofs.jacobian``: where each block lands in the CSC arrays of J and
+which entries J keeps).  A step only computes local values, sums them
+onto the mesh's vector pattern, adds the blocks there and gathers A_mom,
+A_tr and J; no COO conversion, sort or ``bmat`` runs per step, and every
+matrix is bit for bit the one the sparse sums and ``bmat`` of the sliced
+blocks would give.
 
 Each step assembles one ``Linearization`` of the system at the iterate.
 A one-shot optimization loop takes the Newton one from ``linearize``, on
@@ -71,10 +72,8 @@ from .spaces import CRVectorField, P0Field, cr_cell_gradients
 # Lagged LU: once the increment contracted by at least _LAG_CONTRACTION
 # (the factor of the Picard->Newton switch), the solves of the next
 # linearization are first tried by GMRES preconditioned with the kept LU
-# of the previous step, with at most _LAG_MAXITER iterations (one costs
-# about 2% of a factorization at 32 x 32).
+# of the previous step (``BorderedSolver.krylov_solve``).
 _LAG_CONTRACTION = 0.2
-_LAG_MAXITER = 25
 # the steps solve_state takes before it raises NonconvergenceError
 _MAX_STEPS = 100
 
@@ -160,6 +159,9 @@ class _Dofs:
 
     def __init__(self, mesh, params, y_bc, u_bc, forcing_mom=None,
                  forcing_tr=None, penalty_a0=0.0):
+        if not 0 <= penalty_a0 < np.inf:
+            raise ValueError("penalty_a0 must be nonnegative and finite, "
+                             "got {!r}".format(penalty_a0))
         ne = mesh.num_edges
         self.mesh = mesh
         self.params = params
@@ -201,7 +203,7 @@ class _Dofs:
             mesh, penalty_a0, params.nu2)) if penalty_a0 > 0 else None
         self.MF = asm.assemble_buoyancy_coupling(mesh, params)
         self.MF_entries = V.entries(self.MF)
-        self.area = asm.assemble_mean_constraint(mesh)
+        self.area = mesh.area_cell
         self.B_free = self.B[:, self.iu_free]
         # scale only the continuity rows by 1/|K| so the solver residual
         # bounds the cellwise divergence directly; the pressure-gradient
@@ -267,14 +269,16 @@ class _JacobianPlan:
 
         J = [[A_uu, B_free^T, K_uy], [B_scaled, 0, 0], [K_yu, 0, A_tr]]
 
-    lands in the CSC arrays of J, for one layout.  The iterate-dependent
-    blocks come as values on the mesh's vector pattern, of which J holds
-    the entries with free rows and columns that the block can store; the
-    constant blocks keep their own structure.  ``src`` numbers, for every
-    such entry of J in CSC order, its source in the four value arrays and
-    the constant entries laid end to end.  ``assemble`` keeps the entries
-    each block's mask selects, so J is, to the bit, what ``sp.bmat`` of
-    the sliced blocks gives.
+    lands in the CSC arrays of J, for one layout, and which entries J
+    keeps.  The iterate-dependent blocks come as values on the mesh's
+    vector pattern, of which J holds the entries with free rows and
+    columns that the block can store; the constant blocks keep their own
+    structure.  ``src`` numbers, for every such entry of J in CSC order,
+    its source in the four value arrays and the constant entries laid end
+    to end.  ``assemble`` keeps the nonzero entries, every entry of a
+    present K_yu (the raw linearization keeps its stored zeros) and every
+    constant entry, so J is, to the bit, what ``sp.bmat`` of the sliced
+    blocks gives.
     """
 
     def __init__(self, dofs):
@@ -312,19 +316,21 @@ class _JacobianPlan:
         self.rows = rows[order]
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
-        for a in (self.src, self.rows, self.indptr, self.constant):
+        # the entries kept whatever their value, without and with K_yu
+        self.fixed = {False: self.src >= 4 * V.nnz}
+        self.fixed[True] = self.fixed[False] | (self.src // V.nnz == 2)
+        for a in (self.src, self.rows, self.indptr, self.constant,
+                  *self.fixed.values()):
             a.setflags(write=False)
 
-    def assemble(self, blocks):
-        """J from the (values, keep) pairs of A_uu, K_uy, K_yu and A_tr on
-        the vector pattern (None: the block is absent)."""
-        nv = blocks[0][0].size
-        absent = (np.zeros(nv), np.zeros(nv, dtype=bool))
-        blocks = [absent if b is None else b for b in blocks]
-        values = np.concatenate([b[0] for b in blocks] + [self.constant])
-        keep = np.concatenate([b[1] for b in blocks]
-                              + [np.ones(self.constant.size, dtype=bool)])
-        values, keep = values[self.src], keep[self.src]
+    def assemble(self, A_uu, K_uy, K_yu, A_tr):
+        """J from the values of A_uu, K_uy, K_yu and A_tr on the vector
+        pattern (K_yu None: the block is absent)."""
+        with_yu = K_yu is not None
+        values = np.concatenate([
+            A_uu, K_uy, K_yu if with_yu else np.zeros(A_uu.size), A_tr,
+            self.constant])[self.src]
+        keep = (values != 0) | self.fixed[with_yu]
         start = np.zeros(keep.size + 1, dtype=np.int32)
         np.cumsum(keep, out=start[1:])
         return sp.csc_matrix((values[keep], self.rows[keep],
@@ -366,31 +372,27 @@ class Linearization:
             A_mom += plan.advecting.into(asm._advecting_local(mesh, u, u))
             K_uy = plan.coupling.into(asm._viscosity_local(mesh, u, y[:, 0],
                                                            params))
-            K_uy[dofs.MF_entries[0]] -= dofs.MF_entries[1]
-            # the raw linearization keeps its stored zeros
-            K_yu = (plan.advecting.into(asm._advecting_local(mesh, u, y)),
-                    plan.advecting.stored)
-            blocks = ((A_mom, A_mom != 0), (K_uy, K_uy != 0), K_yu)
+            K_yu = plan.advecting.into(asm._advecting_local(mesh, u, y))
         else:
-            at, MF = dofs.MF_entries  # -MF keeps its stored entries
-            K_uy = (np.zeros(A_mom.size), plan.vector.mask(at))
-            K_uy[0][at] = -MF
-            blocks = ((A_mom, A_mom != 0), K_uy, None)
-        self._blocks = blocks + ((A_tr, A_tr != 0),)
+            K_uy, K_yu = np.zeros(A_mom.size), None
+        # each MF entry is a cell mass times a nonzero F_y entry, so J
+        # keeps every one of -MF by the nonzero rule, in Picard steps too
+        K_uy[dofs.MF_entries[0]] -= dofs.MF_entries[1]
+        self._blocks = (A_mom, K_uy, K_yu, A_tr)
         self.solver, self._lagged = kept, kept is not None
 
     @cached_property
     def J(self):
         """The bordered free-dof core, gathered on first use."""
         blocks, self._blocks = self._blocks, None
-        return self.dofs.jacobian.assemble(blocks)
+        return self.dofs.jacobian.assemble(*blocks)
 
     def solve(self, rhs, beta=0.0, transpose=False):
         """Bordered solve with J, or the transposed bordered solve if
         ``transpose``."""
         if self._lagged:
-            out = self.solver.krylov_solve(self.J, rhs, _LAG_MAXITER,
-                                           beta=beta, transpose=transpose)
+            out = self.solver.krylov_solve(self.J, rhs, beta=beta,
+                                           transpose=transpose)
             if out is not None:
                 return out
             # dropped before the factorization, so one LU is alive
@@ -581,7 +583,8 @@ def solve_state(mesh, params, y_bc, control=None, settings=None, u_bc=None,
         Extra momentum / transport right-hand sides (manufactured data),
         two components each in any layout ``spaces._point_values`` reads.
     penalty_a0 : float
-        Facet jump-penalty coefficient (Darcy regime), 0 disables.
+        Facet jump-penalty coefficient (Darcy regime), nonnegative and
+        finite; 0 disables.
 
     Returns
     -------

@@ -26,7 +26,7 @@ from .spaces import _point_values, boundary_interpolate, cr_cell_gradients, \
     cr_values_on_cells
 
 __all__ = ["ManufacturedCase", "REGIMES",
-           "get_regime", "exact_eval", "manufactured_forcing",
+           "get_regime", "manufactured_forcing",
            "tracking_data", "make_params", "error_norms", "eoc",
            "run_convergence_study", "ConvergenceReport", "ERROR_NAMES"]
 
@@ -216,24 +216,6 @@ class ManufacturedCase:
                              [self.upper, self.upper])
 
 
-_FIELDS = {
-    "u": "u", "p": "p", "T": "T", "S": "S", "y": "y",
-    "phi": "phi", "zeta": "zeta", "xi": "zeta",
-    "eta_T": "eta_T", "eta_S": "eta_S", "eta": "eta", "U": "U",
-}
-
-
-def exact_eval(case, name, x, y):
-    """Evaluate a closed-form field by name at (arrays of) points."""
-    try:
-        attr = _FIELDS[name]
-    except KeyError:
-        raise ValueError("unknown field name {!r}; expected one of {}"
-                         .format(name, sorted(_FIELDS))) from None
-    return getattr(case, attr)(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-
-
 def manufactured_forcing(case, x, y):
     """Strong residuals of the governing equations at the closed forms.
 
@@ -338,7 +320,7 @@ def _quadrature_error_parts(mesh, dof, value_fn, grad_fn):
     """
     q = mesh.cell_quadrature
     x, yy = q.pts[:, :, 0], q.pts[:, :, 1]
-    vals = cr_values_on_cells(mesh, dof, q.bary)        # (nc, nq, k)
+    vals = cr_values_on_cells(mesh, dof)                # (nc, nq, k)
     exact = _point_values(value_fn, x, yy)              # (nc, nq, k)
     l2 = float(np.einsum("cq,cqk,cqk->", q.wts, vals - exact, vals - exact))
     gh = cr_cell_gradients(mesh, dof)                    # (nc, k, 2)

@@ -8,7 +8,7 @@ from ddopt import cli
 from ddopt.cli import (ConfigError, RunConfig, parse_config_file,
                        write_config, derive_cavity_coefficients,
                        cavity_wall_partition, cavity_boundary_trace,
-                       export_fields, read_points_csv, write_errors_csv,
+                       export_fields, write_errors_csv,
                        main, EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE)
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.spaces import CRVectorField, P0Field
@@ -99,11 +99,16 @@ def _zero_bundle(mesh):
             "U": P0Field(mesh, np.zeros((mesh.num_cells, 2)))}
 
 
+def _read_points_csv(path):
+    """The columns of a csv-points export, by name."""
+    return np.genfromtxt(path, delimiter=",", names=True)
+
+
 def test_export_zero_fields_csv(tmp_path):
     mesh = build_unit_square_mesh(1)
     path = str(tmp_path / "fields.csv")
     export_fields(_zero_bundle(mesh), path, "csv")
-    cols = read_points_csv(path)
+    cols = _read_points_csv(path)
     assert len(cols["x"]) == 4
     for name in ("u1", "u2", "p", "T", "S", "U1", "U2"):
         assert np.all(cols[name] == 0.0)
@@ -122,12 +127,12 @@ def test_export_round_trip(tmp_path):
                   (mesh.num_cells, 2)))}
     path = str(tmp_path / "fields.csv")
     export_fields(bundle, path, "csv")
-    cols = read_points_csv(path)
+    cols = _read_points_csv(path)
     path2 = str(tmp_path / "fields2.csv")
     export_fields(bundle, path2, "csv")
-    cols2 = read_points_csv(path2)
-    for name, arr in cols.items():
-        assert np.abs(arr - cols2[name]).max() < 1e-12
+    cols2 = _read_points_csv(path2)
+    for name in cols.dtype.names:
+        assert np.abs(cols[name] - cols2[name]).max() < 1e-12
     assert np.allclose(cols["x"], mesh.vertices[:, 0], atol=1e-15)
 
 
@@ -178,7 +183,7 @@ def test_main_solve_is_uncontrolled_cavity(tmp_path):
                    "U": P0Field(mesh, np.zeros((mesh.num_cells, 2)))},
                   str(expected), "csv")
     assert (out / "solution.csv").read_bytes() == expected.read_bytes()
-    cols = read_points_csv(str(expected))
+    cols = _read_points_csv(str(expected))
     for name in ("u1", "u2", "p", "T", "S"):
         assert np.abs(cols[name]).max() > 0
     assert not np.any(cols["U1"]) and not np.any(cols["U2"])
@@ -224,21 +229,24 @@ def test_main_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     # rejected before any solve: too few levels for a study, a zero tol,
-    # a Darcy number that is not positive
+    # a Darcy number that is not positive, or whose reciprocal overflows
     for argv in (["convergence", "--levels", "2"], ["cavity", "--tol", "0"],
-                 ["cavity", "--da", "-1"], ["cavity", "--da", "0"]):
+                 ["cavity", "--da", "-1"], ["cavity", "--da", "0"],
+                 ["solve", "--n", "2", "--da", "1e-320"]):
         code = main(argv + ["--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("line", [
     "le = 0", "le = -1", "pr = 0", "du = 10",
-    "du = -0.3828\nrk = 0.02698\nle = 1.464"],
-    ids=["le=0", "le=-1", "pr=0", "du=10", "narrow-indefinite-cone"])
+    "du = -0.3828\nrk = 0.02698\nle = 1.464", "da = 1e-320"],
+    ids=["le=0", "le=-1", "pr=0", "du=10", "narrow-indefinite-cone",
+         "da-overflow"])
 def test_main_invalid_physics_exit_code(tmp_path, monkeypatch, line):
     # a zero Lewis number divides by zero in 1/Sc; the others give a D
-    # that is not positive definite, the last one only on a narrow cone;
-    # both commands that read the cavity groups reject them
+    # that is not positive definite, the narrow-cone one only on a narrow
+    # cone, or an infinite sigma = 1 / Da; both commands that read the
+    # cavity groups reject them
     monkeypatch.setattr(cli, "pdas_solve", _no_solve)
     monkeypatch.setattr(cli, "solve_state", _no_solve)
     path = tmp_path / "run.cfg"
@@ -247,8 +255,9 @@ def test_main_invalid_physics_exit_code(tmp_path, monkeypatch, line):
         code = main([command, "--n", "4", "--config", str(path),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-    # rejected before the iteration log is opened
-    assert not os.path.exists(tmp_path / "o" / "iterations.log")
+    # rejected before the iteration log or any other file is written
+    out = tmp_path / "o"
+    assert not os.path.isdir(out) or os.listdir(out) == []
 
 
 def test_main_config_file(tmp_path):

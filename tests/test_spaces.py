@@ -7,8 +7,8 @@ from ddopt.mesh import Mesh, build_unit_square_mesh
 from ddopt.spaces import (CRScalarField, CRVectorField, P0Field,
                           BoundaryTrace, cr_interpolate,
                           boundary_interpolate, p0_project, evaluate_cr,
-                          gradient_cr, cr_basis_values)
-from ddopt.state import solve_state
+                          cr_basis_values, cr_cell_gradients, _edge_averages)
+from ddopt.state import _Dofs, solve_state
 
 
 def find_edge(mesh, a, b):
@@ -41,11 +41,11 @@ def test_boundary_interpolate_constant(mesh4):
 
 def test_boundary_interpolate_bottom_wall_cosine(mesh8):
     # T = 0.5 + 0.5 cos(xy) equals 1 identically along y = 0
-    bottom = mesh8.boundary_edges[
-        mesh8.edge_midpoint[mesh8.boundary_edges, 1] < 1e-12]
     tr = boundary_interpolate(lambda x, y: 0.5 + 0.5 * np.cos(x * y),
-                              mesh8, edges=bottom)
-    assert np.allclose(tr.values, 1.0, atol=1e-14)
+                              mesh8)
+    bottom = mesh8.edge_midpoint[tr.edges, 1] < 1e-12
+    assert np.count_nonzero(bottom) == 8
+    assert np.allclose(tr.values[bottom], 1.0, atol=1e-14)
 
 
 def test_boundary_trace_rejects_interior_edges(mesh4):
@@ -65,6 +65,16 @@ def test_boundary_trace_rejects_bad_indices(mesh4, edges):
         BoundaryTrace(mesh4, edges, np.zeros((len(edges), 2)))
 
 
+@pytest.mark.parametrize("values", [
+    pytest.param(np.array([np.nan, 0.0]), id="nan"),
+    pytest.param(np.array([[0.0, np.inf], [0.0, 0.0]]), id="inf"),
+    pytest.param(5.0, id="0-d")])
+def test_boundary_trace_rejects_bad_values(mesh4, values):
+    # a NaN ended in a singular factorization, a 0-d value in IndexError
+    with pytest.raises(ValueError):
+        BoundaryTrace(mesh4, mesh4.boundary_edges[:2], values)
+
+
 def test_p0_field_rejects_scalar(mesh4):
     with pytest.raises(ValueError):
         P0Field(mesh4, 1.0)
@@ -76,18 +86,18 @@ def test_p0_field_rejects_scalar(mesh4):
     lambda x, y: (x + 2.0 * y, 1.0 - x)], ids=["array", "tuple"])
 def test_stacked_components_with_two_points(n, stacked):
     # a stacked (2, m) result is component-first even when m == 2: the
-    # unit square's two cells, or two boundary edges
+    # unit square's two cells, or the edge averages of two edges
     mesh = build_unit_square_mesh(n)
 
     def affine(p):
         return np.column_stack([p[:, 0] + 2.0 * p[:, 1], 1.0 - p[:, 0]])
 
     assert np.allclose(p0_project(stacked, mesh).dof,
-                       affine(mesh.cell_centroid), atol=1e-14)
-    edges = mesh.boundary_edges[:2]
-    tr = boundary_interpolate(stacked, mesh, edges=edges)
-    assert np.allclose(tr.values, affine(mesh.edge_midpoint[edges]),
+                       affine(mesh.vertices[mesh.cells].mean(axis=1)),
                        atol=1e-14)
+    edges = mesh.boundary_edges[:2]
+    assert np.allclose(_edge_averages(stacked, mesh, edges),
+                       affine(mesh.edge_midpoint[edges]), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -146,7 +156,8 @@ def test_p0_project_constant(mesh4):
 
 def test_p0_project_affine_centroid(mesh4):
     f = p0_project(lambda x, y: x, mesh4)
-    assert np.allclose(f.dof, mesh4.cell_centroid[:, 0], atol=1e-14)
+    centroid = mesh4.vertices[mesh4.cells].mean(axis=1)
+    assert np.allclose(f.dof, centroid[:, 0], atol=1e-14)
 
 
 def test_p0_project_idempotent(mesh4):
@@ -196,17 +207,20 @@ def test_cr_basis_kronecker_random_triangles():
 
 def test_partition_of_unity_and_zero_gradient(mesh4):
     f = CRScalarField(mesh4, np.full(mesh4.num_edges, 7.0))
-    assert abs(evaluate_cr(f, 3, mesh4.cell_centroid[3]) - 7.0) < 1e-13
-    assert np.allclose(gradient_cr(f, 3), 0.0, atol=1e-12)
+    centroid = mesh4.vertices[mesh4.cells[3]].mean(axis=0)
+    assert abs(evaluate_cr(f, 3, centroid) - 7.0) < 1e-13
+    assert np.allclose(cr_cell_gradients(mesh4, f.dof)[3], 0.0, atol=1e-12)
 
 
 def test_linear_reproduction_gradient():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = Mesh(verts, np.array([[0, 1, 2]]))
     f = cr_interpolate(lambda x, y: x, m)
-    assert np.allclose(gradient_cr(f, 0), [1.0, 0.0], atol=1e-13)
+    assert np.allclose(cr_cell_gradients(m, f.dof)[0], [1.0, 0.0],
+                       atol=1e-13)
     g = cr_interpolate(lambda x, y: 2.0 - x + 3.0 * y, m)
-    assert np.allclose(gradient_cr(g, 0), [-1.0, 3.0], atol=1e-13)
+    assert np.allclose(cr_cell_gradients(m, g.dof)[0], [-1.0, 3.0],
+                       atol=1e-13)
 
 
 def test_affine_reproduction_pointwise(mesh4):
@@ -242,13 +256,20 @@ def test_basis_values_shape():
 
 
 def test_vector_field_flat_interleaving(mesh2):
+    # the flat dof vector interleaves the components as vector_indices
+    # numbers them
     v = CRVectorField(mesh2)
     v.dof[3, 0] = 1.5
     v.dof[3, 1] = -2.0
-    flat = v.flat()
-    assert flat[6] == 1.5 and flat[7] == -2.0
+    flat = v.dof.reshape(-1)
+    assert np.array_equal(flat[asm.vector_indices([3])], [1.5, -2.0])
+    assert np.count_nonzero(flat) == 2
 
 
 def test_p0_zero_mean_helper(mesh4):
-    p = P0Field(mesh4, np.ones(mesh4.num_cells))
-    assert abs(p.weighted_mean() - 1.0) < 1e-14
+    # the layout shifts a pressure to zero area-weighted mean
+    dofs = _Dofs(mesh4, asm.ProblemParams(), None, None)
+    p = 1.0 + mesh4.vertices[mesh4.cells].mean(axis=1)[:, 0]
+    shifted = dofs.zero_mean(p)
+    assert abs(mesh4.area_cell @ shifted) < 1e-14
+    assert np.allclose(shifted - p, shifted[0] - p[0], atol=1e-14)

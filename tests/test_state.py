@@ -295,7 +295,7 @@ def test_one_cell_rule_per_mesh(monkeypatch):
     q = mesh.cell_quadrature
     assert mesh.cell_quadrature is q
     assert q.wts.shape == (mesh.num_cells, 6) and q.pts.shape[2] == 2
-    for name in ("bary", "w", "psi", "pts", "wts"):
+    for name in ("w", "psi", "pts", "wts"):
         with pytest.raises(ValueError):
             getattr(q, name)[0] = 0.0
 
@@ -402,3 +402,12 @@ def test_velocity_trace_needs_two_components(mesh4):
     with pytest.raises(ValueError, match="two components"):
         _Dofs(mesh4, ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0), None,
               trace)
+
+
+@pytest.mark.parametrize("a0", [-5.0, np.nan, np.inf],
+                         ids=["negative", "nan", "inf"])
+def test_penalty_must_be_nonnegative_and_finite(mesh4, a0):
+    # a negative or NaN a0 was solved as if no penalty were set
+    params = ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0)
+    with pytest.raises(ValueError, match="penalty_a0"):
+        solve_state(mesh4, params, None, penalty_a0=a0)

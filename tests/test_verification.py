@@ -4,9 +4,8 @@ import pytest
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.spaces import cr_interpolate, p0_project
 from ddopt.verification import (ManufacturedCase, REGIMES, get_regime,
-                                exact_eval, manufactured_forcing,
-                                tracking_data, make_params, eoc,
-                                run_convergence_study)
+                                manufactured_forcing, tracking_data,
+                                make_params, eoc, run_convergence_study)
 
 CASE = ManufacturedCase(sigma=1.0, nu2=1.0)
 
@@ -110,12 +109,10 @@ def oracle_tracking(case, x, y):
 
 
 def test_exact_eval_values():
-    assert exact_eval(CASE, "T", 0.0, 0.0) == pytest.approx(1.0)
-    assert np.allclose(exact_eval(CASE, "u", 0.5, 0.5), [0.0, 0.0],
-                       atol=1e-14)
-    assert exact_eval(CASE, "p", 0.0, 0.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        exact_eval(CASE, "vorticity", 0.0, 0.0)
+    # the closed forms are the case's own methods
+    assert CASE.T(0.0, 0.0) == pytest.approx(1.0)
+    assert np.allclose(CASE.u(0.5, 0.5), [0.0, 0.0], atol=1e-14)
+    assert CASE.p(0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_exact_velocity_divergence_free():

@@ -38,6 +38,12 @@ benchmark workloads:
   configuration that sets every key away from its default.
 
 All groups take about 35 s on 2 vCPU.
+
+Multithreaded BLAS sums in another order than one thread does, so the
+digests depend on the thread count: the tool sets ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before it imports
+numpy, unless the caller set them.  ``--save`` writes the setting with
+the outputs, and ``--compare`` warns when it differs from the saved one.
 """
 
 import argparse
@@ -49,7 +55,12 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+THREADS = " ".join("{}={}".format(v, os.environ[v]) for v in THREAD_VARS)
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
@@ -294,10 +305,16 @@ def main(argv):
         d = GROUPS[name]()
         print(name, d.hexdigest(), flush=True)
         if args.save:
-            np.savez(os.path.join(args.save, name + ".npz"), **d.arrays)
+            np.savez(os.path.join(args.save, name + ".npz"),
+                     _threads=THREADS, **d.arrays)
         if args.compare:
             with np.load(os.path.join(args.compare, name + ".npz")) as saved:
-                print("\n".join(compare(dict(saved), d.arrays)), flush=True)
+                saved = dict(saved)
+            threads = str(saved.pop("_threads", "an unrecorded setting"))
+            if threads != THREADS:
+                print("  warning: saved with {}, run with {}".format(
+                    threads, THREADS))
+            print("\n".join(compare(saved, d.arrays)), flush=True)
 
 
 if __name__ == "__main__":
