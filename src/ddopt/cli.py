@@ -379,7 +379,6 @@ def _cmd_convergence(config, outdir):
 
 
 def _cmd_cavity(config, outdir):
-    derive_cavity_coefficients(config)  # invalid ones exit 2 with no log
     log_path = os.path.join(outdir, "iterations.log")
     with open(log_path, "w") as log:
         result = run_cavity(config, log=log)
@@ -444,6 +443,8 @@ def main(argv=None):
         values = parse_config_file(args.config) if args.config else {}
         values.update(flags)
         config = RunConfig(values)
+        if "da" in command.reads:  # invalid coefficients leave no --out
+            derive_cavity_coefficients(config)
         os.makedirs(config.out, exist_ok=True)
         return command.run(config, config.out)
     except ConfigError as exc:

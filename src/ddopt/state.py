@@ -29,11 +29,12 @@ Who owns what of the assembly: the mesh owns the index patterns
 (``Mesh.scatter_plan``: where each cell and facet value lands and in which
 order duplicates add), the layout owns the composition of J
 (``_Dofs.jacobian``: where each block lands in the CSC arrays of J and
-which entries J keeps).  A step only computes local values, sums them
-onto the mesh's vector pattern, adds the blocks there and gathers A_mom,
-A_tr and J; no COO conversion, sort or ``bmat`` runs per step, and every
-matrix is bit for bit the one the sparse sums and ``bmat`` of the sliced
-blocks would give.
+which entries J keeps) and the order a large J is factored in
+(``_Dofs.order``, a nested dissection of the mesh's edges).  A step only
+computes local values, sums them onto the mesh's vector pattern, adds the
+blocks there and gathers A_mom, A_tr and J; no COO conversion, sort or
+``bmat`` runs per step, and every matrix is bit for bit the one the
+sparse sums and ``bmat`` of the sliced blocks would give.
 
 Each step assembles one ``Linearization`` of the system at the iterate.
 A one-shot optimization loop takes the Newton one from ``linearize``, on
@@ -65,7 +66,8 @@ import numpy as np
 from scipy import sparse as sp
 
 from . import assembly as asm
-from .linalg import BorderedSolver, SolverError, _frees_on_failure
+from .linalg import _TRIM_ROWS, BorderedSolver, SolverError, \
+    _frees_on_failure
 from .norms import broken_velocity_norm, broken_transport_norm
 from .spaces import CRVectorField, P0Field, cr_cell_gradients
 
@@ -150,10 +152,11 @@ class _Dofs:
     """One state problem: free/fixed dofs, the bordered (u, p, y)
     free-dof layout with the one conversion between it and the fields
     (``pack``, ``unpack``, ``lift``), the iterate-independent blocks and
-    loads, and where the blocks land in J (``jacobian``).  ``reaction``,
-    ``cross``, ``penalty`` (the jump penalty, None when absent) and
-    ``MF_entries`` are (entry numbers, values) on the mesh's vector
-    pattern; ``MF`` is the buoyancy coupling matrix kron(M, F_y).
+    loads, where the blocks land in J (``jacobian``) and the order its
+    core is factored in (``order``), both built on first use.
+    ``reaction``, ``cross``, ``penalty`` (the jump penalty, None when
+    absent) and ``MF_entries`` are (entry numbers, values) on the mesh's
+    vector pattern; ``MF`` is the buoyancy coupling matrix kron(M, F_y).
     ``b_forcing`` and ``b_tr`` are the forcing loads, ``g`` the continuity
     lifting of the velocity Dirichlet data."""
 
@@ -231,6 +234,14 @@ class _Dofs:
         check never gathers J."""
         return _JacobianPlan(self)
 
+    @cached_property
+    def order(self):
+        """The fill-reducing order of J's pinned core, built on first
+        factorization: a nested dissection for a large core, None (COLAMD)
+        below ``linalg._TRIM_ROWS`` rows."""
+        plan = self.jacobian
+        return None if plan.n < _TRIM_ROWS else _nested_dissection(self, plan)
+
     def pack(self, u, p, y):
         """The bordered free-dof vector of full-length momentum and
         transport vectors ``u`` and ``y`` and a pressure block ``p``."""
@@ -262,6 +273,76 @@ def _trace_values(trace, name):
         raise ValueError("{} Dirichlet data needs two components per "
                          "edge".format(name))
     return values
+
+
+# Nested dissection stops splitting a set of edges at this size.
+_LEAF_EDGES = 48
+
+
+def _nested_dissection(dofs, plan):
+    """A symmetric fill-reducing order of the bordered core of ``plan``.
+
+    The edges are dissected (George, SIAM J. Numer. Anal. 10, 1973) in
+    the graph of J's structural pattern mapped onto edges, with the
+    cell-edge incidence added so the couplings B^T B that eliminating a
+    pressure brings are in it.  A set of edges is split in two halves by
+    midpoint coordinate along its longer extent; the edges of the first
+    half that touch the second form the separator, ordered after both
+    halves, each dissected in turn down to leaves of about
+    ``_LEAF_EDGES`` edges.  Each edge gives its free velocity dofs, then
+    its free transport dofs; each pressure follows right after the
+    velocity dofs of the last free velocity edge of its cell, so every
+    velocity it couples to comes first and its static pivot is nonzero
+    (Benzi, Golub & Liesen, Acta Numerica 14, 2005).  The pattern is the
+    structural one, with every entry a block may store, not the first
+    iterate's nonzeros: the zero start has no upwind entries, and
+    separators that miss them made the 32x32 factor fill about three
+    times as much.
+    """
+    mesh, n, nu = dofs.mesh, plan.n, dofs.nu_free
+    ne, ce = mesh.num_edges, mesh.cell_edges
+    edge = np.full(n, -1, dtype=np.int64)
+    edge[:nu] = np.repeat(dofs.u_free_edges, 2)
+    edge[dofs.ip.stop:] = np.repeat(dofs.y_free_edges, 2)
+    er = edge[plan.rows]
+    ec = np.repeat(edge, np.diff(plan.indptr))
+    on = (er >= 0) & (ec >= 0)
+    r = np.concatenate([er[on], np.repeat(ce, 3, axis=1).ravel()])
+    c = np.concatenate([ec[on], np.tile(ce, 3).ravel()])
+    G = sp.csr_matrix((np.ones(r.size, dtype=bool), (r, c)), shape=(ne, ne))
+    G = (G + G.T).tocsr()
+    xy = mesh.edge_midpoint
+    parts = []
+
+    def dissect(part):
+        if part.size <= _LEAF_EDGES:
+            parts.append(part)
+            return
+        at = xy[part]
+        axis = int(np.ptp(at[:, 1]) > np.ptp(at[:, 0]))
+        part = part[np.argsort(at[:, axis], kind="stable")]
+        first, second = np.split(part, [part.size // 2])
+        in_second = np.zeros(ne, dtype=bool)
+        in_second[second] = True
+        rows = G[first]
+        touch = np.bincount(
+            np.repeat(np.arange(first.size), np.diff(rows.indptr)),
+            weights=in_second[rows.indices], minlength=first.size) > 0
+        dissect(first[~touch])
+        dissect(second)
+        parts.append(first[touch])
+
+    dissect(np.arange(ne))
+    rank = np.empty(ne, dtype=np.int64)
+    rank[np.concatenate(parts)] = np.arange(ne)
+    # sort keys: the edge's rank, then velocity, pressure, transport
+    key = np.where(edge >= 0, rank[edge], 0)
+    kind = np.zeros(n, dtype=np.int64)
+    kind[dofs.ip], kind[dofs.ip.stop:] = 1, 2
+    free_u = np.zeros(ne, dtype=bool)
+    free_u[dofs.u_free_edges] = True
+    key[dofs.ip] = np.where(free_u[ce], rank[ce], -1).max(axis=1)
+    return np.lexsort((kind, key))
 
 
 class _JacobianPlan:
@@ -400,7 +481,7 @@ class Linearization:
         if self.solver is None:
             d = self.dofs
             self.solver = BorderedSolver(self.J, d.d_col, d.e_row,
-                                         pin=d.nu_free)
+                                         pin=d.nu_free, order=d.order)
         return self.solver.solve(rhs, beta=beta, transpose=transpose)
 
     def residual(self, p, b_control):

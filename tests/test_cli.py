@@ -237,6 +237,15 @@ def test_main_config_error_exit_code(tmp_path):
         assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["cavity", "solve"])
+def test_invalid_coefficients_leave_no_output_directory(tmp_path, command):
+    # the coefficients are checked before --out is created
+    out = tmp_path / "D"
+    assert main([command, "--n", "2", "--da", "1e-320",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", [
     "le = 0", "le = -1", "pr = 0", "du = 10",
     "du = -0.3828\nrk = 0.02698\nle = 1.464", "da = 1e-320"],

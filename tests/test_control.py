@@ -298,9 +298,9 @@ def test_oneshot_reuses_linearization_for_adjoint(monkeypatch):
     krylov = linalg.BorderedSolver.krylov_solve
     in_picard = []
 
-    def counting_factor(self, A):
+    def counting_factor(self, A, order=None):
         counts["factor"] += 1
-        factor(self, A)
+        factor(self, A, order)
 
     def counting_step(self):
         counts["picard"] += not self.newton
@@ -426,9 +426,9 @@ def test_manufactured_pdas_factors_twice(run, iterations, monkeypatch):
     factored = []
     factor = linalg.DirectSolver.__init__
 
-    def counting_factor(self, A):
+    def counting_factor(self, A, order=None):
         factored.append(A.shape[0])
-        factor(self, A)
+        factor(self, A, order)
 
     monkeypatch.setattr(linalg.DirectSolver, "__init__", counting_factor)
     res = _run(run)
@@ -451,10 +451,10 @@ def test_one_lu_alive_at_each_factorization(case, monkeypatch):
     others = []
     factor = linalg.DirectSolver.__init__
 
-    def tracking_factor(self, A):
+    def tracking_factor(self, A, order=None):
         gc.collect()
         others.append(len(alive))
-        factor(self, A)
+        factor(self, A, order)
         alive.add(self)
 
     monkeypatch.setattr(linalg.DirectSolver, "__init__", tracking_factor)

@@ -257,3 +257,33 @@ def test_factorization_without_malloc_trim(monkeypatch):
     b = np.ones(A.shape[0])
     x = DirectSolver(A).lu.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_order_with_zero_pivot_first_raises():
+    # SuperLU would pivot off the zero diagonal and solve, but the factor
+    # would no longer follow the order: the static pivots are the contract
+    A = sp.csc_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0],
+                                [0.0, 1.0, 3.0]]))
+    with pytest.raises(SingularMatrixError, match="zero diagonal pivot"):
+        DirectSolver(A, np.arange(3))
+    # another order of the same matrix takes nonzero pivots and solves
+    b = np.array([1.0, 4.0, 4.0])
+    assert np.allclose(DirectSolver(A, [2, 1, 0]).lu.solve(b), 1.0)
+
+
+def test_refinement_stalling_under_order_raises():
+    # a pivot of 1e-20 first is taken as it stands: the factors lose the
+    # rest of the core and the refinement cannot recover it, where
+    # COLAMD's partial pivoting solves the same system
+    rng = np.random.default_rng(0)
+    n = 6
+    K = rng.standard_normal((n, n)) + n * np.eye(n)
+    K[0, 0] = 1e-20
+    K = sp.csc_matrix(K)
+    d, e = np.ones(n), np.ones(n)
+    b = rng.standard_normal(n)
+    x, m = BorderedSolver(K, d, e, pin=n - 1).solve(b)
+    assert np.linalg.norm(K @ x + m * d - b) <= 1e-12 * np.linalg.norm(b)
+    ordered = BorderedSolver(K, d, e, pin=n - 1, order=np.arange(n))
+    with pytest.raises(LinearSolveError, match="stalled"):
+        ordered.solve(b)

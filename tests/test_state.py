@@ -6,7 +6,7 @@ import pytest
 
 from conftest import manufactured_setup
 from ddopt import assembly as asm
-from ddopt import cli, linalg
+from ddopt import cli, linalg, state
 from ddopt.assembly import ProblemParams
 from ddopt.linalg import LinearSolveError, SingularMatrixError
 from ddopt.mesh import build_unit_square_mesh
@@ -202,9 +202,9 @@ def _count_factorizations(monkeypatch):
     count = []
     init = linalg.DirectSolver.__init__
 
-    def counted(self, A):
+    def counted(self, A, order=None):
         count.append(A.shape[0])
-        init(self, A)
+        init(self, A, order)
     monkeypatch.setattr(linalg.DirectSolver, "__init__", counted)
     return count
 
@@ -411,3 +411,61 @@ def test_penalty_must_be_nonnegative_and_finite(mesh4, a0):
     params = ProblemParams(sigma=1.0, nu1=1.0, nu2=1.0)
     with pytest.raises(ValueError, match="penalty_a0"):
         solve_state(mesh4, params, None, penalty_a0=a0)
+
+
+def _is_permutation(order, n):
+    return np.array_equal(np.sort(order), np.arange(n))
+
+
+def test_small_layout_has_no_order():
+    # below linalg._TRIM_ROWS rows the core stays on COLAMD
+    mesh, params, y_bc = _cavity(16, 100.0, 1e-3, 10.0)
+    dofs = _Dofs(mesh, params, y_bc, None)
+    assert dofs.jacobian.n < linalg._TRIM_ROWS
+    assert dofs.order is None
+
+
+@pytest.fixture(scope="module")
+def cavity_32_cores():
+    # the cavity's Picard and Newton cores after three Picard steps
+    mesh, params, y_bc = _cavity(32, 100.0, 1e-3, 10.0)
+    stepper = StateStepper(mesh, params, y_bc)
+    for _ in range(3):
+        stepper.step()
+    dofs = stepper.dofs
+    return dofs, {newton: state.Linearization(dofs, stepper.u, stepper.y,
+                                              newton=newton).J
+                  for newton in (False, True)}
+
+
+def test_large_layout_orders_pressures_after_their_velocities(
+        cavity_32_cores):
+    dofs, _ = cavity_32_cores
+    order, n = dofs.order, dofs.jacobian.n
+    assert n >= linalg._TRIM_ROWS and _is_permutation(order, n)
+    assert dofs.order is order  # built once per layout
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # the rank of the last free velocity dof of each cell's edges
+    u_rank = np.full(dofs.mesh.num_edges, -1)
+    u_rank[dofs.u_free_edges] = rank[1:dofs.nu_free:2]
+    last_u = u_rank[dofs.mesh.cell_edges].max(axis=1)
+    assert np.all(last_u >= 0)
+    assert np.all(rank[dofs.ip] > last_u)
+
+
+def test_ordered_lu_fills_less_and_solves_as_colamd(cavity_32_cores):
+    dofs, cores = cavity_32_cores
+    d, e, pin = dofs.d_col, dofs.e_row, dofs.nu_free
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(dofs.jacobian.n)
+    colamd = {newton: linalg.BorderedSolver(J, d, e, pin)
+              for newton, J in cores.items()}
+    for newton, J in cores.items():
+        ordered = linalg.BorderedSolver(J, d, e, pin, order=dofs.order)
+        assert ordered.core.lu.nnz <= colamd[False].core.lu.nnz
+        for transpose in (False, True):
+            got = np.append(*ordered.solve(b, transpose=transpose))
+            want = np.append(*colamd[newton].solve(b, transpose=transpose))
+            assert np.linalg.norm(got - want) \
+                <= 1e-12 * np.linalg.norm(want)
