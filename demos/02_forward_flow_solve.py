@@ -24,7 +24,10 @@ y_bc = cavity_boundary_trace(mesh)
 solution = solve_state(mesh, params, y_bc,
                        settings=NonlinearSettings(tol=1e-10))
 
-print("\nnonlinear iterations:", solution.iterations)
+# a 32x32 solve starts from the 16x16 solution: its steps are all Newton
+print("\nnonlinear iterations:", solution.iterations,
+      "(Newton, after a start from the 16x16 solution)" if solution.nested
+      else "(Picard and Newton)")
 print("increment history:",
       " ".join("{:.1e}".format(v) for v in solution.increments))
 print("max |u| = {:.2f}".format(np.abs(solution.u.dof).max()))

@@ -396,8 +396,11 @@ def _cmd_solve(config, outdir):
                            settings=NonlinearSettings(tol=1e-10))
     _export_state(config, outdir, "solution", solution,
                   P0Field(mesh, np.zeros((mesh.num_cells, 2))))
-    print("uncontrolled cavity solved in {} nonlinear steps (Picard and "
-          "Newton); output in {}".format(solution.iterations, outdir))
+    steps = "Newton steps on the {0}x{0} mesh after a start from the " \
+        "{1}x{1} solution".format(config.n, config.n // 2) \
+        if solution.nested else "nonlinear steps (Picard and Newton)"
+    print("uncontrolled cavity solved in {} {}; output in {}".format(
+        solution.iterations, steps, outdir))
     return EXIT_OK
 
 

@@ -3,13 +3,15 @@
 Compressed sparse row storage and the factorization are delegated to
 scipy's SuperLU, which matches the role the external direct solver played
 in the original computations.  A factorization is immutable and reusable
-across right-hand sides.  It orders the matrix in one of two ways:
+across right-hand sides.  A matrix of at least ``_LARGE_ROWS`` (4096)
+rows is large; the comment at that constant lists the three things the
+size decides.  A factorization orders the matrix in one of two ways:
 
-- Without an order (every matrix below ``_TRIM_ROWS`` rows, 4096), SuperLU
-  picks a COLAMD column order and pivots partially.
+- Without an order (every core that is not large), SuperLU picks a
+  COLAMD column order and pivots partially.
 - Given a symmetric fill-reducing order (the state layout builds one for
-  every core of at least ``_TRIM_ROWS`` rows: a nested dissection of the
-  mesh, see ``state._nested_dissection``), ``DirectSolver`` factors
+  every large core: a nested dissection of the mesh, see
+  ``state._nested_dissection``), ``DirectSolver`` factors
   ``A[order][:, order]`` in SuperLU's symmetric mode with static diagonal
   pivots, so the factor keeps the order's fill.  A zero diagonal pivot,
   which the order is built to avoid, raises ``SingularMatrixError``; a
@@ -31,8 +33,8 @@ process held more.  Each freed factor raises glibc's dynamic mmap
 threshold (up to 32 MiB, mallopt(3)), so the next factor's arrays come
 from the brk heap, and freed chunks in the middle of that heap stay
 resident.  ``DirectSolver`` therefore hands glibc's free heap back to the
-OS (``malloc_trim(0)``) just before it factors a matrix of at least
-``_TRIM_ROWS`` rows.  The gate sits between the sizes measured on a
+OS (``malloc_trim(0)``) just before it factors a large matrix.  The
+gate sits between the sizes measured on a
 2-vCPU host with the benchmark in perfbench/: on the 24x24 cavity
 control (7968 rows) the trim lowered the peak RSS from 140 to 120 MiB,
 and on the 32x32 forward cavity (14208 rows) from 178 to 167 MiB, with
@@ -65,11 +67,13 @@ _BORDERED_REFINE = 6
 # costs about 2% of a factorization at 32 x 32).
 _KRYLOV_MAXITER = 25
 
-# A factorization of at least _TRIM_ROWS rows is large: it runs after
-# malloc_trim(0), and the state layout orders its core by nested
-# dissection (see the module docstring); _malloc_trim is None without the
-# symbol.
-_TRIM_ROWS = 4096
+# A matrix of at least _LARGE_ROWS rows is large, which decides three
+# things: DirectSolver calls malloc_trim(0) before it factors one (see the
+# module docstring), the state layout orders such a core by nested
+# dissection (state._Dofs.order), and solve_state starts such a solve
+# from the solution on the coarse parent mesh (state._Dofs.large).
+# _malloc_trim is None without the symbol.
+_LARGE_ROWS = 4096
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes = [ctypes.c_size_t]
@@ -136,7 +140,7 @@ class DirectSolver:
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(A.data)):
             raise SingularMatrixError("matrix has non-finite entries")
-        if _malloc_trim is not None and A.shape[0] >= _TRIM_ROWS:
+        if _malloc_trim is not None and A.shape[0] >= _LARGE_ROWS:
             _malloc_trim(0)
         if order is not None:
             order = np.asarray(order)

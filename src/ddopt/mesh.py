@@ -4,8 +4,9 @@ Meshes are immutable after construction: all adjacency arrays (edges,
 cell-to-edge maps, normals, sizes) are built once in ``__init__`` and the
 class exposes them as plain numpy arrays.  What is derived from them (the
 CR basis gradients, the edge sets, the edge traces, the degree-4 cell
-rule and the index patterns of the assembled blocks) is built on first
-use and kept, read-only, with the mesh.
+rule, the index patterns of the assembled blocks and, for a unit-square
+mesh of even n, its coarse parent) is built on first use and kept,
+read-only, with the mesh.
 Cells are stored counter-clockwise and edges in canonical order (lower
 vertex index first, list sorted lexicographically) so that
 degree-of-freedom numbering is reproducible.
@@ -61,10 +62,17 @@ class Mesh:
     scatter_plan
         The index patterns of every assembled cell and facet block and
         the order in which their duplicates are summed (``_ScatterPlan``).
+    parent
+        For ``build_unit_square_mesh(n)`` with even n, the mesh
+        ``build_unit_square_mesh(n // 2)`` and where each cell and edge
+        lies in it (``_Parent``); None for any other mesh.
 
     ``cell_gradients`` and the attributes after it are built on first
     access and are read-only.
     """
+
+    # the n of build_unit_square_mesh(n), None for any other mesh
+    _squares = None
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -131,6 +139,11 @@ class Mesh:
     @cached_property
     def scatter_plan(self):
         return _ScatterPlan(self)
+
+    @cached_property
+    def parent(self):
+        n = self._squares
+        return None if n is None or n % 2 else _Parent(self, n)
 
     @cached_property
     def cell_gradients(self):
@@ -475,7 +488,52 @@ def build_unit_square_mesh(n):
     lower = np.column_stack([v00, v10, v11])
     upper = np.column_stack([v00, v11, v01])
     cells = np.vstack([lower, upper])
-    return Mesh(vertices, cells)
+    mesh = Mesh(vertices, cells)
+    mesh._squares = n
+    return mesh
+
+
+class _Parent:
+    """The mesh ``build_unit_square_mesh(n // 2)`` of a unit-square mesh of
+    even n (the child), and where each child cell and edge lies in it.
+
+    ``cell`` (nc,) is the parent cell of each child cell and ``edge`` (ne,)
+    the parent edge of which a child edge is a half, -1 for a child edge
+    inside a parent cell; both are read-only and follow in closed form
+    from the grid numbering of ``build_unit_square_mesh``: vertex (i, j)
+    is j (n + 1) + i, the lower triangle of subsquare (i, j) is cell
+    j n + i and the upper one n^2 + j n + i.
+    """
+
+    def __init__(self, child, n):
+        m = n // 2
+        self.mesh = parent = build_unit_square_mesh(m)
+        # child subsquare (i, j) lies in parent subsquare (i // 2, j // 2);
+        # the parent diagonal splits the two child subsquares on it as it
+        # splits its own, and leaves the one right of it (i odd, j even)
+        # in the lower and the one left of it in the upper triangle
+        j, i = np.divmod(np.arange(n * n), n)
+        right, left = i % 2 > j % 2, i % 2 < j % 2
+        square = j // 2 * m + i // 2
+        self.cell = _frozen(np.concatenate([
+            np.where(left, m * m + square, square),
+            np.where(right, square, m * m + square)]))
+        # a child edge with one end on the parent grid (both coordinates
+        # even) is the half of the parent edge from that end through the
+        # other end, on to twice as far
+        j, i = np.divmod(child.edges, n + 1)
+        on_grid = (i % 2 == 0) & (j % 2 == 0)
+        rows = np.arange(child.num_edges)
+        a = np.where(on_grid[:, 0], 0, 1)
+        ia, ja = i[rows, a], j[rows, a]
+        ib, jb = 2 * i[rows, 1 - a] - ia, 2 * j[rows, 1 - a] - ja
+        va = ja // 2 * (m + 1) + ia // 2
+        vb = jb // 2 * (m + 1) + ib // 2
+        nv = parent.num_vertices
+        key = np.minimum(va, vb) * nv + np.maximum(va, vb)
+        at = np.searchsorted(parent.edges[:, 0] * nv + parent.edges[:, 1],
+                             key)
+        self.edge = _frozen(np.where(on_grid.sum(axis=1) == 1, at, -1))
 
 
 def refine_uniform(mesh):

@@ -4,7 +4,7 @@ The reference below builds every block as COO, converts it to CSR, adds
 the blocks with scipy's sparse sums, slices out the free dofs and stacks
 them with ``sp.bmat``.  The plan must give the same matrices to the bit:
 ``data``, ``indices`` and ``indptr``, with their dtypes.  COLAMD orders
-the LU of a small core (below ``linalg._TRIM_ROWS`` rows) by the stored
+the LU of a small core (below ``linalg._LARGE_ROWS`` rows) by the stored
 pattern, so a stored zero more or less changes it.  The nested-dissection
 order of a large core reads the plan's structural pattern (every entry a
 block may store), not the stored zeros.

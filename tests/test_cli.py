@@ -189,6 +189,18 @@ def test_main_solve_is_uncontrolled_cavity(tmp_path):
     assert not np.any(cols["U1"]) and not np.any(cols["U2"])
 
 
+@pytest.mark.parametrize("n, steps", [
+    (4, "nonlinear steps (Picard and Newton)"),
+    (24, "Newton steps on the 24x24 mesh after a start from the 12x12 "
+         "solution")])
+def test_main_solve_says_what_its_steps_count(n, steps, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    said = capsys.readouterr().out
+    assert said.startswith("uncontrolled cavity solved in ")
+    assert " {}; output in ".format(steps) in said
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("a solve ran on a rejected configuration")
 

@@ -241,8 +241,8 @@ def _tridiagonal(n):
                     [-1, 0, 1], format="csc")
 
 
-@pytest.mark.parametrize("rows, trims", [(linalg._TRIM_ROWS, 1),
-                                         (linalg._TRIM_ROWS - 1, 0)])
+@pytest.mark.parametrize("rows, trims", [(linalg._LARGE_ROWS, 1),
+                                         (linalg._LARGE_ROWS - 1, 0)])
 def test_large_factorization_trims_heap_first(monkeypatch, rows, trims):
     calls = []
     monkeypatch.setattr(linalg, "_malloc_trim", calls.append)
@@ -253,7 +253,7 @@ def test_large_factorization_trims_heap_first(monkeypatch, rows, trims):
 def test_factorization_without_malloc_trim(monkeypatch):
     # a C library without the symbol factors and solves as before
     monkeypatch.setattr(linalg, "_malloc_trim", None)
-    A = _tridiagonal(linalg._TRIM_ROWS)
+    A = _tridiagonal(linalg._LARGE_ROWS)
     b = np.ones(A.shape[0])
     x = DirectSolver(A).lu.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)

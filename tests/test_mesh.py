@@ -129,3 +129,39 @@ def test_requires_ccw():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         Mesh(verts, np.array([[0, 2, 1]]))
+
+
+def _barycentric(tri, pts):
+    T = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
+    lam = np.linalg.solve(T, (pts - tri[:, 0])[..., None])[..., 0]
+    return np.column_stack([1.0 - lam.sum(axis=1), lam])
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_parent_maps_cells_and_edge_halves(n):
+    # each child cell lies in its parent cell, four to a parent; each
+    # parent edge has two child halves, with midpoints at 1/4 and 3/4
+    child = build_unit_square_mesh(n)
+    parent = child.parent
+    coarse = parent.mesh
+    assert child.parent is parent and coarse.num_cells * 4 == child.num_cells
+    centroid = child.vertices[child.cells].mean(axis=1)
+    lam = _barycentric(coarse.vertices[coarse.cells[parent.cell]], centroid)
+    assert np.all(lam > 1e-12)
+    assert np.all(np.bincount(parent.cell) == 4)
+    half = np.flatnonzero(parent.edge >= 0)
+    assert np.all(np.bincount(parent.edge[half]) == 2)
+    ends = coarse.vertices[coarse.edges[parent.edge[half]]]
+    d, x = ends[:, 1] - ends[:, 0], child.edge_midpoint[half] - ends[:, 0]
+    t = np.sum(x * d, axis=1) / np.sum(d * d, axis=1)
+    assert np.all(np.isclose(t, 0.25, atol=1e-12)
+                  | np.isclose(t, 0.75, atol=1e-12))
+    assert np.allclose(x[:, 0] * d[:, 1], x[:, 1] * d[:, 0], atol=1e-15)
+    assert np.all(parent.edge[child.boundary_edges] >= 0)
+    assert np.all(coarse.boundary_edge[parent.edge[child.boundary_edges]])
+
+
+def test_only_even_unit_square_meshes_have_a_parent():
+    assert build_unit_square_mesh(5).parent is None
+    assert refine_uniform(build_unit_square_mesh(2)).parent is None
+    assert build_unit_square_mesh(4).parent.mesh.num_cells == 8

@@ -12,7 +12,7 @@ from ddopt.linalg import LinearSolveError, SingularMatrixError
 from ddopt.mesh import build_unit_square_mesh
 from ddopt.norms import broken_velocity_norm
 from ddopt.spaces import BoundaryTrace, CRVectorField, P0Field, \
-    boundary_interpolate, p0_project
+    boundary_interpolate, cr_interpolate, p0_project
 from ddopt.state import (NonlinearSettings, NonconvergenceError,
                          StateSolution, StateStepper, _Dofs, solve_state,
                          state_residual)
@@ -418,10 +418,10 @@ def _is_permutation(order, n):
 
 
 def test_small_layout_has_no_order():
-    # below linalg._TRIM_ROWS rows the core stays on COLAMD
+    # below linalg._LARGE_ROWS rows the core stays on COLAMD
     mesh, params, y_bc = _cavity(16, 100.0, 1e-3, 10.0)
     dofs = _Dofs(mesh, params, y_bc, None)
-    assert dofs.jacobian.n < linalg._TRIM_ROWS
+    assert dofs.jacobian.n < linalg._LARGE_ROWS
     assert dofs.order is None
 
 
@@ -442,7 +442,7 @@ def test_large_layout_orders_pressures_after_their_velocities(
         cavity_32_cores):
     dofs, _ = cavity_32_cores
     order, n = dofs.order, dofs.jacobian.n
-    assert n >= linalg._TRIM_ROWS and _is_permutation(order, n)
+    assert n >= linalg._LARGE_ROWS and _is_permutation(order, n)
     assert dofs.order is order  # built once per layout
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -469,3 +469,102 @@ def test_ordered_lu_fills_less_and_solves_as_colamd(cavity_32_cores):
             want = np.append(*colamd[newton].solve(b, transpose=transpose))
             assert np.linalg.norm(got - want) \
                 <= 1e-12 * np.linalg.norm(want)
+
+
+def test_nested_start_matches_cold_solve(monkeypatch):
+    # the 24x24 cavity starts from the 12x12 solution and factors at most
+    # two cores of the gate's size; a coarse solve that raises leaves the
+    # fine solve to start cold, and the two agree to rounding
+    mesh, params, y_bc = _cavity(24, 100.0, 1e-3, 10.0)
+    settings = NonlinearSettings(tol=1e-10)
+    count = _count_factorizations(monkeypatch)
+    nested = solve_state(mesh, params, y_bc, settings=settings)
+    assert nested.nested
+    assert len([rows for rows in count if rows >= linalg._LARGE_ROWS]) <= 2
+    assert nested.iterations == len(nested.increments)
+    failed = []
+
+    def coarse_fails(coarse, *args, **kwargs):
+        assert coarse is mesh.parent.mesh
+        failed.append(1)
+        raise NonconvergenceError("coarse solve failed", [1.0])
+
+    monkeypatch.setattr(state, "solve_state", coarse_fails)
+    cold = solve_state(mesh, params, y_bc, settings=settings)
+    assert failed and not cold.nested
+    assert cold.iterations > nested.iterations
+    for name in ("u", "p", "y"):
+        a, b = getattr(nested, name).dof, getattr(cold, name).dof
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    umax = np.abs(nested.u.dof).max()
+    assert nested.max_divergence() <= 1e-10 * (1.0 + umax)
+    res = state_residual(mesh, params, nested, y_bc=y_bc)
+    assert max(res.values()) <= 1e-10 * (1.0 + umax)
+
+
+def test_coarse_start_restricts_data_and_prolongs_exactly(monkeypatch):
+    # the coarse solve gets the data restricted to the parent mesh; a CR
+    # field affine on it prolongs to the fine interpolant, and each fine
+    # pressure is its parent cell's
+    mesh, params, y_bc = _cavity(8, 100.0, 1e-3, 10.0)
+    parent = mesh.parent
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal(parent.mesh.num_cells)
+    U = rng.standard_normal((parent.mesh.num_cells, 2))
+    seen = {}
+
+    def affine(x, y):
+        return 1.0 + 2.0 * x - 3.0 * y, -0.5 + x + 4.0 * y
+
+    def coarse_solve(coarse, prm, trace, control, settings, u_bc, *rest):
+        seen.update(mesh=coarse, control=control, u_bc=u_bc)
+        field = cr_interpolate(affine, coarse)
+        return StateSolution(u=field, p=P0Field(coarse, p), y=field,
+                             iterations=0, increments=[], layout=None)
+
+    monkeypatch.setattr(state, "solve_state", coarse_solve)
+    u, p_fine, y = state._coarse_start(
+        mesh, params, y_bc, P0Field(mesh, U[parent.cell]),
+        NonlinearSettings(), None, None, None, 0.0)
+    assert seen["mesh"] is parent.mesh and seen["u_bc"] is None
+    assert np.allclose(seen["control"], U, rtol=0.0, atol=1e-15)
+    want = cr_interpolate(affine, mesh).dof
+    for got in (u, y):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(p_fine, p[parent.cell])
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_cavity_trace_restricts_to_the_parent_trace(n):
+    mesh = build_unit_square_mesh(n)
+    trace = cli.cavity_boundary_trace(mesh)
+    coarse = mesh.parent.mesh
+    got = state._restrict_trace(trace, mesh.parent)
+    want = cli.cavity_boundary_trace(coarse)
+    at = np.argsort(want.edges)
+    assert got.mesh is coarse
+    assert np.array_equal(got.edges, want.edges[at])
+    assert np.array_equal(got.values, want.values[at])
+    # a parent edge with one half referenced is left natural
+    part = BoundaryTrace(mesh, trace.edges[1:], trace.values[1:])
+    dropped = state._restrict_trace(part, mesh.parent).edges
+    assert np.array_equal(dropped, np.setdiff1d(
+        got.edges, mesh.parent.edge[trace.edges[0]]))
+
+
+@pytest.mark.parametrize("n", [16, 23])
+def test_small_or_odd_solve_runs_no_coarse_solve(n, monkeypatch):
+    # the 16x16 core (3520 rows) is below the gate, so the parent mesh is
+    # never built; the 23x23 one is large, but an odd mesh has no parent
+    mesh, params, y_bc = _cavity(n, 100.0, 1e-3, 10.0)
+    calls = []
+    solve = state.solve_state
+    monkeypatch.setattr(state, "solve_state",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    sol = state.solve_state(mesh, params, y_bc,
+                            settings=NonlinearSettings(tol=1e-10))
+    assert len(calls) == 1 and not sol.nested
+    if n == 16:
+        assert not sol.layout.large and "parent" not in vars(mesh)
+    else:
+        assert sol.layout.large and mesh.parent is None
